@@ -20,23 +20,34 @@ afford because the prefill side buffers overflow (§4.3 pull policy).
 (tracer and profiler are the NULL objects, no metrics registry attached)
 and ``fast_kernel`` is enabled, the instance *macro-steps*: instead of
 one heap event per decode step it plans the longest run of steps whose
-batch membership provably cannot change — bounded by the shortest
-remaining request, by KV-growth safety in optimistic-admission mode, and
-by the next pending simulation event — and schedules a single run-end
-event. Per-step boundaries, jitter draws, token times, KV growth, and
-counters are computed with the same floating-point operations in the
-same order as the step-by-step path, so results are bit-identical.
-Mid-run reads (the pull policy's :meth:`can_reserve`) first materialize
-every boundary strictly before the current virtual time, and a
-submission landing mid-run truncates the run at the next step boundary
-(where the per-step path would admit it), refunding unused jitter draws
-so the RNG stream stays aligned.
+batch membership the instance itself cannot change — bounded by the
+shortest remaining request and, in optimistic-admission mode, by
+KV-growth safety — and schedules a single run-end event. Events
+elsewhere in the cluster do not bound a run: a submission landing
+mid-run truncates it at the step boundary where the per-step path would
+admit the newcomer, refunding unused jitter draws so the RNG stream
+stays aligned, and mid-run reads (the pull policy's :meth:`can_reserve`)
+first materialize every step the per-step path would have completed.
+Per-step boundaries, jitter draws, token times, KV growth, and counters
+are computed with the same floating-point operations in the same order
+as the step-by-step path, so results are bit-identical.
+
+A run's cost does not grow with the batch. The active set maps each
+request to the fast-step count up to which its token fields are written
+(its *mark*), finishers come off a heap keyed by finish step, and the
+micro-batch context is the incrementally kept active context (pp=1). A
+batched request's ``generated`` and ``token_times`` therefore lag: they
+are written back once per stay, from a per-instance step-time history,
+when the request finishes, is preempted, or the instance fails, and
+before :meth:`instrument` or any per-step step reads them.
 """
 
 from __future__ import annotations
 
+import heapq
 from bisect import bisect_left, bisect_right
 from collections import deque
+from itertools import islice
 from typing import Callable, Deque
 
 from .events import Simulation
@@ -106,8 +117,10 @@ class DecodeInstance:
         )
         self._bpolicy: BatchPolicy = make_batch_policy(cfg.batch_policy)
         self._waiting: "Deque[RequestState]" = deque()
-        self._active: "list[RequestState]" = []
-        self._active_ids: "set[int]" = set()
+        # Active set in admission order, each request mapped to its mark:
+        # the fast-step count up to which its token fields are written.
+        # Marks ascend in admission order, so the first is the oldest.
+        self._active: "dict[RequestState, int]" = {}
         self._kv: KVBlockManager = spec.make_kv_manager()
         self._coeffs = spec.latency_coeffs
         self._jitter = spec.make_jitter(name)
@@ -131,12 +144,14 @@ class DecodeInstance:
         # skip the draw calls without perturbing any stream position.
         self._unit_jitter = spec.jitter_sigma == 0.0
         # State of the in-flight macro run (empty when idle or slow).
-        self._run_batch: "list[RequestState]" = []
         self._run_boundaries: "list[float]" = []
         self._run_durations: "list[float]" = []
         self._run_jitters: "list[float]" = []
         self._run_cursor = 0
         self._run_generation = 0
+        # Simulation watermark taken when the run was planned (see
+        # _steps_done for what it decides at an exact time tie).
+        self._run_mark = 0
         # Jitter draws refunded by a truncated run. The per-instance
         # stream is positional (value depends only on draw index), so a
         # draw planned for a dropped step is reused verbatim by whatever
@@ -145,6 +160,16 @@ class DecodeInstance:
         # Incrementally maintained total context length of the active
         # set — the O(1) dispatch/telemetry signal (no per-step lists).
         self._active_context_tokens = 0
+        # Fast steps materialized so far, and the end time of each from
+        # the oldest active mark on: _step_times[i] ends fast step
+        # _step_times_base + i.
+        self._fast_steps = 0
+        self._step_times: "list[float]" = []
+        self._step_times_base = 0
+        # Min-heap of (finish fast step, admission seq, state). Entries of
+        # requests that left the batch or were re-admitted are skipped.
+        self._finish_heap: "list[tuple[int, int, RequestState]]" = []
+        self._admissions = 0
         # Instrumentation.
         self.steps_executed = 0
         self.busy_time = 0.0
@@ -166,15 +191,12 @@ class DecodeInstance:
         """Total context tokens of the active set, O(1) mid-run.
 
         During a macro run the per-step state is not materialized; the
-        count of elapsed (but unmaterialized) step boundaries times the
-        batch size bridges the gap without touching per-request state.
+        count of completed (but unmaterialized) steps times the batch
+        size bridges the gap without touching per-request state.
         """
         extra = 0
         if self._run_cursor < len(self._run_boundaries):
-            done = bisect_left(
-                self._run_boundaries, self._sim.now, self._run_cursor
-            )
-            extra = (done - self._run_cursor) * len(self._run_batch)
+            extra = (self._steps_done() - self._run_cursor) * len(self._active)
         return self._active_context_tokens + extra
 
     def kv_capacity_tokens(self) -> int:
@@ -188,8 +210,11 @@ class DecodeInstance:
 
         Gauges sample live batch/KV/counter state, which a macro-stepped
         run advances only in bulk — so instrumenting an instance routes
-        all subsequent runs through the exact per-step path.
+        all subsequent runs through the exact per-step path. State a run
+        left lagging is brought up to date first.
         """
+        self._sync_to_now()
+        self._write_back_all()
         self._fast = False
         labels = {"phase": "decode", "instance": self.name}
         registry.gauge(
@@ -278,19 +303,33 @@ class DecodeInstance:
             return self._jitter_queue.popleft()
         return self._jitter()
 
+    def _steps_done(self) -> int:
+        """Run steps the per-step path has completed as this event fires.
+
+        Boundaries before now are done and boundaries after it are not.
+        One exactly at now is done unless the firing event was already
+        pending when the run was planned: the per-step path schedules a
+        step's end event when the step starts, after any such event, so
+        at the tie the pending event fires first.
+        """
+        sim = self._sim
+        if sim.was_pending_at(self._run_mark):
+            return bisect_left(self._run_boundaries, sim.now, self._run_cursor)
+        return bisect_right(self._run_boundaries, sim.now, self._run_cursor)
+
     def _truncate_run(self) -> None:
-        """Shorten an in-flight macro run to the next step boundary.
+        """Shorten an in-flight macro run to where a newcomer joins.
 
         A submission landing mid-run is admitted, in the per-step path,
-        when the step in flight completes. Keep boundaries up to the
-        first one strictly after now, refund the dropped steps' jitter
-        draws, and re-aim the run-end event (the stale one is voided by
-        the generation bump).
+        when the step in flight completes. Keep boundaries through the
+        first step not yet done (:meth:`_steps_done`), refund the dropped
+        steps' jitter draws, and re-aim the run-end event (the stale one
+        is voided by the generation bump).
         """
         boundaries = self._run_boundaries
         if self._run_cursor >= len(boundaries):
             return
-        keep = bisect_right(boundaries, self._sim.now) + 1
+        keep = self._steps_done() + 1
         if keep >= len(boundaries):
             return
         self._jitter_queue.extendleft(reversed(self._run_jitters[keep:]))
@@ -318,9 +357,15 @@ class DecodeInstance:
             head.phase = RequestPhase.DECODING
             head.stamp("decode_start", self._sim.now)
             self._trace.end(head.request_id, SpanKind.DECODE_QUEUE, self._sim.now)
-            self._active.append(head)
-            self._active_ids.add(head.request_id)
+            self._active[head] = self._fast_steps
             self._active_context_tokens += head.context_len
+            if self._fast:
+                self._admissions += 1
+                heapq.heappush(self._finish_heap, (
+                    self._fast_steps + head.remaining_tokens,
+                    self._admissions,
+                    head,
+                ))
 
     def _kick(self) -> None:
         if self._stepping or not self._alive:
@@ -343,12 +388,13 @@ class DecodeInstance:
         """Context lengths of one steady-state micro-batch."""
         pp = self.spec.config.pp
         size = -(-len(self._active) // pp)
-        return [s.context_len for s in self._active[:size]]
+        return [s.context_len for s in islice(self._active, size)]
 
     # ------------------------------------------------------------------
     # Reference per-step path
     # ------------------------------------------------------------------
     def _run_step(self) -> None:
+        self._write_back_all()
         contexts = self._microbatch_contexts()
         times = decode_times(
             self.spec.model,
@@ -371,15 +417,16 @@ class DecodeInstance:
     ) -> None:
         if not self._alive:
             return  # the instance died mid-step; victims re-routed
+        active = self._active
         finished: "list[RequestState]" = []
         step_tokens = 0
         for state in batch:
-            if state.request_id not in self._active_ids:
+            if state not in active:
                 continue  # preempted mid-step
             if not self._reserve_full:
                 if not self._kv.can_append(state.request_id):
                     self._preempt_youngest()
-                    if state.request_id not in self._active_ids:
+                    if state not in active:
                         continue
                     if not self._kv.can_append(state.request_id):
                         continue  # skip this token; retried next step
@@ -406,12 +453,14 @@ class DecodeInstance:
                 len(batch), step_tokens,
             )
         for state in finished:
-            self._active.remove(state)
-            self._active_ids.discard(state.request_id)
+            del active[state]
             self._active_context_tokens -= state.context_len
             self._kv.free(state.request_id)
             state.phase = RequestPhase.FINISHED
             self._on_done(state)
+        if self._fast:
+            # This step's tokens left the marks behind: re-key the heap.
+            self._rebuild_finish_heap()
         self._continue()
 
     # ------------------------------------------------------------------
@@ -451,21 +500,25 @@ class DecodeInstance:
     def _run_fast(self) -> None:
         """Plan and schedule one macro run of decode steps.
 
-        The run length is bounded by (a) the shortest remaining request —
-        so nobody finishes mid-run, (b) KV-growth safety in optimistic
-        mode — so nobody is preempted mid-run, and (c) the next pending
-        event: a step is included only if it *starts* strictly before
-        that event fires, because anything firing earlier could enqueue
-        work the per-step path would admit at that step's boundary. The
-        first step may overshoot the horizon — it is in flight in the
-        per-step path too, and mid-flight events only enqueue.
+        The run length is bounded only by what this instance does: (a)
+        the shortest remaining request, read off the finish heap — so
+        nobody finishes mid-run — and (b) KV-growth safety in optimistic
+        mode — so nobody is preempted mid-run. Other events leave the run
+        alone; a submission landing mid-run truncates it
+        (:meth:`_truncate_run`). Planning costs O(steps + log batch); only
+        pp > 1 micro-batch contexts and the optimistic KV bound scan the
+        batch.
         """
         active = self._active
-        max_steps = active[0].remaining_tokens
-        for state in active:
-            remaining = state.remaining_tokens
-            if remaining < max_steps:
-                max_steps = remaining
+        heap = self._finish_heap
+        while True:
+            finish, _, state = heap[0]
+            mark = active.get(state)
+            if mark is not None and mark + state.remaining_tokens == finish:
+                break
+            heapq.heappop(heap)  # left the batch, or re-admitted since
+        steps = self._fast_steps
+        max_steps = finish - steps
         if not self._reserve_full:
             max_steps = self._kv_safe_steps(max_steps)
             if max_steps < 1:
@@ -475,33 +528,29 @@ class DecodeInstance:
                 return
         pp = self.spec.config.pp
         mb_size = -(-len(active) // pp)
-        mb_context = 0
-        for state in active[:mb_size]:
-            mb_context += state.context_len
+        if pp == 1:
+            mb_context = self._active_context_tokens
+        else:
+            mb_context = 0
+            for member, member_mark in islice(active.items(), mb_size):
+                mb_context += member.context_len + steps - member_mark
         latency = self._timer.step_latency_fn(mb_size)
-        peek = self._sim.peek_time()
         boundaries: "list[float]" = []
         durations: "list[float]" = []
         jitters: "list[float]" = []
         t = self._sim.now
-        steps = 0
         if self._unit_jitter:
-            # base * 1.0 is bitwise base; no stream position to advance.
-            while steps < max_steps:
-                if steps > 0 and peek is not None and t >= peek:
-                    break
+            # base * 1.0 is bitwise base; no stream position to advance,
+            # so nothing to refund on truncation either.
+            for _ in range(max_steps):
                 duration = latency(mb_context)
                 assert duration >= 0.0  # latency model is nonnegative
                 t = t + duration
                 boundaries.append(t)
                 durations.append(duration)
-                jitters.append(1.0)
                 mb_context += mb_size
-                steps += 1
         else:
-            while steps < max_steps:
-                if steps > 0 and peek is not None and t >= peek:
-                    break
+            for _ in range(max_steps):
                 noise = self._draw_jitter()
                 duration = latency(mb_context) * noise
                 assert duration >= 0.0  # latency model + jitter nonnegative
@@ -510,77 +559,113 @@ class DecodeInstance:
                 durations.append(duration)
                 jitters.append(noise)
                 mb_context += mb_size
-                steps += 1
-        self._run_batch = list(active)
         self._run_boundaries = boundaries
         self._run_durations = durations
         self._run_jitters = jitters
         self._run_cursor = 0
+        self._run_mark = self._sim.mark()
         generation = self._run_generation
-        last = boundaries[-1]
-        assert last >= self._sim.now
-        self._sim.schedule_at(last, lambda: self._finish_fast_run(generation))
+        assert t >= self._sim.now
+        self._sim.schedule_at(t, lambda: self._finish_fast_run(generation))
 
     def _materialize(self, upto: int) -> None:
         """Advance run steps ``[cursor, upto)`` in bulk.
 
         Counters accumulate per step in boundary order (preserving the
-        reference path's float-addition sequence); token times and KV
-        growth advance with one bulk operation per request, which is
-        value-identical to the per-step equivalents.
+        reference path's float-addition sequence); the step times join
+        the history the batch's token fields are written back from, and
+        KV growth (optimistic admission) is one bulk append per request.
         """
         cursor = self._run_cursor
         if upto <= cursor:
             return
         count = upto - cursor
-        durations = self._run_durations
-        for index in range(cursor, upto):
-            self.steps_executed += 1
-            self.busy_time += durations[index]
-        step_times = self._run_boundaries[cursor:upto]
-        batch = self._run_batch
-        grow_kv = not self._reserve_full
-        for state in batch:
-            if grow_kv:
+        busy = self.busy_time
+        for duration in self._run_durations[cursor:upto]:
+            busy += duration
+        self.busy_time = busy
+        self.steps_executed += count
+        self._step_times.extend(self._run_boundaries[cursor:upto])
+        if not self._reserve_full:
+            for state in self._active:
                 self._kv.append(state.request_id, count)
-            state.record_tokens(step_times)
-        self.tokens_generated += count * len(batch)
-        self._active_context_tokens += count * len(batch)
+        batch = len(self._active)
+        self.tokens_generated += count * batch
+        self._active_context_tokens += count * batch
+        self._fast_steps += count
         self._run_cursor = upto
 
     def _sync_to_now(self) -> None:
-        """Materialize every boundary strictly before the current time.
-
-        Boundaries exactly at ``now`` belong to the run-end event (which
-        fires after any event already pending when the run was planned —
-        matching the per-step event order at equal times).
-        """
+        """Materialize every run step completed as of the firing event."""
         if self._run_cursor >= len(self._run_boundaries):
             return
-        done = bisect_left(self._run_boundaries, self._sim.now, self._run_cursor)
-        self._materialize(done)
+        self._materialize(self._steps_done())
 
     def _finish_fast_run(self, generation: int) -> None:
         if not self._alive or generation != self._run_generation:
             return  # the instance failed mid-run; victims re-routed
         self._materialize(len(self._run_boundaries))
-        finished: "list[RequestState]" = []
-        for state in self._run_batch:
-            if state.is_finished:
-                finished.append(state)
-        self._run_batch = []
         self._run_boundaries = []
         self._run_durations = []
         self._run_jitters = []
         self._run_cursor = 0
-        for state in finished:
-            self._active.remove(state)
-            self._active_ids.discard(state.request_id)
+        active = self._active
+        heap = self._finish_heap
+        steps = self._fast_steps
+        # Equal finish steps pop in admission order, the per-step path's
+        # batch order.
+        while heap and heap[0][0] <= steps:
+            finish, _, state = heapq.heappop(heap)
+            mark = active.get(state)
+            if mark is None or mark + state.remaining_tokens != finish:
+                continue  # left the batch, or re-admitted since
+            del active[state]
+            self._write_back(state, mark)
             self._active_context_tokens -= state.context_len
             self._kv.free(state.request_id)
             state.phase = RequestPhase.FINISHED
             self._on_done(state)
+        self._trim_step_times()
         self._continue()
+
+    def _write_back(self, state: RequestState, mark: int) -> None:
+        """Record the fast steps ``state`` has taken since step ``mark``."""
+        steps = self._fast_steps
+        if mark < steps:
+            base = self._step_times_base
+            state.record_tokens(self._step_times[mark - base:steps - base])
+
+    def _write_back_all(self) -> None:
+        """Bring every active request's token fields up to date."""
+        active = self._active
+        steps = self._fast_steps
+        if not active or next(iter(active.values())) == steps:
+            return  # the oldest mark is current, so every mark is
+        for state, mark in active.items():
+            self._write_back(state, mark)
+            active[state] = steps
+
+    def _trim_step_times(self) -> None:
+        """Drop step times that no active request still needs.
+
+        Trimming once the dead prefix outgrows the rest keeps the cost
+        amortized O(1) per step, and the history at most twice the
+        steps since the oldest active mark.
+        """
+        oldest = next(iter(self._active.values()), self._fast_steps)
+        dead = oldest - self._step_times_base
+        if 2 * dead > len(self._step_times):
+            del self._step_times[:dead]
+            self._step_times_base = oldest
+
+    def _rebuild_finish_heap(self) -> None:
+        """Re-key the finish heap from the active set, in admission order."""
+        heap: "list[tuple[int, int, RequestState]]" = []
+        for state, mark in self._active.items():
+            self._admissions += 1
+            heap.append((mark + state.remaining_tokens, self._admissions, state))
+        heapq.heapify(heap)
+        self._finish_heap = heap
 
     # ------------------------------------------------------------------
     @property
@@ -603,8 +688,8 @@ class DecodeInstance:
             if self._run_cursor < len(self._run_boundaries):
                 self.steps_executed += 1
                 self.busy_time += self._run_durations[self._run_cursor]
+        self._write_back_all()
         self._run_generation += 1
-        self._run_batch = []
         self._run_boundaries = []
         self._run_durations = []
         self._run_jitters = []
@@ -615,7 +700,9 @@ class DecodeInstance:
             self._kv.free(state.request_id)
             state.recompute_len = state.context_len
         self._active.clear()
-        self._active_ids.clear()
+        self._finish_heap.clear()
+        self._step_times.clear()
+        self._step_times_base = self._fast_steps
         self._waiting.clear()
         self._active_context_tokens = 0
         self._stepping = False
@@ -630,8 +717,8 @@ class DecodeInstance:
         """vLLM-style recompute preemption of the most recent admission."""
         if not self._active:
             return
-        victim = self._active.pop()
-        self._active_ids.discard(victim.request_id)
+        victim, mark = self._active.popitem()
+        self._write_back(victim, mark)
         self._active_context_tokens -= victim.context_len
         self._kv.free(victim.request_id)
         victim.phase = RequestPhase.WAITING_DECODE

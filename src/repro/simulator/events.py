@@ -12,6 +12,12 @@ a plain integer tiebreaker, and heap operations bound to locals inside
 the loop. :meth:`Simulation.stop` lets an observer (e.g. the goodput
 search's early-abort monitor) halt the run between events without
 unwinding the stack through user callbacks.
+
+:meth:`Simulation.mark` and :meth:`Simulation.was_pending_at` let a
+component that plans ahead (the fast decode kernel) tell, at an exact
+time tie, whether the event now firing was already scheduled when it
+planned — i.e. whether that event sorts before or after the events the
+component would have scheduled step by step.
 """
 
 from __future__ import annotations
@@ -32,12 +38,16 @@ class Simulation:
         sim.run()                        # drain all events
     """
 
-    __slots__ = ("_now", "_heap", "_counter", "_events_processed", "_stopped")
+    __slots__ = (
+        "_now", "_heap", "_counter", "_firing", "_events_processed", "_stopped",
+    )
 
     def __init__(self) -> None:
         self._now = 0.0
         self._heap: "list[tuple[float, int, Callable[[], None]]]" = []
         self._counter = 0
+        # Sequence number of the event now executing (0 before the first).
+        self._firing = 0
         self._events_processed = 0
         self._stopped = False
 
@@ -74,6 +84,19 @@ class Simulation:
         self._counter += 1
         heapq.heappush(self._heap, (time, self._counter, callback))
 
+    def mark(self) -> int:
+        """A watermark covering every event scheduled so far."""
+        return self._counter
+
+    def was_pending_at(self, mark: int) -> bool:
+        """Whether the event now firing was already scheduled at ``mark``.
+
+        Equal-time events fire in scheduling order, so an event pending
+        at ``mark`` fires before any event scheduled after it for the
+        same time. Code running outside :meth:`run` counts as pending.
+        """
+        return self._firing <= mark
+
     def stop(self) -> None:
         """Halt the run loop after the currently executing event.
 
@@ -99,8 +122,9 @@ class Simulation:
             if until is not None and time > until:
                 self._now = until
                 return
-            _, _seq, callback = heappop(heap)
+            _, seq, callback = heappop(heap)
             self._now = time
+            self._firing = seq
             callback()
             self._events_processed += 1
             executed += 1
@@ -108,10 +132,6 @@ class Simulation:
                 return
         if until is not None and until > self._now:
             self._now = until
-
-    def peek_time(self) -> "float | None":
-        """Timestamp of the next pending event, or None if idle."""
-        return self._heap[0][0] if self._heap else None
 
     def __len__(self) -> int:
         return len(self._heap)

@@ -29,9 +29,12 @@ class RequestPhase(Enum):
     FINISHED = "finished"
 
 
-@dataclass
+@dataclass(eq=False)
 class RequestState:
     """Mutable per-request simulation state.
+
+    States compare and hash by identity: each is one live request, and
+    instances key their batches by it.
 
     Attributes:
         request: The immutable workload description.
@@ -41,6 +44,10 @@ class RequestState:
         timestamps: Transition times, keyed by stage-boundary name.
         token_times: Completion time of each output token (first token is
             the prefill completion).
+
+    While the request sits in a fast-kernel decode batch, ``generated``
+    and ``token_times`` lag; the decode instance writes them back when
+    the request leaves the batch (DESIGN §4h).
     """
 
     request: Request

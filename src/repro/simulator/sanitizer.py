@@ -150,8 +150,9 @@ class SanitizedSimulation(Simulation):
             if until is not None and time > until:
                 self._now = until
                 return
-            _, _seq, callback = heappop(heap)
+            _, seq, callback = heappop(heap)
             self._now = max(self._now, time)
+            self._firing = seq
             callback()
             self._events_processed += 1
             executed += 1

@@ -78,13 +78,18 @@ class TestSimulation:
         with pytest.raises(ValueError):
             sim.schedule_at(0.5, lambda: None)
 
-    def test_peek_and_len(self):
+    def test_len_and_pending_mark(self):
         sim = Simulation()
-        assert sim.peek_time() is None
         assert len(sim) == 0
         sim.schedule(2.0, lambda: None)
-        assert sim.peek_time() == 2.0
         assert len(sim) == 1
+        seen = []
+        sim.schedule(1.0, lambda: seen.append(sim.was_pending_at(mark)))
+        mark = sim.mark()
+        sim.schedule(1.0, lambda: seen.append(sim.was_pending_at(mark)))
+        assert sim.was_pending_at(mark)  # outside run() counts as pending
+        sim.run()
+        assert seen == [True, False]
 
     def test_events_processed_counter(self):
         sim = Simulation()

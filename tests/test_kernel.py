@@ -32,7 +32,7 @@ from repro.simulator.decode_instance import DecodeInstance
 from repro.simulator.metrics import MetricsRegistry
 from repro.simulator.request import Request, RequestPhase, RequestState
 from repro.simulator.tracing import Tracer
-from repro.workload import fixed_length_dataset, generate_trace
+from repro.workload import fixed_length_dataset, generate_trace, get_dataset
 from repro.workload.datasets import SyntheticDataset
 from repro.workload.distributions import LognormalLength
 
@@ -184,13 +184,13 @@ class TestServingParity:
 # ----------------------------------------------------------------------
 # Decode-instance parity under preemption, jitter, and failures.
 # ----------------------------------------------------------------------
-def _small_gpu(model, target_tokens):
+def _small_gpu(model, target_tokens, pp=1):
     """A GPU sized so the decode KV pool holds ~``target_tokens``."""
     lo, hi = 1, A100_80GB.memory_bytes
     while lo < hi:
         mid = (lo + hi) // 2
         try:
-            cap = compute_memory_budget(model, mid, 1, 1).max_kv_tokens
+            cap = compute_memory_budget(model, mid, 1, pp).max_kv_tokens
         except ValueError:
             cap = -1
         if cap < target_tokens:
@@ -238,6 +238,20 @@ def _drive_decode(spec, fast, *, n=60, seed=7, reserve=True, fail_at=None):
         inst.busy_time,
     )
     return records, counters, len(done)
+
+
+def _first_request_alone(spec):
+    """A 50-token request arriving at 0 and its token times when alone."""
+    first = Request(request_id=0, arrival_time=0.0,
+                    input_len=100, output_len=50)
+    sim = Simulation()
+    state = RequestState(
+        request=first, phase=RequestPhase.WAITING_DECODE, generated=1
+    )
+    state.token_times.append(0.0)
+    DecodeInstance(sim, spec, lambda s: None, fast_kernel=False).submit(state)
+    sim.run()
+    return first, state.token_times
 
 
 class TestDecodeInstanceParity:
@@ -316,6 +330,81 @@ class TestDecodeInstanceParity:
             )
         assert results[True] == results[False]
         assert results[True][0] == [1, 0]  # short newcomer finishes first
+
+    @pytest.mark.parametrize("sanitized", [False, True])
+    def test_arrival_exactly_on_step_boundary(self, tiny_spec, sanitized):
+        """A pre-scheduled arrival on a step boundary joins at it.
+
+        The per-step path schedules the step's end event when the step
+        starts, after the arrival was scheduled, so at the tie the
+        arrival fires first and the newcomer is admitted at this
+        boundary.
+        """
+        first, boundaries = _first_request_alone(tiny_spec)
+        second = Request(request_id=1, arrival_time=boundaries[4],
+                         input_len=300, output_len=20)
+        results = {}
+        for fast in (True, False):
+            sanitizer = SimSanitizer(strict=True)
+            sim = sanitizer.simulation() if sanitized else Simulation()
+            system = DecodeOnlySystem(sim, tiny_spec, fast_kernel=fast)
+            if sanitized:
+                sanitizer.watch_system(system)
+            results[fast] = sorted(
+                simulate_trace(system, [first, second]).records,
+                key=lambda r: r.request_id,
+            )
+            if sanitized:
+                sanitizer.check_quiesce()
+        assert results[True] == results[False]
+        assert len(results[True]) == 2
+
+    def test_arrival_created_mid_step_fires_on_boundary(self, tiny_spec):
+        """An arrival created mid-step that fires as the step ends waits.
+
+        The step's end event was scheduled when the step started, before
+        the arrival, so the per-step path admits first and the newcomer
+        joins one step later.
+        """
+        first, boundaries = _first_request_alone(tiny_spec)
+        second = Request(request_id=1, arrival_time=boundaries[4],
+                         input_len=300, output_len=20)
+        results = {}
+        for fast in (True, False):
+            sim = Simulation()
+            system = DecodeOnlySystem(sim, tiny_spec, fast_kernel=fast)
+            sim.schedule_at(
+                (boundaries[3] + boundaries[4]) / 2,
+                lambda: sim.schedule_at(
+                    boundaries[4], lambda: system.submit(second)
+                ),
+            )
+            results[fast] = sorted(
+                simulate_trace(system, [first]).records,
+                key=lambda r: r.request_id,
+            )
+        assert results[True] == results[False]
+        assert len(results[True]) == 2
+
+
+class TestRunLength:
+    def test_runs_outlast_foreign_events(self, opt13b):
+        """Events elsewhere in the cluster do not end a decode run."""
+        trace = generate_trace(
+            get_dataset("sharegpt"), rate=4.0, num_requests=200,
+            rng=np.random.default_rng(0),
+        )
+        spec = InstanceSpec(model=opt13b)
+        results = {}
+        for fast in (True, False):
+            system = DisaggregatedSystem(
+                Simulation(), spec, spec, num_prefill=2, num_decode=2,
+                fast_kernel=fast,
+            )
+            results[fast] = simulate_trace(system, trace)
+        assert _records(results[True]) == _records(results[False])
+        assert results[True].completed == len(trace)
+        assert 2 * results[True].events_processed <= results[False].events_processed
 
 
 # ----------------------------------------------------------------------
