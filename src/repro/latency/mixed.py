@@ -60,6 +60,10 @@ def mixed_batch_latency(
     if layers <= 0:
         raise ValueError(f"num_layers must be positive, got {layers}")
 
+    # Mixed (combined/chunked) iterations never macro-step: each one is
+    # a different prefill+decode shape, so these reductions run once per
+    # iteration by design (DESIGN.md §4h).
+    # reprolint: disable=PERF001 -- O(B) per mixed iteration by design, no macro runs (§4h)
     prefill_tokens = sum(prefill_lens)
     decode_tokens = len(decode_context_lens)
     total_tokens = prefill_tokens + decode_tokens
@@ -73,6 +77,7 @@ def mixed_batch_latency(
     gemm_memory = coeffs.c4 * gemm_term_decode(model) / tp
     gemm = gemm_compute + gemm_memory
 
+    # reprolint: disable=PERF001 -- O(B) per mixed iteration by design, no macro runs (§4h)
     t2 = float(sum(length * length for length in prefill_lens))
     attn_pre_mem = (
         coeffs.c2 * attn_term_prefill(model, t2, coeffs.attention_block_size) / tp
@@ -80,9 +85,9 @@ def mixed_batch_latency(
     attn_pre_cmp = coeffs.c1 * 2.0 * model.hidden_size * t2 / etp
     attn_pre = max(attn_pre_mem, attn_pre_cmp)
 
-    attn_dec = (
-        coeffs.c5 * attn_term_decode(model, float(sum(decode_context_lens))) / tp
-    )
+    # reprolint: disable=PERF001 -- O(B) per mixed iteration by design, no macro runs (§4h)
+    decode_context = float(sum(decode_context_lens))
+    attn_dec = coeffs.c5 * attn_term_decode(model, decode_context) / tp
 
     # Engine iteration overhead is charged once per batch, matching the
     # execution-time wrappers in repro.latency.parallel.

@@ -157,14 +157,18 @@ def prefill_times(
     """
     if not config.is_valid_for(model):
         raise ValueError(f"{config} is invalid for model {model.name}")
-    if not input_lens or sum(input_lens) == 0:
+    # O(B) reference path: the fast kernel's prefill batches go through
+    # PrefillBatchTimer (DESIGN.md §4h), which takes running totals.
+    # reprolint: disable=PERF001 -- O(B) reference path, replaced by §4h PrefillBatchTimer
+    total_tokens = sum(input_lens)
+    if total_tokens == 0:
         return ExecutionTimes(0.0, 0.0)
     compute_per_layer = prefill_latency(
         model, coeffs, input_lens, num_layers=1, tp=config.tp
     )
-    comm_per_layer = tp_allreduce_time_per_layer(model, sum(input_lens), config.tp, tp_link)
+    comm_per_layer = tp_allreduce_time_per_layer(model, total_tokens, config.tp, tp_link)
     act_transfer = (
-        pp_link.time_for(sum(input_lens) * model.activation_bytes_per_token())
+        pp_link.time_for(total_tokens * model.activation_bytes_per_token())
         if config.pp > 1
         else 0.0
     )

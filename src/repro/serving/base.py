@@ -69,8 +69,8 @@ class ServingSystem(abc.ABC):
 
     @property
     def unfinished(self) -> int:
-        """Requests accepted but not yet completed."""
-        return self._submitted - len(self.records)
+        """Requests accepted but neither completed nor rejected."""
+        return self._submitted - len(self.records) - self.rejections
 
     @property
     def monitor(self) -> "SloMonitor | None":

@@ -19,7 +19,7 @@ from ..simulator.instance import InstanceSpec
 from ..simulator.metrics import MetricsRegistry
 from ..simulator.profiler import Profiler
 from ..simulator.request import RequestState
-from ..simulator.tracing import Tracer
+from ..simulator.tracing import SpanKind, Tracer
 from ..workload.trace import Request
 
 __all__ = ["ColocatedSystem"]
@@ -41,7 +41,9 @@ class ColocatedSystem(ServingSystem):
         profiler: Optional critical-path profiler, shared with every
             replica.
         fast_kernel: Evaluate iteration latency through the memoized
-            timers (bit-identical results).
+            timers and run decode iterations as macro runs (see
+            :class:`~repro.simulator.colocated_instance.ColocatedInstance`);
+            results are bit-identical either way.
         scheduling: Full policy configuration (:mod:`repro.scheduling`)
             shared by every replica; its ``dispatch_policy`` overrides
             the legacy ``dispatch_policy`` keyword.
@@ -89,9 +91,24 @@ class ColocatedSystem(ServingSystem):
         )
         #: Replicas killed via fault injection.
         self.failures = 0
+        self._kv_capacity_tokens = self.instances[0].kv_capacity_tokens()
 
     def submit(self, request: Request) -> None:
+        """Dispatch ``request``, or reject it if no replica can ever serve it.
+
+        A request is unservable when its full final context, prompt plus
+        every output token, exceeds an empty replica's KV pool. That is
+        the most KV it can hold: a recompute preemption or a failover
+        re-prefills the context with the last generated token's slot
+        included, one more than an uninterrupted run ends with. Admitted
+        anyway, it would block the FCFS queue head forever, or spin
+        through iterations once it is alone and cannot grow.
+        """
         state = self._register(request)
+        if request.total_tokens > self._kv_capacity_tokens:
+            self.rejections += 1
+            self._trace.instant(request.request_id, SpanKind.REJECTED, self.sim.now)
+            return
         self._dispatcher.choose(self.instances).submit(state)
 
     def fail_replica(self, name: str) -> int:

@@ -27,11 +27,13 @@ from repro.serving import (
     simulate_trace,
 )
 from repro.simulator import InstanceSpec, SimSanitizer, Simulation
-from repro.simulator.colocated_instance import POLICIES
+from repro.simulator.colocated_instance import POLICIES, ColocatedInstance
 from repro.simulator.decode_instance import DecodeInstance
 from repro.simulator.metrics import MetricsRegistry
+from repro.simulator.profiler import Profiler
 from repro.simulator.request import Request, RequestPhase, RequestState
 from repro.simulator.tracing import Tracer
+from repro.scheduling import SchedulingConfig
 from repro.workload import fixed_length_dataset, generate_trace, get_dataset
 from repro.workload.datasets import SyntheticDataset
 from repro.workload.distributions import LognormalLength
@@ -387,6 +389,142 @@ class TestDecodeInstanceParity:
         assert len(results[True]) == 2
 
 
+def _colocated_alone(spec):
+    """A 50-token request arriving at 0 and its token times when alone.
+
+    Token 0 ends the prefill; token ``k`` ends decode iteration ``k``.
+    """
+    first = Request(request_id=0, arrival_time=0.0,
+                    input_len=100, output_len=50)
+    sim = Simulation()
+    state = RequestState(request=first)
+    ColocatedInstance(sim, spec, lambda s: None, fast_kernel=False).submit(state)
+    sim.run()
+    return first, state.token_times
+
+
+class TestColocatedParity:
+    def test_finished_request_is_never_preempted(self, tiny_model):
+        """A request done earlier in an iteration is not the victim.
+
+        Request 0 takes the pool's last free block for its last token;
+        request 1 then needs a block and none is free. Request 0 must
+        not be evicted: it already finished in this iteration, and
+        evicting it used to remove it from the batch twice.
+        """
+        spec = InstanceSpec(
+            model=tiny_model, config=ParallelismConfig(1, 1),
+            gpu=_small_gpu(tiny_model, 800),
+        )
+        assert spec.make_kv_manager().total_blocks == 50
+        trace = [
+            Request(request_id=0, arrival_time=0.0, input_len=16, output_len=2),
+            Request(request_id=1, arrival_time=0.0, input_len=768, output_len=5),
+        ]
+        res = _parity(
+            lambda sim, fast: ColocatedSystem(sim, spec, fast_kernel=fast), trace
+        )
+        assert res.completed == 2
+
+    @pytest.mark.parametrize("queue", ["sjf", "edf"])
+    def test_partly_prefilled_prompt_keeps_queue_head(self, tiny_model, queue):
+        """A reordered queue must not stall a partly prefilled prompt.
+
+        Request 1's prompt is prefilled in chunks and holds KV for all of
+        it. Request 2 arrives mid-prompt; SJF/EDF put it first, but it
+        cannot get KV. If it took the queue head, request 1 would stall
+        with its KV, and request 0, alone and unable to grow, would
+        iterate forever.
+        """
+        spec = InstanceSpec(
+            model=tiny_model, config=ParallelismConfig(1, 1),
+            gpu=_small_gpu(tiny_model, 800),
+        )
+        trace = [
+            Request(request_id=0, arrival_time=0.0, input_len=200, output_len=200),
+            Request(request_id=1, arrival_time=0.0, input_len=560, output_len=10),
+            Request(request_id=2, arrival_time=0.01, input_len=40, output_len=10),
+        ]
+        results = {}
+        for fast in (True, False):
+            sim = Simulation()
+            system = ColocatedSystem(
+                sim, spec, policy="chunked", fast_kernel=fast,
+                scheduling=SchedulingConfig(queue_policy=queue),
+            )
+            res = simulate_trace(system, trace, max_events=5_000)
+            assert len(sim) == 0, "the simulation did not drain"
+            results[fast] = _records(res)
+        assert results[True] == results[False]
+        by_finish = sorted(results[True], key=lambda r: r[3])
+        assert [r[0] for r in by_finish] == [1, 2, 0]
+
+    @pytest.mark.parametrize("sanitized", [False, True])
+    def test_arrival_exactly_on_decode_boundary(self, tiny_spec, sanitized):
+        """Under prefill_priority a pre-scheduled arrival on a boundary
+        starts its prefill there, as in the per-step path."""
+        first, boundaries = _colocated_alone(tiny_spec)
+        second = Request(request_id=1, arrival_time=boundaries[4],
+                         input_len=300, output_len=20)
+        results = {}
+        for fast in (True, False):
+            sanitizer = SimSanitizer(strict=True)
+            sim = sanitizer.simulation() if sanitized else Simulation()
+            system = ColocatedSystem(sim, tiny_spec, fast_kernel=fast)
+            if sanitized:
+                sanitizer.watch_system(system)
+            results[fast] = sorted(
+                simulate_trace(system, [first, second]).records,
+                key=lambda r: r.request_id,
+            )
+            if sanitized:
+                sanitizer.check_quiesce()
+        assert results[True] == results[False]
+        assert results[True][1].prefill_queue_time == 0.0  # joined on time
+
+    @pytest.mark.parametrize("policy", ["prefill_priority", "decode_priority"])
+    def test_fail_mid_run_identical(self, tiny_spec, policy):
+        """fail() mid-run charges the step in flight and writes tokens back."""
+        first, boundaries = _colocated_alone(tiny_spec)
+        others = [
+            Request(request_id=i, arrival_time=0.001 * i,
+                    input_len=64 * i, output_len=30 + 7 * i)
+            for i in range(1, 6)
+        ]
+        fail_at = (boundaries[10] + boundaries[11]) / 2
+        results = {}
+        for fast in (True, False):
+            sanitizer = SimSanitizer(strict=True)
+            sim = sanitizer.simulation()
+            system = ColocatedSystem(
+                sim, tiny_spec, num_replicas=2, policy=policy, fast_kernel=fast,
+                scheduling=SchedulingConfig(dispatch_policy="round_robin"),
+            )
+            sanitizer.watch_system(system)
+            victim = system.instances[0]
+            lost = []
+
+            def fail(victim=victim, system=system, lost=lost):
+                decoding = list(victim._kernel.active)
+                system.fail_replica(victim.name)
+                lost.extend(
+                    (s.request_id, s.generated, tuple(s.token_times),
+                     s.recompute_len)
+                    for s in decoding
+                )
+
+            sim.schedule_at(fail_at, fail)
+            res = simulate_trace(system, [first, *others])
+            sanitizer.check_quiesce()
+            results[fast] = (
+                _records(res), lost,
+                (victim.decode_iterations, victim.busy_time,
+                 victim.tokens_generated),
+            )
+        assert results[True] == results[False]
+        assert results[True][1]  # the victim was decoding when it died
+
+
 class TestRunLength:
     def test_runs_outlast_foreign_events(self, opt13b):
         """Events elsewhere in the cluster do not end a decode run."""
@@ -406,6 +544,23 @@ class TestRunLength:
         assert results[True].completed == len(trace)
         assert 2 * results[True].events_processed <= results[False].events_processed
 
+    def test_colocated_decode_iterations_run_as_macro_events(self, opt13b):
+        """The vLLM baseline's decode iterations collapse into runs."""
+        trace = generate_trace(
+            get_dataset("sharegpt"), rate=4.0, num_requests=200,
+            rng=np.random.default_rng(0),
+        )
+        spec = InstanceSpec(model=opt13b)
+        results = {}
+        for fast in (True, False):
+            system = ColocatedSystem(
+                Simulation(), spec, num_replicas=4, fast_kernel=fast
+            )
+            results[fast] = simulate_trace(system, trace)
+        assert _records(results[True]) == _records(results[False])
+        assert results[True].completed == len(trace)
+        assert 4 * results[True].events_processed <= results[False].events_processed
+
 
 # ----------------------------------------------------------------------
 # Observability forces the exact per-step path.
@@ -417,19 +572,70 @@ class TestObservabilityFallback:
         inst = DecodeInstance(
             sim, tiny_spec, lambda s: None, tracer=tracer, fast_kernel=True
         )
-        assert not inst._fast
+        assert not inst._kernel.enabled
 
     def test_instrument_disables_fast_path(self, tiny_spec):
         sim = Simulation()
         inst = DecodeInstance(sim, tiny_spec, lambda s: None, fast_kernel=True)
-        assert inst._fast
+        assert inst._kernel.enabled
         inst.instrument(MetricsRegistry())
-        assert not inst._fast
+        assert not inst._kernel.enabled
 
     def test_flag_off_disables_fast_path(self, tiny_spec):
         sim = Simulation()
         inst = DecodeInstance(sim, tiny_spec, lambda s: None, fast_kernel=False)
-        assert not inst._fast
+        assert not inst._kernel.enabled
+
+    @pytest.mark.parametrize("observer", ["tracer", "profiler"])
+    def test_colocated_observers_disable_runs(self, tiny_spec, observer):
+        kwargs = {observer: Tracer() if observer == "tracer" else Profiler()}
+        inst = ColocatedInstance(Simulation(), tiny_spec, lambda s: None, **kwargs)
+        assert not inst._kernel.enabled
+
+    @pytest.mark.parametrize("policy", ["combined", "chunked"])
+    def test_mixed_policies_step_per_iteration(self, tiny_spec, policy):
+        inst = ColocatedInstance(Simulation(), tiny_spec, lambda s: None,
+                                 policy=policy)
+        assert not inst._kernel.enabled
+
+    def test_colocated_instrument_mid_run_falls_back(self, tiny_spec):
+        """instrument() mid-run writes tokens back and steps per iteration.
+
+        Gauges sample live state, so from the fallback on, token fields
+        and KV blocks must match the reference path at every event, and
+        so must the iteration counters once the step in flight ends (the
+        per-step path charged that step when it started).
+        """
+        first, boundaries = _colocated_alone(tiny_spec)
+        probes = [(boundaries[5] + boundaries[6]) / 2, boundaries[9],
+                  (boundaries[20] + boundaries[21]) / 2]
+        results = {}
+        for fast in (True, False):
+            sim = Simulation()
+            inst = ColocatedInstance(
+                sim, tiny_spec, lambda s: None, fast_kernel=fast
+            )
+            state = RequestState(request=first)
+            inst.submit(state)
+            seen = []
+
+            def probe():
+                counters = (inst.decode_iterations, inst.busy_time)
+                if not seen:
+                    inst.instrument(MetricsRegistry())
+                    counters = ()
+                seen.append((
+                    state.generated, tuple(state.token_times),
+                    inst.tokens_generated, inst._kv.used_blocks, counters,
+                ))
+
+            for at in probes:
+                sim.schedule_at(at, probe)
+            sim.run()
+            results[fast] = (seen, tuple(state.token_times), inst.busy_time)
+            assert not inst._kernel.enabled
+        assert results[True] == results[False]
+        assert results[True][0][0][0] == 6  # fields current at the fallback
 
 
 # ----------------------------------------------------------------------

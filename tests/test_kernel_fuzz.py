@@ -5,7 +5,10 @@ two-token outputs, optimistic admission on a small KV pool (so requests
 are preempted), jitter, pipeline parallelism, every queue policy, and a
 mid-run instance failure — and runs each with ``fast_kernel`` on and off
 under the strict sanitizer. The two runs must agree bitwise on records,
-every request's full token timeline, and the instance counters.
+every request's full token timeline, and the instance counters. The
+colocated suite adds every iteration policy, one or two replicas with an
+optional mid-run ``fail_replica()``, and prompts too large for the pool
+(so requests are rejected).
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ from repro.hardware import ETHERNET_25G
 from repro.latency import ParallelismConfig
 from repro.models import ModelArchitecture
 from repro.scheduling import SchedulingConfig
-from repro.serving import DisaggregatedSystem, simulate_trace
+from repro.serving import ColocatedSystem, DisaggregatedSystem, simulate_trace
 from repro.simulator import InstanceSpec, SimSanitizer
+from repro.simulator.colocated_instance import POLICIES, ColocatedInstance
 from repro.simulator.decode_instance import DecodeInstance
 from repro.simulator.request import Request, RequestPhase, RequestState
 from tests.test_kernel import _small_gpu
@@ -116,7 +120,7 @@ def _drive_decode(trace, spec, reserve, policy, fail_at, fast):
     return done, _timeline(states), _counters(inst)
 
 
-class _RecordingSystem(DisaggregatedSystem):
+class _Recording:
     """Keeps every request state so full token timelines can be compared."""
 
     def __init__(self, *args, **kwargs) -> None:
@@ -127,6 +131,14 @@ class _RecordingSystem(DisaggregatedSystem):
         state = super()._register(request)
         self.states.append(state)
         return state
+
+
+class _RecordingSystem(_Recording, DisaggregatedSystem):
+    pass
+
+
+class _RecordingColocated(_Recording, ColocatedSystem):
+    pass
 
 
 def _run_disaggregated(trace, num_prefill, mode, jitter, fast):
@@ -174,4 +186,68 @@ def test_disaggregated_matches_reference(rows, num_prefill, mode, jitter):
     trace = _trace(rows)
     fast = _run_disaggregated(trace, num_prefill, mode, jitter, fast=True)
     slow = _run_disaggregated(trace, num_prefill, mode, jitter, fast=False)
+    assert fast == slow
+
+
+#: Colocated rows: as REQUESTS, but some prompts exceed the ~800-token
+#: pool, so the system rejects them at submit().
+COLOCATED_REQUESTS = st.lists(
+    st.tuples(
+        st.one_of(st.just(0.0), st.floats(min_value=1e-4, max_value=0.05)),
+        st.one_of(
+            st.integers(min_value=8, max_value=400),
+            st.integers(min_value=600, max_value=900),
+        ),
+        st.one_of(st.sampled_from([1, 2]), st.integers(min_value=1, max_value=128)),
+    ),
+    min_size=1,
+    max_size=20,
+)
+
+
+def _colocated_counters(inst: ColocatedInstance) -> tuple:
+    return (inst.prefill_iterations, inst.decode_iterations,
+            inst.mixed_iterations, inst.preemptions, inst.busy_time,
+            inst.tokens_prefilled, inst.tokens_generated)
+
+
+def _run_colocated(trace, spec, replicas, policy, queue, fail_at, fast):
+    sanitizer = SimSanitizer(strict=True)
+    sim = sanitizer.simulation()
+    system = _RecordingColocated(
+        sim, spec, num_replicas=replicas, policy=policy, fast_kernel=fast,
+        scheduling=SchedulingConfig(queue_policy=queue),
+    )
+    sanitizer.watch_system(system)
+    instances = list(system.instances)
+    if fail_at is not None:
+        sim.schedule_at(fail_at, lambda: system.fail_replica(instances[0].name))
+    result = simulate_trace(system, trace)
+    sanitizer.check_quiesce()
+    return (
+        sorted(result.records, key=lambda r: r.request_id),
+        system.rejections,
+        _timeline(system.states),
+        [_colocated_counters(inst) for inst in instances],
+    )
+
+
+@given(
+    rows=COLOCATED_REQUESTS,
+    policy=st.sampled_from(POLICIES),
+    queue=st.sampled_from(["fcfs", "sjf", "edf"]),
+    pp=st.sampled_from([1, 2]),
+    jitter=st.sampled_from([0.0, 0.1]),
+    replicas=st.sampled_from([1, 2]),
+    fail_at=st.one_of(st.none(), st.floats(min_value=0.0, max_value=0.5)),
+)
+@settings(max_examples=150, deadline=None)
+def test_colocated_matches_reference(rows, policy, queue, pp, jitter, replicas,
+                                     fail_at):
+    trace = _trace(rows)
+    spec = _spec(pp, jitter)
+    if replicas == 1:
+        fail_at = None  # the last replica cannot fail
+    fast = _run_colocated(trace, spec, replicas, policy, queue, fail_at, fast=True)
+    slow = _run_colocated(trace, spec, replicas, policy, queue, fail_at, fast=False)
     assert fast == slow

@@ -13,7 +13,7 @@ from repro.serving import (
     PrefillOnlySystem,
     simulate_trace,
 )
-from repro.simulator import InstanceSpec, Simulation
+from repro.simulator import InstanceSpec, SimSanitizer, Simulation
 from repro.workload import Request, Trace, fixed_length_dataset, generate_trace
 
 
@@ -77,6 +77,61 @@ class TestColocatedSystem:
         sim = Simulation()
         system = ColocatedSystem(sim, spec, num_replicas=3)
         assert system.num_gpus() == 6
+
+
+class TestColocatedRejection:
+    """A request no replica can ever hold is rejected, not stranded."""
+
+    @staticmethod
+    def _run(spec, trace, max_events=20_000):
+        sanitizer = SimSanitizer(strict=True)
+        sim = sanitizer.simulation()
+        system = ColocatedSystem(sim, spec)
+        sanitizer.watch_system(system)
+        res = simulate_trace(system, trace, max_events=max_events)
+        assert len(sim) == 0, "the simulation did not drain"
+        sanitizer.check_quiesce()
+        return system, res
+
+    def test_oversized_prompt_does_not_strand_the_queue(self, opt13b):
+        """FCFS used to block every later prompt behind it, silently."""
+        spec = InstanceSpec(model=opt13b)
+        capacity = spec.kv_token_capacity()
+        trace = [Request(request_id=0, arrival_time=0.0,
+                         input_len=capacity + 100, output_len=8)]
+        trace += [
+            Request(request_id=i, arrival_time=0.01 * i, input_len=100,
+                    output_len=8)
+            for i in range(1, 6)
+        ]
+        system, res = self._run(spec, trace)
+        assert system.rejections == 1
+        assert res.completed == 5
+        assert res.unfinished == 0
+
+    def test_context_outgrowing_the_pool_does_not_spin(self, opt13b):
+        """A prompt that fits but cannot grow used to iterate forever."""
+        spec = InstanceSpec(model=opt13b)
+        trace = [Request(request_id=0, arrival_time=0.0,
+                         input_len=spec.kv_token_capacity() - 16,
+                         output_len=200)]
+        system, res = self._run(spec, trace)
+        assert system.rejections == 1
+        assert res.completed == 0
+        assert res.unfinished == 0
+        assert res.events_processed == 1  # just the arrival
+
+    def test_final_context_must_fit_the_pool(self, tiny_spec):
+        """The limit is the whole final context, prompt plus output."""
+        pool = tiny_spec.make_kv_manager()
+        capacity = pool.total_blocks * pool.block_size
+        fits = Request(request_id=0, arrival_time=0.0,
+                       input_len=capacity - 40, output_len=40)
+        too_big = Request(request_id=1, arrival_time=0.0,
+                          input_len=capacity - 40, output_len=41)
+        system, res = self._run(tiny_spec, [fits, too_big], max_events=None)
+        assert system.rejections == 1
+        assert [r.request_id for r in res.records] == [0]
 
 
 class TestDisaggregatedSystem:
