@@ -9,16 +9,16 @@ order-robust, events never fire in the virtual past, and objects
 crossing the process-pool boundary pickle by construction.
 
 :mod:`repro.lint` machine-checks those invariants over the AST so they
-stop being tribal knowledge. Since PR 7 the engine builds one
-whole-program call graph (:mod:`repro.lint.callgraph`) shared by every
-reachability rule, checks resource protocols interprocedurally
-(:mod:`repro.lint.typestate`: KV-block lifecycle TS001, transfer-handle
-protocol TS002), and infers unit dimensions (:mod:`repro.lint.units`:
-UNIT001, seconds-vs-ms-vs-tokens mixing). Run it via::
+stop being tribal knowledge. The engine builds one whole-program call
+graph (:mod:`repro.lint.callgraph`) shared by every reachability rule.
+Invariants the runtime already checks (KV-block lifecycle, transfer
+double use, request conservation) are left to
+:class:`repro.simulator.sanitizer.SimSanitizer` and the differential
+fuzzer rather than re-checked here. Run it via::
 
     python -m repro.cli lint src tests
     python -m repro.cli lint --format json --select DET001,SIM001 src
-    python -m repro.cli lint --explain TS001
+    python -m repro.cli lint --explain SIM001
     python -m repro.cli lint --baseline check src tests
 
 Suppress a deliberate exception on the offending line (with a reason)::
@@ -42,8 +42,6 @@ from .engine import (
     rule_names,
 )
 from . import rules as _rules  # noqa: F401  (imports register the rule pack)
-from . import typestate as _typestate  # noqa: F401  (registers TS001/TS002)
-from . import units as _units  # noqa: F401  (registers UNIT001)
 
 __all__ = [
     "Finding",

@@ -2,10 +2,9 @@
 
 Every reachability-based rule before this module reasoned about one
 file at a time, so an ``O(batch)`` reduction two modules away from the
-decode loop — or a ``free()`` reached through a serving-layer callback
-— was invisible. :class:`ProjectGraph` indexes every function, method
-and class across all linted files once per run and resolves call edges
-through the constructs this tree actually uses:
+decode loop was invisible. :class:`ProjectGraph` indexes every
+function, method and class across all linted files once per run and
+resolves call edges through the constructs this tree actually uses:
 
 * **aliased imports** — ``from ..latency.parallel import decode_times``
   and ``import repro.latency.parallel as lp; lp.decode_times(...)``
@@ -45,7 +44,6 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
-    "CallRecord",
     "CallableArg",
     "ClassInfo",
     "FunctionNode",
@@ -85,29 +83,13 @@ class FunctionNode:
 
 @dataclass(frozen=True)
 class ClassInfo:
-    """A project class: its methods, bases, and typed attributes."""
+    """A project class: its methods and bases."""
 
     qualname: str
     module: str
     name: str
     bases: Tuple[str, ...]
     methods: Tuple[str, ...]
-    #: ``self.<attr>`` name -> class qualname inferred from constructor
-    #: assignments, annotations, or annotated-parameter stores.
-    attr_types: Mapping[str, str] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class CallRecord:
-    """One resolved call site inside a function body."""
-
-    line: int
-    col: int
-    callees: Tuple[str, ...]
-    receiver_class: Optional[str]
-    #: True when resolved through a bound receiver (``obj.m()``), so the
-    #: callee's leading ``self`` parameter is already consumed.
-    bound: bool
 
 
 @dataclass(frozen=True)
@@ -174,7 +156,6 @@ class ProjectGraph:
         self.module_paths: Dict[str, str] = {}
         self.edges: Dict[str, Tuple[str, ...]] = {}
         self.callable_args: Tuple[CallableArg, ...] = ()
-        self.call_records: Dict[str, Dict[Tuple[int, int], CallRecord]] = {}
         self.source_hash: str = ""
         self._reach_cache: "Dict[frozenset[str], frozenset[str]]" = {}
 
@@ -182,12 +163,6 @@ class ProjectGraph:
     def functions_in_module(self, module: str) -> List[FunctionNode]:
         return sorted(
             (fn for fn in self.functions.values() if fn.module == module),
-            key=lambda fn: fn.qualname,
-        )
-
-    def functions_named(self, name: str) -> List[FunctionNode]:
-        return sorted(
-            (fn for fn in self.functions.values() if fn.name == name),
             key=lambda fn: fn.qualname,
         )
 
@@ -210,9 +185,6 @@ class ProjectGraph:
         result = frozenset(seen)
         self._reach_cache[key] = result
         return result
-
-    def calls_in(self, qualname: str) -> Dict[Tuple[int, int], CallRecord]:
-        return self.call_records.get(qualname, {})
 
 
 # ----------------------------------------------------------------------
@@ -398,14 +370,6 @@ class _Builder:
                     if inferred is not None:
                         attr_types.setdefault(target.attr, inferred)
             self.attr_types[class_qual] = attr_types
-            self.graph.classes[class_qual] = ClassInfo(
-                qualname=info.qualname,
-                module=info.module,
-                name=info.name,
-                bases=info.bases,
-                methods=info.methods,
-                attr_types=dict(sorted(attr_types.items())),
-            )
 
     def _param_types(
         self,
@@ -446,22 +410,11 @@ class _Builder:
             if index is None or fn.node is None:
                 continue
             self._edges.setdefault(qualname, set())
-            records: Dict[Tuple[int, int], CallRecord] = {}
             scope = _FnScope(self, index, fn)
             for call in scope.owned_calls():
-                callees, receiver_class, bound = scope.resolve_call(
-                    call, unique_methods
+                self._edges[qualname].update(
+                    scope.resolve_call(call, unique_methods)
                 )
-                for callee in callees:
-                    self._edges[qualname].add(callee)
-                if callees or receiver_class is not None:
-                    records[(call.lineno, call.col_offset)] = CallRecord(
-                        line=call.lineno,
-                        col=call.col_offset,
-                        callees=tuple(sorted(callees)),
-                        receiver_class=receiver_class,
-                        bound=bound,
-                    )
                 sink = _tail(call.func)
                 if sink is not None:
                     for target in scope.callable_arguments(call):
@@ -469,8 +422,6 @@ class _Builder:
                         self._callable_args.append(
                             CallableArg(caller=qualname, sink=sink, callee=target)
                         )
-            if records:
-                self.graph.call_records[qualname] = records
             if isinstance(fn.node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             # Module pseudo-node: decorator applications anywhere in the
@@ -674,27 +625,25 @@ class _FnScope:
 
     def resolve_call(
         self, call: ast.Call, unique_methods: Mapping[str, str]
-    ) -> Tuple[List[str], Optional[str], bool]:
-        """(callee qualnames, receiver class, bound?) for one call."""
+    ) -> List[str]:
+        """Callee qualnames for one call."""
         func = call.func
         if isinstance(func, ast.Name):
             local = self._var_callables.get(func.id)
             if local is not None:
-                return [local], None, True
+                return [local]
             target = self.resolve_function_name(func.id)
-            return ([target] if target else []), None, False
+            return [target] if target else []
         if not isinstance(func, ast.Attribute):
-            return [], None, False
+            return []
         # Fully-qualified (possibly aliased) module function.
         direct = self.resolve_function_name(_dotted(func))
         if direct is not None:
-            return [direct], None, False
+            return [direct]
         receiver_class = self.type_of(func.value)
         if receiver_class is not None:
             method = self._builder._method_on(receiver_class, func.attr)
-            if method is not None:
-                return [method], receiver_class, True
-            return [], receiver_class, True
+            return [method] if method is not None else []
         # ``self.m()`` on a class that doesn't define m (mixins, dynamic
         # assignment): over-approximate with same-module methods.
         if isinstance(func.value, ast.Name) and func.value.id == "self":
@@ -706,11 +655,9 @@ class _FnScope:
                 if fn.name == func.attr and fn.cls is not None
             ]
             if matches:
-                return matches, None, True
+                return matches
         unique = unique_methods.get(func.attr)
-        if unique is not None:
-            return [unique], None, True
-        return [], None, True
+        return [unique] if unique is not None else []
 
     def callable_arguments(self, call: ast.Call) -> List[str]:
         """Project functions passed (not called) as arguments."""
@@ -813,27 +760,6 @@ def _apply_disk_cache(graph: ProjectGraph, payload: "dict[str, object]") -> None
             for r in callable_args
             if isinstance(r, list) and len(r) == 3
         )
-    records = payload.get("call_records")
-    if isinstance(records, dict):
-        out: Dict[str, Dict[Tuple[int, int], CallRecord]] = {}
-        for qualname, table in records.items():
-            if not isinstance(table, dict):
-                continue
-            parsed: Dict[Tuple[int, int], CallRecord] = {}
-            for key, raw in table.items():
-                line_text, _, col_text = str(key).partition(":")
-                if not isinstance(raw, dict):
-                    continue
-                receiver = raw.get("receiver_class")
-                parsed[(int(line_text), int(col_text))] = CallRecord(
-                    line=int(line_text),
-                    col=int(col_text),
-                    callees=tuple(str(c) for c in raw.get("callees", [])),
-                    receiver_class=str(receiver) if receiver is not None else None,
-                    bound=bool(raw.get("bound", False)),
-                )
-            out[str(qualname)] = parsed
-        graph.call_records = out
 
 
 def _write_disk_cache(cache_dir: "str | Path | None", graph: ProjectGraph) -> None:
@@ -849,17 +775,6 @@ def _write_disk_cache(cache_dir: "str | Path | None", graph: ProjectGraph) -> No
             [record.caller, record.sink, record.callee]
             for record in graph.callable_args
         ],
-        "call_records": {
-            qualname: {
-                f"{line}:{col}": {
-                    "callees": list(record.callees),
-                    "receiver_class": record.receiver_class,
-                    "bound": record.bound,
-                }
-                for (line, col), record in sorted(table.items())
-            }
-            for qualname, table in sorted(graph.call_records.items())
-        },
     }
     try:
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..quantities import Seconds, Tokens, TokensPerSecond
-
 __all__ = [
     "SchedulingConfig",
     "DEFAULT_SCHEDULING",
@@ -57,9 +55,9 @@ class SchedulingConfig:
     queue_policy: str = "fcfs"
     batch_policy: str = "token_budget"
     dispatch_policy: str = "least_loaded"
-    sjf_aging: TokensPerSecond = 2000.0
-    batch_token_limit: "Tokens | None" = None
-    edf_default_deadline: Seconds = 10.0
+    sjf_aging: float = 2000.0
+    batch_token_limit: "int | None" = None
+    edf_default_deadline: float = 10.0
 
     def __post_init__(self) -> None:
         if self.queue_policy not in QUEUE_POLICIES:

@@ -135,6 +135,8 @@ class DisaggregatedSystem(ServingSystem):
         }
         #: Instances killed via fault injection.
         self.failures = 0
+        self._prefill_kv_tokens = self.prefill_instances[0].kv_capacity_tokens()
+        self._decode_kv_tokens = self.decode_instances[0].kv_capacity_tokens()
 
     # ------------------------------------------------------------------
     @property
@@ -194,7 +196,24 @@ class DisaggregatedSystem(ServingSystem):
 
     # ------------------------------------------------------------------
     def submit(self, request: Request) -> None:
+        """Dispatch ``request``, or reject it if no instance can ever serve it.
+
+        A request is unservable when its prompt exceeds a prefill
+        instance's KV pool, or when it reaches decoding (more than one
+        output token) and its full final context, prompt plus output,
+        exceeds a decode instance's pool: decode admission reserves that
+        much up front. Admitted anyway, it would hold the prefill queue
+        head or sit parked on prefill memory forever, stranding every
+        request behind it.
+        """
         state = self._register(request)
+        if request.input_len > self._prefill_kv_tokens or (
+            request.output_len > 1
+            and request.total_tokens > self._decode_kv_tokens
+        ):
+            self.rejections += 1
+            self._trace.instant(request.request_id, SpanKind.REJECTED, self.sim.now)
+            return
         target = self._prefill_dispatch.choose(self.prefill_instances)
         self._home_prefill[state.request_id] = target
         target.submit(state)

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..quantities import Blocks, Tokens
-
 __all__ = ["KVBlockManager", "OutOfBlocksError"]
 
 
@@ -21,7 +19,7 @@ class OutOfBlocksError(RuntimeError):
     """Raised when an allocation exceeds the remaining block budget."""
 
 
-def blocks_needed(num_tokens: Tokens, block_size: int) -> Blocks:
+def blocks_needed(num_tokens: int, block_size: int) -> int:
     """Blocks required to hold ``num_tokens`` token slots."""
     return -(-num_tokens // block_size)
 
@@ -52,11 +50,11 @@ class KVBlockManager:
 
     # ------------------------------------------------------------------
     @property
-    def used_blocks(self) -> Blocks:
+    def used_blocks(self) -> int:
         return self._used_blocks
 
     @property
-    def free_blocks(self) -> Blocks:
+    def free_blocks(self) -> int:
         return self.total_blocks - self._used_blocks
 
     @property
@@ -66,17 +64,17 @@ class KVBlockManager:
             return 1.0
         return self._used_blocks / self.total_blocks
 
-    def tokens_of(self, request_id: int) -> Tokens:
+    def tokens_of(self, request_id: int) -> int:
         """Token slots currently held by a request (0 if none)."""
         alloc = self._allocs.get(request_id)
         return alloc.num_tokens if alloc else 0
 
     # ------------------------------------------------------------------
-    def can_allocate(self, num_tokens: Tokens) -> bool:
+    def can_allocate(self, num_tokens: int) -> bool:
         """Whether a fresh allocation of ``num_tokens`` would succeed."""
         return blocks_needed(num_tokens, self.block_size) <= self.free_blocks
 
-    def allocate(self, request_id: int, num_tokens: Tokens) -> None:
+    def allocate(self, request_id: int, num_tokens: int) -> None:
         """Allocate the initial blocks for a request's ``num_tokens``.
 
         Raises:
@@ -96,7 +94,7 @@ class KVBlockManager:
         self._allocs[request_id] = _Allocation(num_tokens=num_tokens, num_blocks=need)
         self._used_blocks += need
 
-    def can_append(self, request_id: int, num_tokens: Tokens = 1) -> bool:
+    def can_append(self, request_id: int, num_tokens: int = 1) -> bool:
         """Whether growing a request by ``num_tokens`` would succeed."""
         alloc = self._allocs.get(request_id)
         if alloc is None:
@@ -104,7 +102,7 @@ class KVBlockManager:
         need = blocks_needed(alloc.num_tokens + num_tokens, self.block_size)
         return need - alloc.num_blocks <= self.free_blocks
 
-    def append(self, request_id: int, num_tokens: Tokens = 1) -> None:
+    def append(self, request_id: int, num_tokens: int = 1) -> None:
         """Grow a request's allocation by ``num_tokens`` (decode step).
 
         Raises:
@@ -128,7 +126,7 @@ class KVBlockManager:
         alloc.num_blocks = need
         self._used_blocks += extra
 
-    def free(self, request_id: int) -> Blocks:
+    def free(self, request_id: int) -> int:
         """Release a request's blocks; returns the number freed.
 
         Freeing an unknown request is a no-op returning 0 (idempotent, so

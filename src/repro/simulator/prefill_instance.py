@@ -150,6 +150,10 @@ class PrefillInstance:
         """KV tokens parked on this instance awaiting pull."""
         return self._kv.used_blocks * self._kv.block_size
 
+    def kv_capacity_tokens(self) -> int:
+        """Token slots of the instance's KV pool when empty."""
+        return self._kv.total_blocks * self._kv.block_size
+
     def instrument(self, registry: MetricsRegistry) -> None:
         """Register this instance's gauges/counters (callback-backed).
 

@@ -150,9 +150,6 @@ class TestMethodResolution:
             "repro.kvcache.KVBlockManager.allocate"
             in g.edges["repro.sim.Instance.admit"]
         )
-        record = next(iter(g.calls_in("repro.sim.Instance.admit").values()))
-        assert record.receiver_class == "repro.kvcache.KVBlockManager"
-        assert record.bound
 
     def test_annotated_attribute_resolves(self):
         g = graph(sources={
@@ -368,7 +365,6 @@ class TestDeterminismAndCaching:
         _MEMO.clear()  # force the second build to hit the disk cache
         second = build_project(entries, cache_dir=tmp_path)
         assert second.edges == edges
-        assert second.call_records.keys() == first.call_records.keys()
 
     def test_source_change_invalidates_cache_key(self, tmp_path):
         entries = [("repro.x", "<repro.x>", "def f():\n    pass\n")]

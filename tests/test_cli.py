@@ -270,12 +270,12 @@ class TestExitCodeSemantics:
         assert main(["lint", str(clean)]) == EXIT_OK
 
     def test_lint_explain_deterministic(self, capsys):
-        assert main(["lint", "--explain", "TS001"]) == EXIT_OK
+        assert main(["lint", "--explain", "SIM001"]) == EXIT_OK
         first = capsys.readouterr().out
-        assert main(["lint", "--explain", "TS001"]) == EXIT_OK
+        assert main(["lint", "--explain", "SIM001"]) == EXIT_OK
         second = capsys.readouterr().out
         assert first == second
-        assert first.startswith("TS001 — ")
+        assert first.startswith("SIM001 — ")
         for section in ("Rationale:", "Example violation:", "Suppression:"):
             assert section in first
 
@@ -298,7 +298,7 @@ class TestExitCodeSemantics:
         assert doc["version"] == "2.1.0"
         run = doc["runs"][0]
         rules = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert "DET002" in rules and "TS001" in rules
+        assert "DET002" in rules and "SIM001" in rules
         result = run["results"][0]
         assert result["ruleId"] == "DET002"
         region = result["locations"][0]["physicalLocation"]["region"]

@@ -6,9 +6,10 @@ are preempted), jitter, pipeline parallelism, every queue policy, and a
 mid-run instance failure — and runs each with ``fast_kernel`` on and off
 under the strict sanitizer. The two runs must agree bitwise on records,
 every request's full token timeline, and the instance counters. The
-colocated suite adds every iteration policy, one or two replicas with an
-optional mid-run ``fail_replica()``, and prompts too large for the pool
-(so requests are rejected).
+serving-system suites add requests too large for the pool, which the
+system must reject (the sanitizer fails a run that strands any), and
+the colocated one adds every iteration policy and one or two replicas
+with an optional mid-run ``fail_replica()``.
 """
 
 from __future__ import annotations
@@ -39,16 +40,32 @@ MODEL = ModelArchitecture(
     max_seq_len=2048,
 )
 
-#: Decode KV pool size: a few requests fill it, and the largest request
-#: (400 + 128 tokens) still fits alone, so nobody is stranded.
+#: KV pool size of every fuzzed instance: a few requests fill it.
 KV_TOKENS = 800
 
 #: (gap to the previous arrival, input_len, output_len); a zero gap makes
-#: a burst of equal arrival times.
+#: a burst of equal arrival times. The largest request (400 + 128 tokens)
+#: fits an empty pool, so a lone decode instance strands nobody.
 REQUESTS = st.lists(
     st.tuples(
         st.one_of(st.just(0.0), st.floats(min_value=1e-4, max_value=0.05)),
         st.integers(min_value=8, max_value=400),
+        st.one_of(st.sampled_from([1, 2]), st.integers(min_value=1, max_value=128)),
+    ),
+    min_size=1,
+    max_size=20,
+)
+
+#: As REQUESTS, but some prompts exceed the ~800-token pool or fit it
+#: only without their output, so a serving system rejects them at
+#: submit().
+OVERSIZED_REQUESTS = st.lists(
+    st.tuples(
+        st.one_of(st.just(0.0), st.floats(min_value=1e-4, max_value=0.05)),
+        st.one_of(
+            st.integers(min_value=8, max_value=400),
+            st.integers(min_value=600, max_value=900),
+        ),
         st.one_of(st.sampled_from([1, 2]), st.integers(min_value=1, max_value=128)),
     ),
     min_size=1,
@@ -153,6 +170,7 @@ def _run_disaggregated(trace, num_prefill, mode, jitter, fast):
     sanitizer.check_quiesce()
     return (
         sorted(result.records, key=lambda r: r.request_id),
+        system.rejections,
         _timeline(system.states),
         [_counters(inst) for inst in system.decode_instances],
     )
@@ -176,7 +194,7 @@ def test_decode_instance_matches_reference(rows, reserve, jitter, pp, policy, fa
 
 
 @given(
-    rows=REQUESTS,
+    rows=OVERSIZED_REQUESTS,
     num_prefill=st.sampled_from([1, 2]),
     mode=st.sampled_from(["pull", "push"]),
     jitter=st.sampled_from([0.0, 0.1]),
@@ -187,22 +205,6 @@ def test_disaggregated_matches_reference(rows, num_prefill, mode, jitter):
     fast = _run_disaggregated(trace, num_prefill, mode, jitter, fast=True)
     slow = _run_disaggregated(trace, num_prefill, mode, jitter, fast=False)
     assert fast == slow
-
-
-#: Colocated rows: as REQUESTS, but some prompts exceed the ~800-token
-#: pool, so the system rejects them at submit().
-COLOCATED_REQUESTS = st.lists(
-    st.tuples(
-        st.one_of(st.just(0.0), st.floats(min_value=1e-4, max_value=0.05)),
-        st.one_of(
-            st.integers(min_value=8, max_value=400),
-            st.integers(min_value=600, max_value=900),
-        ),
-        st.one_of(st.sampled_from([1, 2]), st.integers(min_value=1, max_value=128)),
-    ),
-    min_size=1,
-    max_size=20,
-)
 
 
 def _colocated_counters(inst: ColocatedInstance) -> tuple:
@@ -233,7 +235,7 @@ def _run_colocated(trace, spec, replicas, policy, queue, fail_at, fast):
 
 
 @given(
-    rows=COLOCATED_REQUESTS,
+    rows=OVERSIZED_REQUESTS,
     policy=st.sampled_from(POLICIES),
     queue=st.sampled_from(["fcfs", "sjf", "edf"]),
     pp=st.sampled_from([1, 2]),

@@ -134,6 +134,66 @@ class TestColocatedRejection:
         assert [r.request_id for r in res.records] == [0]
 
 
+class TestDisaggregatedRejection:
+    """A request no prefill or decode instance can ever hold is rejected,
+    and the small request queued behind it completes."""
+
+    @staticmethod
+    def _run(spec, trace):
+        sanitizer = SimSanitizer(strict=True)
+        sim = sanitizer.simulation()
+        system = DisaggregatedSystem(sim, spec, spec, num_prefill=1, num_decode=1)
+        sanitizer.watch_system(system)
+        res = simulate_trace(system, trace)
+        assert len(sim) == 0, "the simulation did not drain"
+        sanitizer.check_quiesce()
+        return system, res
+
+    @staticmethod
+    def _pool_tokens(spec):
+        pool = spec.make_kv_manager()
+        return pool.total_blocks * pool.block_size
+
+    @pytest.mark.parametrize("prompt_past_pool, output_len", [
+        # Admitted, the prompt would hold the prefill queue head forever.
+        pytest.param(100, 10, id="prompt-over-prefill-pool"),
+        # The prompt fits, but decode can never reserve prompt + output,
+        # so admitted, its cache would stay parked on prefill memory.
+        pytest.param(-16, 200, id="context-over-decode-pool"),
+    ])
+    def test_unservable_request_does_not_strand_the_next(
+        self, opt13b, prompt_past_pool, output_len
+    ):
+        spec = InstanceSpec(model=opt13b)
+        trace = [
+            Request(request_id=0, arrival_time=0.0,
+                    input_len=self._pool_tokens(spec) + prompt_past_pool,
+                    output_len=output_len),
+            Request(request_id=1, arrival_time=0.1, input_len=100, output_len=10),
+        ]
+        system, res = self._run(spec, trace)
+        assert system.rejections == 1
+        assert [r.request_id for r in res.records] == [1]
+        assert res.unfinished == 0
+
+    def test_limits_are_inclusive(self, tiny_spec):
+        """Prompt + output may fill the decode pool exactly, and a
+        one-token output never reaches decode, so only its prompt must
+        fit."""
+        capacity = self._pool_tokens(tiny_spec)
+        trace = [
+            Request(request_id=0, arrival_time=0.0, input_len=capacity - 40,
+                    output_len=40),
+            Request(request_id=1, arrival_time=0.0, input_len=capacity - 40,
+                    output_len=41),
+            Request(request_id=2, arrival_time=0.0, input_len=capacity,
+                    output_len=1),
+        ]
+        system, res = self._run(tiny_spec, trace)
+        assert system.rejections == 1
+        assert sorted(r.request_id for r in res.records) == [0, 2]
+
+
 class TestDisaggregatedSystem:
     def _build(self, spec, sim, **kw):
         return DisaggregatedSystem(
