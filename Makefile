@@ -1,4 +1,4 @@
-.PHONY: install test lint lint-full lint-baseline sanitize-demo trace-demo metrics-demo profile-demo golden-regen bench bench-search bench-profile bench-kernel examples clean
+.PHONY: install test lint lint-full sanitize-demo trace-demo metrics-demo profile-demo golden-regen bench bench-search bench-profile bench-kernel examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -13,19 +13,10 @@ test:
 lint:
 	PYTHONPATH=src python -m repro.cli lint src tests examples benchmarks
 
-# Everything `lint` does plus the baseline ratchet check and the SARIF
-# artifact CI uploads, with the call-graph disk cache warmed. This is
-# exactly what the CI lint job runs.
-lint-full:
-	PYTHONPATH=src python -m repro.cli lint --cache-dir .lint-cache \
-		--baseline check src tests examples benchmarks
-	PYTHONPATH=src python -m repro.cli lint --cache-dir .lint-cache \
-		--format sarif src tests examples benchmarks > reprolint.sarif
-
-# Re-snapshot known findings (the ratchet: only ever shrink it).
-lint-baseline:
-	PYTHONPATH=src python -m repro.cli lint --cache-dir .lint-cache \
-		--baseline write src tests examples benchmarks
+# Everything `lint` does plus the SARIF report the CI lint job uploads.
+lint-full: lint
+	PYTHONPATH=src python -m repro.cli lint --format sarif \
+		src tests examples benchmarks > reprolint.sarif
 
 # Golden scenario under full runtime invariant checking: virtual-time
 # monotonicity, request conservation, KV-leak and transfer double-free
@@ -81,5 +72,5 @@ examples:
 	python examples/queueing_analysis.py
 
 clean:
-	rm -rf build dist *.egg-info .pytest_cache .hypothesis .lint-cache reprolint.sarif
+	rm -rf build dist *.egg-info .pytest_cache .hypothesis reprolint.sarif
 	find . -name __pycache__ -type d -exec rm -rf {} +

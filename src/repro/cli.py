@@ -80,7 +80,7 @@ from .simulator import (
     write_chrome_trace,
     write_jsonl,
 )
-from .workload import SLO, generate_trace, get_dataset, get_workload
+from .workload import SLO, Trace, generate_trace, get_dataset, get_workload
 
 __all__ = ["main", "EXIT_OK", "EXIT_FINDINGS", "EXIT_USAGE"]
 
@@ -135,24 +135,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    model = get_model(args.model)
-    prefill_spec = InstanceSpec(
-        model=model, config=ParallelismConfig(args.prefill_tp, args.prefill_pp)
-    )
-    decode_spec = InstanceSpec(
-        model=model, config=ParallelismConfig(args.decode_tp, args.decode_pp)
-    )
-    sim = Simulation()
-    scheduling = _scheduling_from_args(args)
-    system = DisaggregatedSystem(
-        sim, prefill_spec, decode_spec,
-        num_prefill=args.num_prefill, num_decode=args.num_decode,
-        scheduling=scheduling, rng=_dispatch_rng(scheduling, args.seed),
-    )
-    trace = generate_trace(
-        get_dataset(args.dataset), rate=args.rate, num_requests=args.requests,
-        rng=np.random.default_rng(args.seed),
-    )
+    system = _build_system(args, Simulation())
+    trace = _trace_from_args(args)
     result = simulate_trace(system, trace)
     print(f"{result.completed}/{len(trace)} requests on {result.num_gpus} GPUs "
           f"in {result.sim_time:.1f}s simulated")
@@ -254,16 +238,21 @@ def _build_system(
     )
 
 
+def _trace_from_args(args: argparse.Namespace) -> Trace:
+    """The seeded synthetic trace described by the shared run flags."""
+    return generate_trace(
+        get_dataset(args.dataset), rate=args.rate, num_requests=args.requests,
+        rng=np.random.default_rng(args.seed),
+    )
+
+
 def _cmd_trace(args: argparse.Namespace) -> int:
     sim, sanitizer = _make_sim(args)
     tracer = Tracer()
     system = _build_system(args, sim, tracer=tracer)
     if sanitizer is not None:
         sanitizer.watch_system(system)
-    trace = generate_trace(
-        get_dataset(args.dataset), rate=args.rate, num_requests=args.requests,
-        rng=np.random.default_rng(args.seed),
-    )
+    trace = _trace_from_args(args)
     result = simulate_trace(system, trace)
     write_chrome_trace(args.out, result.spans)
     if args.jsonl_out:
@@ -301,10 +290,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     monitor = SloMonitor(sim, slo, window=args.window, registry=registry)
     system.attach_monitor(monitor)
     system.instrument(registry)
-    trace = generate_trace(
-        get_dataset(args.dataset), rate=args.rate, num_requests=args.requests,
-        rng=np.random.default_rng(args.seed),
-    )
+    trace = _trace_from_args(args)
     # Time-series view: sample the windowed gauges on a fixed cadence
     # for the whole arrival span plus drain slack.
     recorder = TelemetryRecorder(sim, interval=args.interval)
@@ -380,10 +366,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         system = _build_system(args, sim, tracer=tracer, profiler=profiler)
         if sanitizer is not None:
             sanitizer.watch_system(system)
-        trace = generate_trace(
-            get_dataset(args.dataset), rate=args.rate,
-            num_requests=args.requests, rng=np.random.default_rng(args.seed),
-        )
+        trace = _trace_from_args(args)
         result = simulate_trace(system, trace)
         slo = (args.ttft, args.tpot) if args.ttft > 0 and args.tpot > 0 else None
         report = build_profile(
@@ -423,7 +406,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     if args.select:
         select = [part.strip() for part in args.select.split(",") if part.strip()]
     try:
-        engine = LintEngine(select=select, cache_dir=args.cache_dir or None)
+        engine = LintEngine(select=select)
     except ValueError as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -455,29 +438,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         print("repro lint: no paths given (try: src tests)", file=sys.stderr)
         return EXIT_USAGE
     findings, checked = engine.lint_paths(args.paths)
-    if args.baseline == "write":
-        from .lint.baseline import write_baseline
-
-        count = write_baseline(findings, args.baseline_file)
-        print(
-            f"repro lint: baseline written to {args.baseline_file} "
-            f"({count} entr{'y' if count == 1 else 'ies'})",
-            file=sys.stderr,
-        )
-        return EXIT_OK
-    if args.baseline == "check":
-        from .lint.baseline import filter_findings, load_baseline
-
-        known = load_baseline(args.baseline_file)
-        new = filter_findings(findings, known)
-        suppressed = len(findings) - len(new)
-        findings = new
-        if suppressed:
-            print(
-                f"repro lint: {suppressed} finding(s) covered by baseline "
-                f"{args.baseline_file}",
-                file=sys.stderr,
-            )
     if args.format == "sarif":
         from .lint.sarif import findings_to_sarif
 
@@ -522,6 +482,31 @@ def _add_scheduling_flags(p: argparse.ArgumentParser) -> None:
                         "from a dedicated RNG seeded by --seed)")
 
 
+def _add_run_flags(
+    p: argparse.ArgumentParser, requests: int, mode: bool = True
+) -> None:
+    """Workload and deployment flags shared by the simulation commands.
+
+    ``requests`` is the subcommand's default trace length; ``mode`` adds
+    ``--mode`` (``serve`` always runs the disaggregated system).
+    """
+    p.add_argument("--model", default="opt-13b")
+    p.add_argument("--dataset", default="sharegpt")
+    if mode:
+        p.add_argument("--mode", choices=("disaggregated", "colocated"),
+                       default="disaggregated")
+    p.add_argument("--rate", type=float, default=2.0)
+    p.add_argument("--requests", type=int, default=requests)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--num-prefill", type=int, default=1,
+                   help="prefill instances (replicas in colocated mode)")
+    p.add_argument("--num-decode", type=int, default=1)
+    p.add_argument("--prefill-tp", type=int, default=1)
+    p.add_argument("--prefill-pp", type=int, default=1)
+    p.add_argument("--decode-tp", type=int, default=1)
+    p.add_argument("--decode-pp", type=int, default=1)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -557,17 +542,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scheduling_flags(plan)
 
     serve = sub.add_parser("serve", help="simulate serving a trace")
-    serve.add_argument("--model", default="opt-13b")
-    serve.add_argument("--dataset", default="sharegpt")
-    serve.add_argument("--rate", type=float, default=2.0)
-    serve.add_argument("--requests", type=int, default=300)
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--num-prefill", type=int, default=1)
-    serve.add_argument("--num-decode", type=int, default=1)
-    serve.add_argument("--prefill-tp", type=int, default=1)
-    serve.add_argument("--prefill-pp", type=int, default=1)
-    serve.add_argument("--decode-tp", type=int, default=1)
-    serve.add_argument("--decode-pp", type=int, default=1)
+    _add_run_flags(serve, requests=300, mode=False)
+    serve.set_defaults(mode="disaggregated")
     serve.add_argument("--ttft", type=float, default=0.0)
     serve.add_argument("--tpot", type=float, default=0.0)
     _add_scheduling_flags(serve)
@@ -575,20 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_p = sub.add_parser(
         "trace", help="simulate a synthetic trace and dump the span timeline"
     )
-    trace_p.add_argument("--model", default="opt-13b")
-    trace_p.add_argument("--dataset", default="sharegpt")
-    trace_p.add_argument("--mode", choices=("disaggregated", "colocated"),
-                         default="disaggregated")
-    trace_p.add_argument("--rate", type=float, default=2.0)
-    trace_p.add_argument("--requests", type=int, default=100)
-    trace_p.add_argument("--seed", type=int, default=0)
-    trace_p.add_argument("--num-prefill", type=int, default=1,
-                         help="prefill instances (replicas in colocated mode)")
-    trace_p.add_argument("--num-decode", type=int, default=1)
-    trace_p.add_argument("--prefill-tp", type=int, default=1)
-    trace_p.add_argument("--prefill-pp", type=int, default=1)
-    trace_p.add_argument("--decode-tp", type=int, default=1)
-    trace_p.add_argument("--decode-pp", type=int, default=1)
+    _add_run_flags(trace_p, requests=100)
     trace_p.add_argument("--out", default="/tmp/trace.json",
                          help="Chrome trace_event output path")
     trace_p.add_argument("--jsonl-out", default="",
@@ -597,27 +560,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run under SimSanitizer (monotonic time, "
                               "request conservation, KV-leak and transfer "
                               "double-free checks); exit 1 on violations")
-
     _add_scheduling_flags(trace_p)
 
     metrics = sub.add_parser(
         "metrics",
         help="serve a trace with full instrumentation; report/export metrics",
     )
-    metrics.add_argument("--model", default="opt-13b")
-    metrics.add_argument("--dataset", default="sharegpt")
-    metrics.add_argument("--mode", choices=("disaggregated", "colocated"),
-                         default="disaggregated")
-    metrics.add_argument("--rate", type=float, default=2.0)
-    metrics.add_argument("--requests", type=int, default=300)
-    metrics.add_argument("--seed", type=int, default=0)
-    metrics.add_argument("--num-prefill", type=int, default=1,
-                         help="prefill instances (replicas in colocated mode)")
-    metrics.add_argument("--num-decode", type=int, default=1)
-    metrics.add_argument("--prefill-tp", type=int, default=1)
-    metrics.add_argument("--prefill-pp", type=int, default=1)
-    metrics.add_argument("--decode-tp", type=int, default=1)
-    metrics.add_argument("--decode-pp", type=int, default=1)
+    _add_run_flags(metrics, requests=300)
     metrics.add_argument("--ttft", type=float, default=4.0,
                          help="TTFT SLO in seconds")
     metrics.add_argument("--tpot", type=float, default=0.2,
@@ -639,20 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="critical-path profile: per-phase latency attribution, "
              "utilization timelines, and differential run comparison",
     )
-    profile.add_argument("--model", default="opt-13b")
-    profile.add_argument("--dataset", default="sharegpt")
-    profile.add_argument("--mode", choices=("disaggregated", "colocated"),
-                         default="disaggregated")
-    profile.add_argument("--rate", type=float, default=2.0)
-    profile.add_argument("--requests", type=int, default=100)
-    profile.add_argument("--seed", type=int, default=0)
-    profile.add_argument("--num-prefill", type=int, default=1,
-                         help="prefill instances (replicas in colocated mode)")
-    profile.add_argument("--num-decode", type=int, default=1)
-    profile.add_argument("--prefill-tp", type=int, default=1)
-    profile.add_argument("--prefill-pp", type=int, default=1)
-    profile.add_argument("--decode-tp", type=int, default=1)
-    profile.add_argument("--decode-pp", type=int, default=1)
+    _add_run_flags(profile, requests=100)
     profile.add_argument("--ttft", type=float, default=0.0,
                          help="TTFT SLO in seconds (0 disables goodput)")
     profile.add_argument("--tpot", type=float, default=0.0,
@@ -679,21 +615,12 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--format", choices=("human", "json", "sarif"),
                       default="human")
     lint.add_argument("--select", default="",
-                      help="comma-separated rule subset (e.g. DET001,SIM001)")
+                      help="comma-separated rule subset (e.g. DET001,SIM002)")
     lint.add_argument("--list-rules", action="store_true",
                       help="print the registered rules and exit")
     lint.add_argument("--explain", default="", metavar="RULE",
                       help="print a rule's rationale, example violation, "
                            "and suppression syntax, then exit")
-    lint.add_argument("--baseline", choices=("write", "check"), default="",
-                      help="write: snapshot current findings; check: fail "
-                           "only on findings not in the snapshot")
-    lint.add_argument("--baseline-file", default="LINT_BASELINE.json",
-                      help="baseline snapshot path (default: "
-                           "LINT_BASELINE.json)")
-    lint.add_argument("--cache-dir", default="",
-                      help="directory for the call-graph disk cache, keyed "
-                           "on a source hash (e.g. .lint-cache)")
 
     analyze = sub.add_parser("analyze", help="latency-model analysis of a model")
     analyze.add_argument("--model", default="opt-13b")

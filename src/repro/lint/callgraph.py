@@ -28,19 +28,15 @@ exactly one project function has the called method name, the edge is
 added (deterministic, and only widens reachability); ambiguous names
 create no edge. Known blind spots are documented in DESIGN.md §4i.
 
-Builds are cached two ways: an in-process memo keyed on the content
-hash of every source file (so repeated engine runs in one process are
-free), and an optional on-disk JSON cache (``--cache-dir``) storing the
-resolved edges keyed on the same hash for CI reuse.
+Builds are memoized in-process, keyed on the content hash of every
+source file, so repeated engine runs in one process are free.
 """
 
 from __future__ import annotations
 
 import ast
 import hashlib
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
@@ -687,16 +683,13 @@ class _FnScope:
 
 
 # ----------------------------------------------------------------------
-# Build entry points + caching
+# Build entry points
 # ----------------------------------------------------------------------
 
 _MEMO: Dict[str, ProjectGraph] = {}
 
 
-def build_project(
-    entries: Sequence[Tuple[str, str, str]],
-    cache_dir: "str | Path | None" = None,
-) -> ProjectGraph:
+def build_project(entries: Sequence[Tuple[str, str, str]]) -> ProjectGraph:
     """Build (or reuse) the graph for ``(module, path, source)`` entries."""
     builder = _Builder(entries)
     cached = _MEMO.get(builder.graph.source_hash)
@@ -704,12 +697,7 @@ def build_project(
         return cached
     builder.index()
     builder.type_attributes()
-    disk = _load_disk_cache(cache_dir, builder.graph.source_hash)
-    if disk is not None:
-        _apply_disk_cache(builder.graph, disk)
-    else:
-        builder.build_edges()
-        _write_disk_cache(cache_dir, builder.graph)
+    builder.build_edges()
     graph = builder.finish()
     _MEMO.clear()  # keep at most one graph alive
     _MEMO[graph.source_hash] = graph
@@ -723,61 +711,3 @@ def build_from_sources(sources: Mapping[str, str]) -> ProjectGraph:
     ]
     return build_project(entries)
 
-
-def _cache_path(cache_dir: "str | Path | None", source_hash: str) -> Optional[Path]:
-    if cache_dir is None:
-        return None
-    return Path(cache_dir) / f"callgraph-{source_hash[:32]}.json"
-
-
-def _load_disk_cache(
-    cache_dir: "str | Path | None", source_hash: str
-) -> "dict[str, object] | None":
-    path = _cache_path(cache_dir, source_hash)
-    if path is None or not path.is_file():
-        return None
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return None
-    if not isinstance(payload, dict) or payload.get("hash") != source_hash:
-        return None
-    return payload
-
-
-def _apply_disk_cache(graph: ProjectGraph, payload: "dict[str, object]") -> None:
-    edges = payload.get("edges")
-    if isinstance(edges, dict):
-        graph.edges = {
-            str(caller): tuple(str(c) for c in callees)
-            for caller, callees in sorted(edges.items())
-            if isinstance(callees, list)
-        }
-    callable_args = payload.get("callable_args")
-    if isinstance(callable_args, list):
-        graph.callable_args = tuple(
-            CallableArg(caller=str(r[0]), sink=str(r[1]), callee=str(r[2]))
-            for r in callable_args
-            if isinstance(r, list) and len(r) == 3
-        )
-
-
-def _write_disk_cache(cache_dir: "str | Path | None", graph: ProjectGraph) -> None:
-    path = _cache_path(cache_dir, graph.source_hash)
-    if path is None:
-        return
-    payload = {
-        "hash": graph.source_hash,
-        "edges": {
-            caller: list(callees) for caller, callees in sorted(graph.edges.items())
-        },
-        "callable_args": [
-            [record.caller, record.sink, record.callee]
-            for record in graph.callable_args
-        ],
-    }
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload, indent=0, sort_keys=True), encoding="utf-8")
-    except OSError:
-        pass  # caching is best-effort; the build already succeeded

@@ -5,15 +5,15 @@ The engine is rule-agnostic. Each :class:`Rule` subclass declares a
 engine parses each file once, walks the tree once, and dispatches every
 node to every selected rule that handles its type. Rules receive a
 :class:`ModuleContext` carrying the dotted module name, source lines,
-parent links, and the enclosing-function stack, so they can scope
+the ancestor stack, and the project call graph, so they can scope
 themselves (e.g. "only inside ``repro.simulator``") and reason about
-surrounding statements (e.g. "was this delay asserted non-negative?").
+where a node sits (e.g. "is this call inside a function?").
 
 Suppressions are line-scoped comments, checked on the finding's line and
 on an immediately preceding comment-only line::
 
     risky()  # reprolint: disable=DET001 -- justification
-    # reprolint: disable=SIM001,SIM002 -- justification
+    # reprolint: disable=DET003,SIM002 -- justification
     also_risky()
 
 A file-level escape hatch (``# reprolint: disable-file=RULE``) exists
@@ -141,14 +141,12 @@ class ModuleContext:
         """Parent of the node currently being visited."""
         return self.stack[-2] if len(self.stack) >= 2 else None
 
-    def enclosing_function(self) -> "ast.FunctionDef | ast.AsyncFunctionDef | None":
-        for node in reversed(self.stack[:-1]):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return node
-        return None
-
     def in_function(self) -> bool:
-        return self.enclosing_function() is not None
+        """Whether the current node sits inside a def."""
+        return any(
+            isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in self.stack[:-1]
+        )
 
     def in_nested_callable(self) -> bool:
         """Whether the current node sits inside a lambda or nested def."""
@@ -377,11 +375,7 @@ def iter_python_files(paths: Iterable[str]) -> Iterator[Path]:
 class LintEngine:
     """Configured lint run: selected rules over files or source text."""
 
-    def __init__(
-        self,
-        select: "Sequence[str] | None" = None,
-        cache_dir: "str | Path | None" = None,
-    ) -> None:
+    def __init__(self, select: "Sequence[str] | None" = None) -> None:
         registry = all_rules()
         if select:
             unknown = [name for name in select if name not in registry]
@@ -394,7 +388,6 @@ class LintEngine:
         else:
             names = sorted(registry)
         self.rules: "list[Rule]" = [registry[name]() for name in names]
-        self._cache_dir = cache_dir
 
     # ------------------------------------------------------------------
     def lint_source(
@@ -426,7 +419,7 @@ class LintEngine:
             )
             for module in sorted(sources)
         ]
-        project = build_project(entries, cache_dir=self._cache_dir)
+        project = build_project(entries)
         findings: "list[Finding]" = []
         for module, path, source in entries:
             findings.extend(self._lint_one(source, path, module, project))
@@ -497,7 +490,7 @@ class LintEngine:
                     file_path.read_text(encoding="utf-8"),
                 )
             )
-        project = build_project(entries, cache_dir=self._cache_dir)
+        project = build_project(entries)
         findings: "list[Finding]" = []
         for module, path, source in entries:
             findings.extend(self._lint_one(source, path, module, project))

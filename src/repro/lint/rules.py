@@ -10,7 +10,6 @@ DET001      wall-clock reads inside ``repro.simulator``/``repro.core``
 DET002      module-level or unseeded ``random``/``numpy.random``
 DET003      set/dict-view iteration feeding ordering-sensitive sinks
 DET004      bare ``sum()`` float accumulation in latency/goodput paths
-SIM001      ``Simulation.schedule(_at)`` calls not provably non-past
 SIM002      re-entrant scheduler mutation from callbacks
 PAR001      unpicklable objects handed to the parallel evaluator
 OBS001      comprehensions in profiler/metric per-event hot paths
@@ -47,7 +46,6 @@ __all__ = [
     "UnseededRngRule",
     "UnorderedIterationRule",
     "FloatSumRule",
-    "NonPastScheduleRule",
     "ReentrantMutationRule",
     "PicklableTaskRule",
     "HotPathComprehensionRule",
@@ -433,199 +431,6 @@ class FloatSumRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# SIM001 — provably non-past event scheduling
-# ----------------------------------------------------------------------
-
-_SIM_RECEIVERS = {"sim", "_sim", "simulation", "_simulation"}
-
-#: Function-call tails we accept as structurally non-negative.
-_NONNEG_CALLS = {"len", "abs"}
-
-
-def _assignments_before(
-    func: "ast.FunctionDef | ast.AsyncFunctionDef", lineno: int
-) -> "dict[str, ast.expr]":
-    """name -> last assigned expression strictly before ``lineno``."""
-    table: "dict[str, ast.expr]" = {}
-    for stmt in ast.walk(func):
-        if isinstance(stmt, ast.Assign) and stmt.lineno < lineno:
-            if len(stmt.targets) == 1 and isinstance(stmt.targets[0], ast.Name):
-                table[stmt.targets[0].id] = stmt.value
-    return table
-
-
-def _asserted_exprs(
-    func: "ast.FunctionDef | ast.AsyncFunctionDef", lineno: int
-) -> "Tuple[set[str], set[str]]":
-    """(dumps asserted >= 0, dumps asserted >= <sim>.now) before lineno."""
-    nonneg: "set[str]" = set()
-    nonpast: "set[str]" = set()
-
-    def _record(test: ast.expr) -> None:
-        if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And):
-            for value in test.values:
-                _record(value)
-            return
-        if not (isinstance(test, ast.Compare) and len(test.ops) == 1):
-            return
-        op = test.ops[0]
-        left, right = test.left, test.comparators[0]
-        if isinstance(op, (ast.GtE, ast.Gt)):
-            subject, bound = left, right
-        elif isinstance(op, (ast.LtE, ast.Lt)):
-            subject, bound = right, left
-        else:
-            return
-        if isinstance(bound, ast.Constant) and isinstance(bound.value, (int, float)):
-            if bound.value >= 0:
-                nonneg.add(ast.dump(subject))
-        else:
-            bound_name = dotted_name(bound)
-            if bound_name is not None and bound_name.endswith(".now"):
-                nonpast.add(ast.dump(subject))
-
-    for stmt in ast.walk(func):
-        if isinstance(stmt, ast.Assert) and stmt.lineno < lineno:
-            _record(stmt.test)
-    return nonneg, nonpast
-
-
-class _Prover:
-    """Tiny structural prover for delay >= 0 / time >= now claims."""
-
-    def __init__(
-        self,
-        assignments: "dict[str, ast.expr]",
-        nonneg: "set[str]",
-        nonpast: "set[str]",
-    ) -> None:
-        self._assignments = assignments
-        self._nonneg = nonneg
-        self._nonpast = nonpast
-
-    def _resolve(self, node: ast.expr, depth: int) -> "ast.expr":
-        while depth > 0 and isinstance(node, ast.Name):
-            replacement = self._assignments.get(node.id)
-            if replacement is None:
-                return node
-            node = replacement
-            depth -= 1
-        return node
-
-    def nonneg(self, node: ast.expr, depth: int = 4) -> bool:
-        if ast.dump(node) in self._nonneg:
-            return True
-        node = self._resolve(node, 1)
-        if depth <= 0:
-            return False
-        if ast.dump(node) in self._nonneg:
-            return True
-        if isinstance(node, ast.Constant):
-            return isinstance(node.value, (int, float)) and node.value >= 0
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.UAdd):
-            return self.nonneg(node.operand, depth - 1)
-        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Mult)):
-            return self.nonneg(node.left, depth - 1) and self.nonneg(node.right, depth - 1)
-        if isinstance(node, ast.Call):
-            tail = call_tail(node)
-            if tail in _NONNEG_CALLS:
-                return True
-            if tail == "max" and any(self.nonneg(a, depth - 1) for a in node.args):
-                return True
-            if tail == "min" and node.args and all(
-                self.nonneg(a, depth - 1) for a in node.args
-            ):
-                return True
-        if isinstance(node, ast.IfExp):
-            return self.nonneg(node.body, depth - 1) and self.nonneg(
-                node.orelse, depth - 1
-            )
-        return False
-
-    def nonpast(self, node: ast.expr, depth: int = 4) -> bool:
-        if ast.dump(node) in self._nonpast:
-            return True
-        node = self._resolve(node, 1)
-        if depth <= 0:
-            return False
-        if ast.dump(node) in self._nonpast:
-            return True
-        name = dotted_name(node)
-        if name is not None and name.endswith(".now"):
-            return True
-        if isinstance(node, ast.Call) and call_tail(node) == "max":
-            # max(now, anything) >= now regardless of the other args.
-            if any(self.nonpast(a, depth - 1) for a in node.args):
-                return True
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
-            for past_side, other in ((node.left, node.right), (node.right, node.left)):
-                if self.nonpast(past_side, depth - 1) and self.nonneg(other, depth - 1):
-                    return True
-        if isinstance(node, ast.IfExp):
-            return self.nonpast(node.body, depth - 1) and self.nonpast(
-                node.orelse, depth - 1
-            )
-        return False
-
-
-@register
-class NonPastScheduleRule(Rule):
-    """``Simulation.schedule`` calls must be provably non-past.
-
-    Rationale:
-        Scheduling an event in the virtual past corrupts the event-loop
-        invariant that time is monotone. A tiny structural prover checks
-        that ``schedule(delay)`` delays are constants/max()/len()-shaped
-        non-negatives (or covered by a dominating ``assert delay >= 0``)
-        and that ``schedule_at(t)`` times are ``max(now, ...)``-shaped
-        (or asserted ``>= sim.now``).
-
-    Example violation:
-        sim.schedule(d, cb)   # SIM001: d not provably >= 0
-
-    Suppression:
-        sim.schedule(d, cb)  # reprolint: disable=SIM001 -- d validated upstream
-    """
-
-    name = "SIM001"
-    summary = "Simulation.schedule calls must be provably non-past"
-
-    def applies_to(self, ctx: ModuleContext) -> bool:
-        return ctx.module.startswith("repro.")
-
-    def visit_Call(self, node: ast.Call, ctx: ModuleContext) -> _Yield:
-        tail = call_tail(node)
-        if tail not in ("schedule", "schedule_at"):
-            return
-        if receiver_tail(node) not in _SIM_RECEIVERS:
-            return
-        if not node.args:
-            return
-        arg = node.args[0]
-        func = ctx.enclosing_function()
-        if func is not None:
-            assignments = _assignments_before(func, node.lineno)
-            nonneg, nonpast = _asserted_exprs(func, node.lineno)
-        else:
-            assignments, nonneg, nonpast = {}, set(), set()
-        prover = _Prover(assignments, nonneg, nonpast)
-        if tail == "schedule":
-            if not prover.nonneg(arg):
-                yield node, (
-                    "delay is not provably >= 0 (constant-fold failed and no "
-                    "dominating `assert delay >= 0`); events must never be "
-                    "scheduled in the virtual past"
-                )
-        else:
-            if not prover.nonpast(arg):
-                yield node, (
-                    "absolute time is not provably >= Simulation.now (no "
-                    "max(now, ...) structure or dominating `assert t >= "
-                    "sim.now`); events must never be scheduled in the past"
-                )
-
-
-# ----------------------------------------------------------------------
 # SIM002 — no re-entrant scheduler mutation from read callbacks
 # ----------------------------------------------------------------------
 
@@ -639,6 +444,9 @@ _MUTATORS = {
     "heappush", "heappop", "heapify",
     "allocate", "free", "observe", "inc", "record", "set_value",
 }
+
+#: Receiver names of the simulation loop (``self._sim.run()``, ...).
+_SIM_RECEIVERS = {"sim", "_sim", "simulation", "_simulation"}
 
 #: Registration calls whose callable argument must be a pure read.
 _CALLBACK_SINKS = {"counter", "gauge", "histogram", "register"}
@@ -970,10 +778,9 @@ _DECODE_LOOP_ROOTS = frozenset({
     "_run_step",
     "_finish_step",
     "_advance_decodes",
-    "_run_fast",
     "_finish_fast_run",
     "_materialize",
-    "_sync_to_now",
+    "sync_to_now",
     "_kv_safe_steps",
 })
 

@@ -55,7 +55,7 @@ class ServingSystem(abc.ABC):
         self._prof = profiler if profiler is not None else NULL_PROFILER
         self.records: "list[RequestRecord]" = []
         self._submitted = 0
-        #: Requests refused admission (admission-control extensions).
+        #: Requests refused admission at :meth:`submit` (see :meth:`_reject`).
         self.rejections = 0
         self._monitor: "SloMonitor | None" = None
 
@@ -119,6 +119,11 @@ class ServingSystem(abc.ABC):
         if self._monitor is not None:
             self._monitor.observe_arrival(request)
         return RequestState(request=request)
+
+    def _reject(self, request: Request) -> None:
+        """Refuse a registered request that no instance could ever serve."""
+        self.rejections += 1
+        self._trace.instant(request.request_id, SpanKind.REJECTED, self.sim.now)
 
     def _complete(self, state: RequestState) -> None:
         record = state.to_record()

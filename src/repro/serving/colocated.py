@@ -19,7 +19,7 @@ from ..simulator.instance import InstanceSpec
 from ..simulator.metrics import MetricsRegistry
 from ..simulator.profiler import Profiler
 from ..simulator.request import RequestState
-from ..simulator.tracing import SpanKind, Tracer
+from ..simulator.tracing import Tracer
 from ..workload.trace import Request
 
 __all__ = ["ColocatedSystem"]
@@ -106,8 +106,7 @@ class ColocatedSystem(ServingSystem):
         """
         state = self._register(request)
         if request.total_tokens > self._kv_capacity_tokens:
-            self.rejections += 1
-            self._trace.instant(request.request_id, SpanKind.REJECTED, self.sim.now)
+            self._reject(request)
             return
         self._dispatcher.choose(self.instances).submit(state)
 

@@ -211,8 +211,7 @@ class DisaggregatedSystem(ServingSystem):
             request.output_len > 1
             and request.total_tokens > self._decode_kv_tokens
         ):
-            self.rejections += 1
-            self._trace.instant(request.request_id, SpanKind.REJECTED, self.sim.now)
+            self._reject(request)
             return
         target = self._prefill_dispatch.choose(self.prefill_instances)
         self._home_prefill[state.request_id] = target

@@ -10,6 +10,11 @@ These are idealized single-phase engines:
   stay well-formed (TPOT ~ 0 by construction, only TTFT is meaningful).
 * :class:`DecodeOnlySystem` assumes the KV cache materializes for free
   at arrival (TTFT ~ 0 by construction, only TPOT is meaningful).
+
+Both reject at :meth:`submit` what their one pool can never hold, by
+the rules :class:`~repro.serving.disaggregated.DisaggregatedSystem`
+applies to the same phase; admitted, such a request would hold the
+queue head forever and strand every request behind it.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ class PrefillOnlySystem(ServingSystem):
         # Phase-only engines are single-pool probes: dispatch stays
         # least-loaded regardless of the configured cross-pool policy.
         self._dispatch = Dispatcher("least_loaded", load_fn=lambda i: i.queue_len)
+        self._kv_tokens = self.instances[0].kv_capacity_tokens()
 
     def _instrument_components(self, registry: MetricsRegistry) -> None:
         for inst in self.instances:
@@ -63,7 +69,11 @@ class PrefillOnlySystem(ServingSystem):
         self._dispatch.instrument(registry, pool="prefill")
 
     def submit(self, request: Request) -> None:
+        """Dispatch ``request``, or reject a prompt over the KV pool."""
         state = self._register(request)
+        if request.input_len > self._kv_tokens:
+            self._reject(request)
+            return
         self._dispatch.choose(self.instances).submit(state)
 
     def _finish(self, state: RequestState) -> None:
@@ -117,6 +127,7 @@ class DecodeOnlySystem(ServingSystem):
             for i in range(num_instances)
         ]
         self._dispatch = Dispatcher("least_loaded", load_fn=lambda i: i.load)
+        self._kv_tokens = self.instances[0].kv_capacity_tokens()
 
     def _instrument_components(self, registry: MetricsRegistry) -> None:
         for inst in self.instances:
@@ -124,7 +135,16 @@ class DecodeOnlySystem(ServingSystem):
         self._dispatch.instrument(registry, pool="decode")
 
     def submit(self, request: Request) -> None:
+        """Start decoding ``request``, or reject it if it can never fit.
+
+        A request that decodes (more than one output token) reserves its
+        final context, prompt plus output, at admission; one larger than
+        the KV pool is rejected.
+        """
         state = self._register(request)
+        if request.output_len > 1 and request.total_tokens > self._kv_tokens:
+            self._reject(request)
+            return
         # The KV cache appears for free; the first token is emitted
         # immediately so decode steps generate the remaining tokens.
         state.stamp("prefill_start", self.sim.now)

@@ -12,9 +12,10 @@ pipeline depth multiplies KV capacity (hence throughput) while TPOT is
 set by the micro-batch traversal time.
 
 Admission reserves the *full* final context (prompt + all output tokens)
-so a request admitted never runs out of KV mid-flight; this is the
-conservative no-preemption policy a disaggregated decode instance can
-afford because the prefill side buffers overflow (§4.3 pull policy).
+so a request admitted never runs out of KV mid-flight and is never
+preempted; this is the conservative policy a disaggregated decode
+instance can afford because the prefill side buffers overflow (§4.3
+pull policy). KV therefore never grows during a step.
 
 **Fast-forward kernel (DESIGN §4h).** The active set lives in a
 :class:`~repro.simulator.kernel.DecodeKernel`. When per-step
@@ -62,10 +63,6 @@ class DecodeInstance:
         spec: Instance resources and parallelism.
         on_request_done: Callback fired when a request's last token is
             generated.
-        reserve_full_context: Reserve KV for the final context length at
-            admission (True, default) or only the current context with
-            growth on demand (False — vLLM-style optimistic admission;
-            an append failure then preempts the youngest request).
         name: Identifier for reporting.
         tracer: Optional lifecycle tracer receiving queue/step spans.
         profiler: Optional critical-path profiler receiving one exec
@@ -84,7 +81,6 @@ class DecodeInstance:
         sim: Simulation,
         spec: InstanceSpec,
         on_request_done: Callable[[RequestState], None],
-        reserve_full_context: bool = True,
         name: str = "decode-0",
         tracer: "Tracer | None" = None,
         profiler: "Profiler | None" = None,
@@ -95,7 +91,6 @@ class DecodeInstance:
         self.spec = spec
         self.name = name
         self._on_done = on_request_done
-        self._reserve_full = reserve_full_context
         cfg = scheduling if scheduling is not None else SchedulingConfig()
         self._qpolicy: QueuePolicy = make_queue_policy(
             cfg.queue_policy,
@@ -123,7 +118,7 @@ class DecodeInstance:
             self._kv,
             step_latency=self._timer.step_latency_fn,
             microbatches=spec.config.pp,
-            kv_grows=not reserve_full_context,
+            kv_grows=False,
             jitter=spec.make_jitter(name) if spec.jitter_sigma else None,
             on_run_end=self._finish_fast_run,
             enabled=(
@@ -132,7 +127,6 @@ class DecodeInstance:
                 and not self._prof.enabled
             ),
         )
-        self.preemptions = 0
 
     # ------------------------------------------------------------------
     @property
@@ -212,10 +206,6 @@ class DecodeInstance:
             "repro_busy_seconds_total", "Virtual seconds spent executing",
             labels=labels, fn=lambda: self.busy_time,
         )
-        registry.counter(
-            "repro_preemptions_total", "Recompute preemptions",
-            labels=labels, fn=lambda: self.preemptions,
-        )
         registry.gauge(
             "repro_utilization", "Busy fraction of elapsed virtual time",
             labels=labels,
@@ -230,19 +220,13 @@ class DecodeInstance:
         accounts for reservations already promised to in-flight transfers.
         """
         self._kernel.sync_to_now()
-        need = self._reservation_tokens(state)
-        need_blocks = -(-need // self._kv.block_size)
+        need_blocks = -(-state.request.total_tokens // self._kv.block_size)
         return need_blocks + extra_blocks <= self._kv.free_blocks
 
     def reservation_blocks(self, state: RequestState) -> int:
         """Blocks a future admission of ``state`` will consume."""
         self._kernel.sync_to_now()
-        return -(-self._reservation_tokens(state) // self._kv.block_size)
-
-    def _reservation_tokens(self, state: RequestState) -> int:
-        if self._reserve_full:
-            return state.request.total_tokens
-        return state.context_len
+        return -(-state.request.total_tokens // self._kv.block_size)
 
     # ------------------------------------------------------------------
     def submit(self, state: RequestState) -> None:
@@ -271,7 +255,7 @@ class DecodeInstance:
             len(kernel.active), self.spec.max_batch_size
         ):
             head = self._waiting[0]
-            need = self._reservation_tokens(head)
+            need = head.request.total_tokens
             if not self._kv.can_allocate(need):
                 break
             self._kv.allocate(head.request_id, need)
@@ -295,7 +279,7 @@ class DecodeInstance:
             self._stepping = False
             return
         if kernel.enabled:
-            self._run_fast()
+            kernel.plan()  # a batch whose KV does not grow is never declined
         else:
             self._run_step()
 
@@ -340,20 +324,9 @@ class DecodeInstance:
         if not self._alive:
             return  # the instance died mid-step; victims re-routed
         kernel = self._kernel
-        active = kernel.active
         finished: "list[RequestState]" = []
         step_tokens = 0
         for state in batch:
-            if state not in active:
-                continue  # preempted mid-step
-            if not self._reserve_full:
-                if not self._kv.can_append(state.request_id):
-                    self._preempt_youngest()
-                    if state not in active:
-                        continue
-                    if not self._kv.can_append(state.request_id):
-                        continue  # skip this token; retried next step
-                self._kv.append(state.request_id)
             state.record_token(self._sim.now)
             step_tokens += 1
             if self._trace.enabled:
@@ -384,11 +357,6 @@ class DecodeInstance:
     # ------------------------------------------------------------------
     # Fast-forward kernel (macro-stepped runs)
     # ------------------------------------------------------------------
-    def _run_fast(self) -> None:
-        """Start one macro run, or a per-step step if the next preempts."""
-        if not self._kernel.plan():
-            self._run_step()
-
     def _finish_fast_run(self, generation: int) -> None:
         kernel = self._kernel
         if not self._alive or not kernel.end_run(generation):
@@ -429,21 +397,3 @@ class DecodeInstance:
         for request_id in self._kv.holders():
             self._kv.free(request_id)
         return victims
-
-    def _preempt_youngest(self) -> None:
-        """vLLM-style recompute preemption of the most recent admission."""
-        active = self._kernel.active
-        if not active:
-            return
-        victim = next(reversed(active))
-        self._kernel.leave(victim)
-        self._kv.free(victim.request_id)
-        victim.phase = RequestPhase.WAITING_DECODE
-        self._trace.instant(
-            victim.request_id, SpanKind.PREEMPTED, self._sim.now, self.name
-        )
-        self._trace.begin(
-            victim.request_id, SpanKind.DECODE_QUEUE, self._sim.now, self.name
-        )
-        self._waiting.appendleft(victim)
-        self.preemptions += 1

@@ -10,8 +10,9 @@ instance (the vLLM baseline) both drive their decoding through it.
 The kernel takes three inputs that describe the instance: the
 step-latency closure (batch size -> context -> seconds), the micro-batch
 shape (how many micro-batches the running batch splits into), and
-whether KV grows per step (optimistic admission). It never asks which
-instance drives it.
+whether KV grows per step (the colocated instance's optimistic
+admission; the decode instance reserves every request's final context
+up front). It never asks which instance drives it.
 
 A run is bounded only by what the instance itself does: the shortest
 remaining request (nobody finishes mid-run) and, when KV grows, KV-growth
@@ -65,7 +66,8 @@ class DecodeKernel:
             takes the latency of the first ``ceil(B / microbatches)``
             requests (pipeline steady state).
         kv_grows: Each step appends one KV slot per request (optimistic
-            admission); runs then stop at the KV-growth-safe bound.
+            admission); runs then stop at the KV-growth-safe bound, and
+            :meth:`plan` declines a run whose first step would preempt.
         jitter: The instance's noise source, or ``None`` for the constant
             1.0 (planning then skips the draws; ``x * 1.0`` is bitwise x).
         on_run_end: Called with the run's generation when a run's last

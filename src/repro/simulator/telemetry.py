@@ -166,7 +166,6 @@ class TelemetryRecorder:
             series.times.append(now)
             series.values.append(float(fn()))
         if now + self._interval <= self._until:
-            # reprolint: disable=SIM001 -- interval validated > 0 in __init__
             self._sim.schedule(self._interval, self._sample)
 
     def series(self, name: str) -> GaugeSeries:

@@ -4,7 +4,7 @@ Each test feeds in-memory fixture modules through ``build_from_sources``
 and asserts on the resolved edges: aliased imports, method resolution
 through ``self`` and typed attributes, decorated functions, first-order
 callables crossing the ParallelEvaluator boundary, nested defs, cycles,
-and the determinism / disk-cache contract the engine relies on.
+and the determinism / in-process memo contract the engine relies on.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from repro.lint.callgraph import (
     CallableArg,
     _MEMO,
     build_from_sources,
-    build_project,
 )
 
 
@@ -351,26 +350,3 @@ class TestDeterminismAndCaching:
         first = graph(sources=dict(self.SOURCES))
         second = graph(sources=dict(self.SOURCES))
         assert first is second
-
-    def test_disk_cache_roundtrip(self, tmp_path):
-        entries = [
-            (module, f"<{module}>", textwrap.dedent(source))
-            for module, source in sorted(self.SOURCES.items())
-        ]
-        _MEMO.clear()  # an in-memory hit would skip the disk write
-        first = build_project(entries, cache_dir=tmp_path)
-        cache_files = list(tmp_path.glob("callgraph-*.json"))
-        assert len(cache_files) == 1
-        edges = dict(first.edges)
-        _MEMO.clear()  # force the second build to hit the disk cache
-        second = build_project(entries, cache_dir=tmp_path)
-        assert second.edges == edges
-
-    def test_source_change_invalidates_cache_key(self, tmp_path):
-        entries = [("repro.x", "<repro.x>", "def f():\n    pass\n")]
-        _MEMO.clear()
-        build_project(entries, cache_dir=tmp_path)
-        _MEMO.clear()
-        changed = [("repro.x", "<repro.x>", "def g():\n    pass\n")]
-        build_project(changed, cache_dir=tmp_path)
-        assert len(list(tmp_path.glob("callgraph-*.json"))) == 2

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 
 import pytest
@@ -15,6 +16,49 @@ from repro.cli import (
 from repro.simulator import SimSanitizer
 
 
+_MODEL = [("--model", "opt-13b"), ("--dataset", "sharegpt")]
+_MODE = [("--mode", "disaggregated")]
+_DEPLOYMENT = [
+    ("--num-prefill", 1), ("--num-decode", 1),
+    ("--prefill-tp", 1), ("--prefill-pp", 1),
+    ("--decode-tp", 1), ("--decode-pp", 1),
+]
+_SCHEDULING = [
+    ("--queue-policy", "fcfs"), ("--batch-policy", "token_budget"),
+    ("--dispatch-policy", "least_loaded"),
+]
+
+
+def _workload(requests):
+    return [("--rate", 2.0), ("--requests", requests), ("--seed", 0)]
+
+
+#: Every option (first spelling) and default of the subcommands that
+#: share the run flags, in declaration order, plus ``lint``.
+_OPTIONS = {
+    "serve": _MODEL + _workload(300) + _DEPLOYMENT + [
+        ("--ttft", 0.0), ("--tpot", 0.0),
+    ] + _SCHEDULING,
+    "trace": _MODEL + _MODE + _workload(100) + _DEPLOYMENT + [
+        ("--out", "/tmp/trace.json"), ("--jsonl-out", ""), ("--sanitize", False),
+    ] + _SCHEDULING,
+    "metrics": _MODEL + _MODE + _workload(300) + _DEPLOYMENT + [
+        ("--ttft", 4.0), ("--tpot", 0.2), ("--window", 30.0),
+        ("--interval", 10.0), ("--prom-out", ""), ("--json-out", ""),
+        ("--sanitize", False),
+    ] + _SCHEDULING,
+    "profile": _MODEL + _MODE + _workload(100) + _DEPLOYMENT + [
+        ("--ttft", 0.0), ("--tpot", 0.0), ("--format", "human"),
+        ("--json-out", ""), ("--html-out", ""), ("--diff", None),
+        ("--sanitize", False),
+    ] + _SCHEDULING,
+    "lint": [
+        ("--format", "human"), ("--select", ""), ("--list-rules", False),
+        ("--explain", ""),
+    ],
+}
+
+
 class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -28,6 +72,20 @@ class TestParser:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["deploy"])
+
+    @pytest.mark.parametrize("command", sorted(_OPTIONS))
+    def test_options_and_defaults_pinned(self, command):
+        parser = build_parser()
+        sub = next(
+            action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        options = [
+            (action.option_strings[0], action.default)
+            for action in sub.choices[command]._actions
+            if action.option_strings and action.dest != "help"
+        ]
+        assert options == _OPTIONS[command]
 
 
 class TestCommands:
@@ -270,12 +328,12 @@ class TestExitCodeSemantics:
         assert main(["lint", str(clean)]) == EXIT_OK
 
     def test_lint_explain_deterministic(self, capsys):
-        assert main(["lint", "--explain", "SIM001"]) == EXIT_OK
+        assert main(["lint", "--explain", "SIM002"]) == EXIT_OK
         first = capsys.readouterr().out
-        assert main(["lint", "--explain", "SIM001"]) == EXIT_OK
+        assert main(["lint", "--explain", "SIM002"]) == EXIT_OK
         second = capsys.readouterr().out
         assert first == second
-        assert first.startswith("SIM001 — ")
+        assert first.startswith("SIM002 — ")
         for section in ("Rationale:", "Example violation:", "Suppression:"):
             assert section in first
 
@@ -298,43 +356,8 @@ class TestExitCodeSemantics:
         assert doc["version"] == "2.1.0"
         run = doc["runs"][0]
         rules = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert "DET002" in rules and "SIM001" in rules
+        assert "DET002" in rules and "SIM002" in rules
         result = run["results"][0]
         assert result["ruleId"] == "DET002"
         region = result["locations"][0]["physicalLocation"]["region"]
         assert region["startLine"] >= 1 and region["startColumn"] >= 1
-
-    def test_lint_baseline_write_then_check(self, tmp_path, capsys):
-        dirty = tmp_path / "dirty.py"
-        dirty.write_text("import random\nx = random.random()\n")
-        baseline = tmp_path / "baseline.json"
-        assert main(
-            ["lint", "--baseline", "write", "--baseline-file", str(baseline),
-             str(dirty)]
-        ) == EXIT_OK
-        capsys.readouterr()
-        # Known findings are ratcheted away...
-        assert main(
-            ["lint", "--baseline", "check", "--baseline-file", str(baseline),
-             str(dirty)]
-        ) == EXIT_OK
-        capsys.readouterr()
-        # ...but a new finding still fails the check.
-        dirty.write_text(
-            "import random\nx = random.random()\ny = random.randint(0, 3)\n"
-        )
-        assert main(
-            ["lint", "--baseline", "check", "--baseline-file", str(baseline),
-             str(dirty)]
-        ) == EXIT_FINDINGS
-        out = capsys.readouterr().out
-        assert "randint" in out and "random.random" not in out
-
-    def test_lint_cache_dir_roundtrip(self, tmp_path, capsys):
-        target = tmp_path / "mod.py"
-        target.write_text("def f():\n    return 1\n")
-        cache = tmp_path / "cache"
-        assert main(["lint", "--cache-dir", str(cache), str(target)]) == EXIT_OK
-        assert list(cache.glob("callgraph-*.json"))
-        capsys.readouterr()
-        assert main(["lint", "--cache-dir", str(cache), str(target)]) == EXIT_OK

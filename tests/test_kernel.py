@@ -184,7 +184,7 @@ class TestServingParity:
 
 
 # ----------------------------------------------------------------------
-# Decode-instance parity under preemption, jitter, and failures.
+# Decode-instance parity under queueing, jitter, and failures.
 # ----------------------------------------------------------------------
 def _small_gpu(model, target_tokens, pp=1):
     """A GPU sized so the decode KV pool holds ~``target_tokens``."""
@@ -202,14 +202,12 @@ def _small_gpu(model, target_tokens, pp=1):
     return dataclasses.replace(A100_80GB, memory_bytes=lo)
 
 
-def _drive_decode(spec, fast, *, n=60, seed=7, reserve=True, fail_at=None):
+def _drive_decode(spec, fast, *, n=60, seed=7, fail_at=None):
     """Feed ``n`` decode requests; return (records, counters, done-count)."""
     rng = np.random.default_rng(seed)
     sim = Simulation()
     done = []
-    inst = DecodeInstance(
-        sim, spec, done.append, reserve_full_context=reserve, fast_kernel=fast
-    )
+    inst = DecodeInstance(sim, spec, done.append, fast_kernel=fast)
     t = 0.0
     for i in range(n):
         t += float(rng.exponential(0.02))
@@ -235,7 +233,6 @@ def _drive_decode(spec, fast, *, n=60, seed=7, reserve=True, fail_at=None):
     )
     counters = (
         inst.steps_executed,
-        inst.preemptions,
         inst.tokens_generated,
         inst.busy_time,
     )
@@ -257,23 +254,13 @@ def _first_request_alone(spec):
 
 
 class TestDecodeInstanceParity:
-    def test_optimistic_admission_preempts_identically(self, tiny_model):
-        gpu = _small_gpu(tiny_model, 4000)
-        spec = InstanceSpec(
-            model=tiny_model, config=ParallelismConfig(1, 1), gpu=gpu
-        )
-        fast = _drive_decode(spec, True, reserve=False)
-        slow = _drive_decode(spec, False, reserve=False)
-        assert fast == slow
-        assert fast[1][1] > 0  # the scenario really exercises preemption
-
     def test_reserved_admission_queues_identically(self, tiny_model):
         gpu = _small_gpu(tiny_model, 4000)
         spec = InstanceSpec(
             model=tiny_model, config=ParallelismConfig(1, 1), gpu=gpu
         )
-        fast = _drive_decode(spec, True, reserve=True)
-        slow = _drive_decode(spec, False, reserve=True)
+        fast = _drive_decode(spec, True)
+        slow = _drive_decode(spec, False)
         assert fast == slow
 
     def test_jitter_stream_identical(self, tiny_model):
@@ -281,16 +268,6 @@ class TestDecodeInstanceParity:
             model=tiny_model, config=ParallelismConfig(1, 1), jitter_sigma=0.08
         )
         assert _drive_decode(spec, True) == _drive_decode(spec, False)
-
-    def test_jitter_with_preemption(self, tiny_model):
-        gpu = _small_gpu(tiny_model, 4000)
-        spec = InstanceSpec(
-            model=tiny_model, config=ParallelismConfig(1, 1), gpu=gpu,
-            jitter_sigma=0.05,
-        )
-        fast = _drive_decode(spec, True, reserve=False)
-        slow = _drive_decode(spec, False, reserve=False)
-        assert fast == slow
 
     def test_fail_mid_run_identical(self, tiny_spec):
         fast = _drive_decode(tiny_spec, True, fail_at=0.25)

@@ -1,28 +1,37 @@
 """Differential fuzzing of the fast decode kernel against the per-step path.
 
 Hypothesis generates workloads — bursts of equal arrival times, one- and
-two-token outputs, optimistic admission on a small KV pool (so requests
-are preempted), jitter, pipeline parallelism, every queue policy, and a
-mid-run instance failure — and runs each with ``fast_kernel`` on and off
-under the strict sanitizer. The two runs must agree bitwise on records,
-every request's full token timeline, and the instance counters. The
-serving-system suites add requests too large for the pool, which the
-system must reject (the sanitizer fails a run that strands any), and
-the colocated one adds every iteration policy and one or two replicas
-with an optional mid-run ``fail_replica()``.
+two-token outputs, a small KV pool (so requests queue for memory),
+jitter, pipeline parallelism, every queue policy, and a mid-run instance
+failure — and runs each with ``fast_kernel`` on and off under the strict
+sanitizer. The two runs must agree bitwise on records, every request's
+full token timeline, and the instance counters. The serving-system
+suites add requests too large for the pool, which the system must
+reject (the sanitizer fails a run that strands any), and every
+scheduling-policy combination the system takes: queue, batch and
+dispatch policy for the disaggregated system; queue and dispatch policy,
+every iteration policy, and one or two replicas with an optional mid-run
+``fail_replica()`` for the colocated one. The randomized dispatch
+policies draw from separate generators seeded alike in the two runs.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hardware import ETHERNET_25G
 from repro.latency import ParallelismConfig
 from repro.models import ModelArchitecture
-from repro.scheduling import SchedulingConfig
+from repro.scheduling import (
+    BATCH_POLICIES,
+    DISPATCH_POLICIES,
+    QUEUE_POLICIES,
+    SchedulingConfig,
+)
 from repro.serving import ColocatedSystem, DisaggregatedSystem, simulate_trace
 from repro.simulator import InstanceSpec, SimSanitizer
 from repro.simulator.colocated_instance import POLICIES, ColocatedInstance
@@ -100,18 +109,16 @@ def _timeline(states) -> "list[tuple]":
 
 
 def _counters(inst: DecodeInstance) -> tuple:
-    return (inst.steps_executed, inst.preemptions, inst.tokens_generated,
-            inst.busy_time)
+    return (inst.steps_executed, inst.tokens_generated, inst.busy_time)
 
 
-def _drive_decode(trace, spec, reserve, policy, fail_at, fast):
+def _drive_decode(trace, spec, policy, fail_at, fast):
     """Feed ``trace`` to one decode instance as if prefill had just run."""
     sanitizer = SimSanitizer(strict=True)
     sim = sanitizer.simulation()
     done: "list[int]" = []
     inst = DecodeInstance(
-        sim, spec, lambda s: done.append(s.request_id),
-        reserve_full_context=reserve, fast_kernel=fast,
+        sim, spec, lambda s: done.append(s.request_id), fast_kernel=fast,
         scheduling=SchedulingConfig(queue_policy=policy),
     )
     sanitizer.watch_kv(inst._kv, owner=inst.name)
@@ -158,12 +165,25 @@ class _RecordingColocated(_Recording, ColocatedSystem):
     pass
 
 
-def _run_disaggregated(trace, num_prefill, mode, jitter, fast):
+#: Every scheduling triple (queue x batch x dispatch policy).
+TRIPLES = st.builds(
+    SchedulingConfig,
+    queue_policy=st.sampled_from(QUEUE_POLICIES),
+    batch_policy=st.sampled_from(BATCH_POLICIES),
+    dispatch_policy=st.sampled_from(DISPATCH_POLICIES),
+)
+
+#: Seeds of the randomized dispatch policies' generators.
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def _run_disaggregated(trace, num_prefill, mode, jitter, scheduling, seed, fast):
     sanitizer = SimSanitizer(strict=True)
     system = _RecordingSystem(
         sanitizer.simulation(), _spec(1, 0.0), _spec(1, jitter),
         num_prefill=num_prefill, num_decode=2, transfer_link=ETHERNET_25G,
-        transfer_mode=mode, fast_kernel=fast,
+        transfer_mode=mode, fast_kernel=fast, scheduling=scheduling,
+        rng=np.random.default_rng(seed),
     )
     sanitizer.watch_system(system)
     result = simulate_trace(system, trace)
@@ -178,18 +198,17 @@ def _run_disaggregated(trace, num_prefill, mode, jitter, fast):
 
 @given(
     rows=REQUESTS,
-    reserve=st.booleans(),
     jitter=st.sampled_from([0.0, 0.1]),
     pp=st.sampled_from([1, 2]),
-    policy=st.sampled_from(["fcfs", "sjf", "edf"]),
+    policy=st.sampled_from(QUEUE_POLICIES),
     fail_at=st.one_of(st.none(), st.floats(min_value=0.0, max_value=0.5)),
 )
 @settings(max_examples=100, deadline=None)
-def test_decode_instance_matches_reference(rows, reserve, jitter, pp, policy, fail_at):
+def test_decode_instance_matches_reference(rows, jitter, pp, policy, fail_at):
     trace = _trace(rows)
     spec = _spec(pp, jitter)
-    fast = _drive_decode(trace, spec, reserve, policy, fail_at, fast=True)
-    slow = _drive_decode(trace, spec, reserve, policy, fail_at, fast=False)
+    fast = _drive_decode(trace, spec, policy, fail_at, fast=True)
+    slow = _drive_decode(trace, spec, policy, fail_at, fast=False)
     assert fast == slow
 
 
@@ -198,13 +217,17 @@ def test_decode_instance_matches_reference(rows, reserve, jitter, pp, policy, fa
     num_prefill=st.sampled_from([1, 2]),
     mode=st.sampled_from(["pull", "push"]),
     jitter=st.sampled_from([0.0, 0.1]),
+    scheduling=TRIPLES,
+    seed=SEEDS,
 )
 @settings(max_examples=60, deadline=None)
-def test_disaggregated_matches_reference(rows, num_prefill, mode, jitter):
+def test_disaggregated_matches_reference(rows, num_prefill, mode, jitter,
+                                         scheduling, seed):
     trace = _trace(rows)
-    fast = _run_disaggregated(trace, num_prefill, mode, jitter, fast=True)
-    slow = _run_disaggregated(trace, num_prefill, mode, jitter, fast=False)
-    assert fast == slow
+    args = (trace, num_prefill, mode, jitter, scheduling, seed)
+    assert _run_disaggregated(*args, fast=True) == _run_disaggregated(
+        *args, fast=False
+    )
 
 
 def _colocated_counters(inst: ColocatedInstance) -> tuple:
@@ -213,12 +236,13 @@ def _colocated_counters(inst: ColocatedInstance) -> tuple:
             inst.tokens_prefilled, inst.tokens_generated)
 
 
-def _run_colocated(trace, spec, replicas, policy, queue, fail_at, fast):
+def _run_colocated(trace, spec, replicas, policy, scheduling, seed, fail_at,
+                   fast):
     sanitizer = SimSanitizer(strict=True)
     sim = sanitizer.simulation()
     system = _RecordingColocated(
         sim, spec, num_replicas=replicas, policy=policy, fast_kernel=fast,
-        scheduling=SchedulingConfig(queue_policy=queue),
+        scheduling=scheduling, rng=np.random.default_rng(seed),
     )
     sanitizer.watch_system(system)
     instances = list(system.instances)
@@ -237,19 +261,23 @@ def _run_colocated(trace, spec, replicas, policy, queue, fail_at, fast):
 @given(
     rows=OVERSIZED_REQUESTS,
     policy=st.sampled_from(POLICIES),
-    queue=st.sampled_from(["fcfs", "sjf", "edf"]),
+    scheduling=st.builds(
+        SchedulingConfig,
+        queue_policy=st.sampled_from(QUEUE_POLICIES),
+        dispatch_policy=st.sampled_from(DISPATCH_POLICIES),
+    ),
+    seed=SEEDS,
     pp=st.sampled_from([1, 2]),
     jitter=st.sampled_from([0.0, 0.1]),
     replicas=st.sampled_from([1, 2]),
     fail_at=st.one_of(st.none(), st.floats(min_value=0.0, max_value=0.5)),
 )
 @settings(max_examples=150, deadline=None)
-def test_colocated_matches_reference(rows, policy, queue, pp, jitter, replicas,
-                                     fail_at):
+def test_colocated_matches_reference(rows, policy, scheduling, seed, pp, jitter,
+                                     replicas, fail_at):
     trace = _trace(rows)
     spec = _spec(pp, jitter)
     if replicas == 1:
         fail_at = None  # the last replica cannot fail
-    fast = _run_colocated(trace, spec, replicas, policy, queue, fail_at, fast=True)
-    slow = _run_colocated(trace, spec, replicas, policy, queue, fail_at, fast=False)
-    assert fast == slow
+    args = (trace, spec, replicas, policy, scheduling, seed, fail_at)
+    assert _run_colocated(*args, fast=True) == _run_colocated(*args, fast=False)

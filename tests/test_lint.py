@@ -5,6 +5,7 @@ self-hosting guarantee that the shipped tree lints clean.
 
 from __future__ import annotations
 
+import ast
 import json
 import pathlib
 import textwrap
@@ -21,6 +22,7 @@ from repro.lint import (
     rule_names,
 )
 from repro.lint.engine import module_name_for
+from repro.lint.rules import _DECODE_LOOP_ROOTS, _SCHED_LOOP_ROOTS
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
 
@@ -253,89 +255,6 @@ class TestDET004:
             def f(records):
                 return sum(r.exec_time for r in records)  # reprolint: disable=DET004 -- bounded n
         """, module="repro.latency.fixture")
-        assert findings == []
-
-
-# ----------------------------------------------------------------------
-# SIM001 — provably non-past scheduling
-# ----------------------------------------------------------------------
-
-class TestSIM001:
-    def test_positive_unproven_delay(self):
-        findings = run("""
-            def f(sim, d, cb):
-                sim.schedule(d, cb)
-        """)
-        assert rules_of(findings) == ["SIM001"]
-
-    def test_negative_constant_and_max(self):
-        findings = run("""
-            def f(sim, t, cb):
-                sim.schedule(1.5, cb)
-                sim.schedule(max(0.0, t - sim.now), cb)
-        """)
-        assert findings == []
-
-    def test_negative_asserted_delay(self):
-        findings = run("""
-            def f(sim, d, cb):
-                assert d >= 0
-                sim.schedule(d, cb)
-        """)
-        assert findings == []
-
-    def test_negative_assignment_propagation(self):
-        findings = run("""
-            def f(sim, t, cb):
-                delay = max(0.0, t - sim.now)
-                sim.schedule(delay, cb)
-        """)
-        assert findings == []
-
-    def test_positive_schedule_at_unproven(self):
-        findings = run("""
-            def f(sim, t, cb):
-                sim.schedule_at(t, cb)
-        """)
-        assert rules_of(findings) == ["SIM001"]
-
-    def test_negative_schedule_at_max_now(self):
-        findings = run("""
-            def f(sim, t, cb):
-                sim.schedule_at(max(sim.now, t), cb)
-        """)
-        assert findings == []
-
-    def test_negative_schedule_at_asserted(self):
-        findings = run("""
-            def f(sim, t, cb):
-                assert t >= sim.now
-                sim.schedule_at(t, cb)
-        """)
-        assert findings == []
-
-    def test_negative_now_plus_nonneg(self):
-        findings = run("""
-            def f(sim, cb):
-                start = sim.now
-                duration = max(0.0, compute())
-                sim.schedule_at(start + duration, cb)
-        """)
-        assert findings == []
-
-    def test_negative_non_sim_receiver(self):
-        findings = run("""
-            def f(cron, d):
-                cron.schedule(d, "job")
-        """)
-        assert findings == []
-
-    def test_suppression(self):
-        findings = run("""
-            def f(sim, d, cb):
-                # reprolint: disable=SIM001 -- d validated by caller
-                sim.schedule(d, cb)
-        """)
         assert findings == []
 
 
@@ -607,11 +526,28 @@ class TestPERF001:
     def test_suppression(self):
         findings = run("""
             class Instance:
-                def _sync_to_now(self):
+                def sync_to_now(self):
                     # reprolint: disable=PERF001 -- cold failure branch
                     return sum(self._pending)
         """, select=["PERF001"])
         assert findings == []
+
+    def test_roots_name_functions_that_exist(self):
+        """A renamed loop entry point would silently stop seeding the rule."""
+        assert _DECODE_LOOP_ROOTS - _defined_functions("simulator") == set()
+        assert _SCHED_LOOP_ROOTS - _defined_functions("scheduling") == set()
+
+
+def _defined_functions(package: str) -> "set[str]":
+    """Names of every def in the ``repro.<package>`` sources."""
+    names: "set[str]" = set()
+    for path in sorted((REPO_ROOT / "src" / "repro" / package).rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names.update(
+            node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        )
+    return names
 
 
 # ----------------------------------------------------------------------
@@ -694,7 +630,7 @@ class TestEngine:
     def test_rule_registry_complete(self):
         assert rule_names() == [
             "DET001", "DET002", "DET003", "DET004",
-            "OBS001", "PAR001", "PERF001", "SIM001", "SIM002",
+            "OBS001", "PAR001", "PERF001", "SIM002",
         ]
 
 

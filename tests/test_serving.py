@@ -13,7 +13,7 @@ from repro.serving import (
     PrefillOnlySystem,
     simulate_trace,
 )
-from repro.simulator import InstanceSpec, SimSanitizer, Simulation
+from repro.simulator import InstanceSpec, SimSanitizer, Simulation, SpanKind, Tracer
 from repro.workload import Request, Trace, fixed_length_dataset, generate_trace
 
 
@@ -191,6 +191,73 @@ class TestDisaggregatedRejection:
         ]
         system, res = self._run(tiny_spec, trace)
         assert system.rejections == 1
+        assert sorted(r.request_id for r in res.records) == [0, 2]
+
+
+class TestPhaseOnlyRejection:
+    """The phase-only systems reject what their pool can never hold, by
+    the disaggregated rule for their phase, and the request queued behind
+    it completes."""
+
+    @staticmethod
+    def _run(system_cls, spec, trace):
+        sanitizer = SimSanitizer(strict=True)
+        sim = sanitizer.simulation()
+        tracer = Tracer()
+        system = system_cls(sim, spec, tracer=tracer)
+        sanitizer.watch_system(system)
+        res = simulate_trace(system, trace)
+        assert len(sim) == 0, "the simulation did not drain"
+        sanitizer.check_quiesce()
+        rejected = [s.request_id for s in tracer.spans if s.kind == SpanKind.REJECTED]
+        assert len(rejected) == system.rejections
+        return res, rejected
+
+    @pytest.mark.parametrize("system_cls, prompt_past_pool, output_len", [
+        pytest.param(PrefillOnlySystem, 100, 10, id="prefill-prompt-over-pool"),
+        pytest.param(DecodeOnlySystem, -16, 200, id="decode-context-over-pool"),
+    ])
+    def test_unservable_request_does_not_strand_the_next(
+        self, opt13b, system_cls, prompt_past_pool, output_len
+    ):
+        spec = InstanceSpec(model=opt13b)
+        pool = TestDisaggregatedRejection._pool_tokens(spec)
+        trace = [
+            Request(request_id=0, arrival_time=0.0,
+                    input_len=pool + prompt_past_pool, output_len=output_len),
+            Request(request_id=1, arrival_time=0.1, input_len=100, output_len=10),
+        ]
+        res, rejected = self._run(system_cls, spec, trace)
+        assert rejected == [0]
+        assert [r.request_id for r in res.records] == [1]
+        assert res.unfinished == 0
+
+    def test_prefill_limit_is_inclusive(self, tiny_spec):
+        capacity = TestDisaggregatedRejection._pool_tokens(tiny_spec)
+        trace = [
+            Request(request_id=0, arrival_time=0.0, input_len=capacity,
+                    output_len=50),
+            Request(request_id=1, arrival_time=0.0, input_len=capacity + 1,
+                    output_len=1),
+        ]
+        res, rejected = self._run(PrefillOnlySystem, tiny_spec, trace)
+        assert rejected == [1]
+        assert [r.request_id for r in res.records] == [0]
+
+    def test_decode_limit_is_inclusive(self, tiny_spec):
+        """Prompt + output may fill the pool exactly, and a one-token
+        output never decodes, so any prompt is served."""
+        capacity = TestDisaggregatedRejection._pool_tokens(tiny_spec)
+        trace = [
+            Request(request_id=0, arrival_time=0.0, input_len=capacity - 40,
+                    output_len=40),
+            Request(request_id=1, arrival_time=0.0, input_len=capacity - 40,
+                    output_len=41),
+            Request(request_id=2, arrival_time=0.0, input_len=capacity + 100,
+                    output_len=1),
+        ]
+        res, rejected = self._run(DecodeOnlySystem, tiny_spec, trace)
+        assert rejected == [1]
         assert sorted(r.request_id for r in res.records) == [0, 2]
 
 
