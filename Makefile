@@ -1,4 +1,4 @@
-.PHONY: install test lint lint-full sanitize-demo trace-demo metrics-demo profile-demo golden-regen bench bench-search bench-profile bench-kernel examples clean
+.PHONY: install test sanitize-demo trace-demo metrics-demo profile-demo golden-regen bench bench-search bench-profile bench-kernel examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -7,16 +7,6 @@ install:
 # an editable install.
 test:
 	PYTHONPATH=src python -m pytest -x -q
-
-# Determinism & simulation-invariant static analysis; exits non-zero on
-# any finding. The tree is self-hosting: `src` and `tests` lint clean.
-lint:
-	PYTHONPATH=src python -m repro.cli lint src tests examples benchmarks
-
-# Everything `lint` does plus the SARIF report the CI lint job uploads.
-lint-full: lint
-	PYTHONPATH=src python -m repro.cli lint --format sarif \
-		src tests examples benchmarks > reprolint.sarif
 
 # Golden scenario under full runtime invariant checking: virtual-time
 # monotonicity, request conservation, KV-leak and transfer double-free
@@ -72,5 +62,5 @@ examples:
 	python examples/queueing_analysis.py
 
 clean:
-	rm -rf build dist *.egg-info .pytest_cache .hypothesis reprolint.sarif
+	rm -rf build dist *.egg-info .pytest_cache .hypothesis
 	find . -name __pycache__ -type d -exec rm -rf {} +

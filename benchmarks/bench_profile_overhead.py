@@ -5,8 +5,8 @@ one ``record_exec`` per executed batch/step, one ``record_transfer``
 per KV migration, pending-interval reconciliation on every pull-queue
 mutation. The design contract (DESIGN §4g) is that enabling them costs
 under 5% wall time over an identical traced run: the hooks append plain
-tuples behind an ``enabled`` guard and never aggregate inline
-(reprolint OBS001 enforces the discipline).
+tuples behind an ``enabled`` guard and never aggregate inline (this
+benchmark and perfbench's ``observed-disagg`` workload measure it).
 
 This benchmark proves the contract on a fixed-seed disaggregated
 workload, timing three configurations with min-of-K ``perf_counter``

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..simulator.request import RequestRecord
@@ -26,13 +28,18 @@ def tpot_percentile(records: "list[RequestRecord]", q: float = 90.0) -> float:
 
 
 def latency_summary(records: "list[RequestRecord]") -> "dict[str, float]":
-    """Mean/P50/P90/P99 of TTFT and TPOT plus end-to-end latency."""
+    """Mean/P50/P90/P99 of TTFT and TPOT plus end-to-end latency.
+
+    Means use ``math.fsum``, which is exactly rounded, so the summary is
+    the same for any order of ``records`` (numpy's pairwise ``mean`` is
+    not).
+    """
     ttft = _values(records, "ttft")
     tpot = _values(records, "tpot")
     e2e = np.array([r.end_to_end_latency for r in records], dtype=float)
     out: "dict[str, float]" = {}
     for name, arr in (("ttft", ttft), ("tpot", tpot), ("e2e", e2e)):
-        out[f"{name}_mean"] = float(arr.mean())
+        out[f"{name}_mean"] = math.fsum(arr) / len(arr)
         for q in (50, 90, 99):
             out[f"{name}_p{q}"] = float(np.percentile(arr, q))
     return out

@@ -10,7 +10,6 @@ Mirrors the operational surface of the original system's tooling::
         --out /tmp/trace.json
     python -m repro.cli metrics --model opt-13b --rate 3.0 --requests 300 \
         --prom-out /tmp/metrics.prom
-    python -m repro.cli lint src tests --format json
     python -m repro.cli trace --sanitize --model opt-13b --rate 2.0 \
         --requests 100 --out /tmp/trace.json
     python -m repro.cli profile --model opt-13b --rate 2.0 --requests 100 \
@@ -21,9 +20,11 @@ Exit codes (shared by every subcommand):
 
 * 0 — success.
 * 1 — the run surfaced findings: sanitizer violations under
-  ``--sanitize`` (even in lenient mode, where the run completes first),
-  lint findings, or a failed check.
-* 2 — usage errors (bad flags, unknown rules, missing paths).
+  ``--sanitize`` (even in lenient mode, where the run completes first).
+* 2 — usage errors: unparseable flags, flag values the library rejects
+  while building the trace, SLO or system (``--rate 0``, ``--model
+  nope``, ``--prefill-tp 3``, ...; one line on stderr, no traceback),
+  and unreadable input files.
 """
 
 from __future__ import annotations
@@ -87,10 +88,22 @@ __all__ = ["main", "EXIT_OK", "EXIT_FINDINGS", "EXIT_USAGE"]
 #: Exit-code semantics, documented in ``--help`` (see module docstring).
 EXIT_OK = 0
 #: Findings were collected: sanitizer violations (lenient ``--sanitize``
-#: runs complete, then still exit nonzero), lint findings, failed checks.
+#: runs complete, then still exit nonzero).
 EXIT_FINDINGS = 1
 #: Usage errors (argparse also uses 2 for unparseable flags).
 EXIT_USAGE = 2
+
+#: What the library raises for a flag value it rejects while the trace,
+#: SLO and system are built. Only that set-up is guarded: an error the
+#: simulation itself raises is a bug and keeps its traceback.
+_BAD_VALUE = (ValueError, KeyError)
+
+
+def _usage_error(args: argparse.Namespace, exc: Exception) -> int:
+    """Report a flag value the library rejected, in one line; exit 2."""
+    message = exc.args[0] if exc.args else exc
+    print(f"repro {args.command}: {message}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 def _cmd_models(_args: argparse.Namespace) -> int:
@@ -135,8 +148,12 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    system = _build_system(args, Simulation())
-    trace = _trace_from_args(args)
+    try:
+        system = _build_system(args, Simulation())
+        trace = _trace_from_args(args)
+        slo = SLO(ttft=args.ttft, tpot=args.tpot) if args.ttft and args.tpot else None
+    except _BAD_VALUE as exc:
+        return _usage_error(args, exc)
     result = simulate_trace(system, trace)
     print(f"{result.completed}/{len(trace)} requests on {result.num_gpus} GPUs "
           f"in {result.sim_time:.1f}s simulated")
@@ -145,8 +162,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
           f"{summary['ttft_p90']:.3f} / {summary['ttft_p99']:.3f} s")
     print(f"TPOT p50/p90/p99: {summary['tpot_p50']:.4f} / "
           f"{summary['tpot_p90']:.4f} / {summary['tpot_p99']:.4f} s")
-    if args.ttft and args.tpot:
-        slo = SLO(ttft=args.ttft, tpot=args.tpot)
+    if slo is not None:
         report = slo_attainment(result.records, slo, num_expected=len(trace))
         print(f"SLO attainment: {report.total:.1%}")
     return 0
@@ -239,20 +255,32 @@ def _build_system(
 
 
 def _trace_from_args(args: argparse.Namespace) -> Trace:
-    """The seeded synthetic trace described by the shared run flags."""
-    return generate_trace(
+    """The seeded synthetic trace described by the shared run flags.
+
+    Raises:
+        ValueError: for ``--requests 0``, which the library accepts but
+            which leaves nothing to report.
+    """
+    trace = generate_trace(
         get_dataset(args.dataset), rate=args.rate, num_requests=args.requests,
         rng=np.random.default_rng(args.seed),
     )
+    if not len(trace):
+        raise ValueError("--requests must be positive: an empty trace "
+                         "has nothing to report")
+    return trace
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     sim, sanitizer = _make_sim(args)
     tracer = Tracer()
-    system = _build_system(args, sim, tracer=tracer)
+    try:
+        system = _build_system(args, sim, tracer=tracer)
+        trace = _trace_from_args(args)
+    except _BAD_VALUE as exc:
+        return _usage_error(args, exc)
     if sanitizer is not None:
         sanitizer.watch_system(system)
-    trace = _trace_from_args(args)
     result = simulate_trace(system, trace)
     write_chrome_trace(args.out, result.spans)
     if args.jsonl_out:
@@ -282,18 +310,21 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     """Run a seeded workload with full instrumentation and report it."""
     sim, sanitizer = _make_sim(args)
-    system = _build_system(args, sim)
+    try:
+        system = _build_system(args, sim)
+        slo = SLO(ttft=args.ttft, tpot=args.tpot)
+        registry = MetricsRegistry()
+        monitor = SloMonitor(sim, slo, window=args.window, registry=registry)
+        trace = _trace_from_args(args)
+        # Time-series view: sample the windowed gauges on a fixed cadence
+        # for the whole arrival span plus drain slack.
+        recorder = TelemetryRecorder(sim, interval=args.interval)
+    except _BAD_VALUE as exc:
+        return _usage_error(args, exc)
     if sanitizer is not None:
         sanitizer.watch_system(system)
-    slo = SLO(ttft=args.ttft, tpot=args.tpot)
-    registry = MetricsRegistry()
-    monitor = SloMonitor(sim, slo, window=args.window, registry=registry)
     system.attach_monitor(monitor)
     system.instrument(registry)
-    trace = _trace_from_args(args)
-    # Time-series view: sample the windowed gauges on a fixed cadence
-    # for the whole arrival span plus drain slack.
-    recorder = TelemetryRecorder(sim, interval=args.interval)
     recorder.register("attain_total", lambda: monitor.windowed_attainment().total)
     recorder.register("attain_ttft", lambda: monitor.windowed_attainment().ttft_only)
     recorder.register("attain_tpot", lambda: monitor.windowed_attainment().tpot_only)
@@ -363,10 +394,13 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         sim, sanitizer = _make_sim(args)
         tracer = Tracer()
         profiler = Profiler()
-        system = _build_system(args, sim, tracer=tracer, profiler=profiler)
+        try:
+            system = _build_system(args, sim, tracer=tracer, profiler=profiler)
+            trace = _trace_from_args(args)
+        except _BAD_VALUE as exc:
+            return _usage_error(args, exc)
         if sanitizer is not None:
             sanitizer.watch_system(system)
-        trace = _trace_from_args(args)
         result = simulate_trace(system, trace)
         slo = (args.ttft, args.tpot) if args.ttft > 0 and args.tpot > 0 else None
         report = build_profile(
@@ -396,58 +430,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         pathlib.Path(args.html_out).write_text(profile_to_html(report))
         print(f"HTML profile written to {args.html_out}", file=sys.stderr)
     return _finish_sanitize(sanitizer)
-
-
-def _cmd_lint(args: argparse.Namespace) -> int:
-    """Run reprolint over the given paths; exit 1 on findings."""
-    from .lint import LintEngine, findings_to_json, format_findings, rule_names
-
-    select = None
-    if args.select:
-        select = [part.strip() for part in args.select.split(",") if part.strip()]
-    try:
-        engine = LintEngine(select=select)
-    except ValueError as exc:
-        print(f"repro lint: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.list_rules:
-        from .lint import all_rules
-
-        for name, cls in sorted(all_rules().items()):
-            print(f"{name}  {cls.summary}")
-        return EXIT_OK
-    if args.explain:
-        from .lint import all_rules
-        from .lint.sarif import rule_doc
-
-        registry = all_rules()
-        rule = args.explain.strip().upper()
-        if rule not in registry:
-            print(
-                f"repro lint: unknown rule {rule}; "
-                f"known: {', '.join(rule_names())}",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        cls = registry[rule]
-        print(f"{rule} — {cls.summary}")
-        print()
-        print(rule_doc(cls))
-        return EXIT_OK
-    if not args.paths:
-        print("repro lint: no paths given (try: src tests)", file=sys.stderr)
-        return EXIT_USAGE
-    findings, checked = engine.lint_paths(args.paths)
-    if args.format == "sarif":
-        from .lint.sarif import findings_to_sarif
-
-        sys.stdout.write(findings_to_sarif(findings))
-    elif args.format == "json":
-        sys.stdout.write(findings_to_json(findings, checked))
-    else:
-        print(format_findings(findings))
-        print(f"({checked} file(s) checked, rules: {', '.join(rule_names())})")
-    return EXIT_FINDINGS if findings else EXIT_OK
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -513,8 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="DistServe reproduction toolkit",
         epilog=(
             "exit codes: 0 success; 1 findings (sanitizer violations under "
-            "--sanitize — even in lenient mode — or lint findings); "
-            "2 usage errors (bad arguments, unreadable inputs)"
+            "--sanitize, even in lenient mode); 2 usage errors (bad "
+            "arguments or flag values, unreadable inputs)"
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -606,22 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run under SimSanitizer; exit 1 on violations")
     _add_scheduling_flags(profile)
 
-    lint = sub.add_parser(
-        "lint",
-        help="reprolint: determinism & simulation-invariant static analysis",
-    )
-    lint.add_argument("paths", nargs="*",
-                      help="files or directories to lint (e.g. src tests)")
-    lint.add_argument("--format", choices=("human", "json", "sarif"),
-                      default="human")
-    lint.add_argument("--select", default="",
-                      help="comma-separated rule subset (e.g. DET001,SIM002)")
-    lint.add_argument("--list-rules", action="store_true",
-                      help="print the registered rules and exit")
-    lint.add_argument("--explain", default="", metavar="RULE",
-                      help="print a rule's rationale, example violation, "
-                           "and suppression syntax, then exit")
-
     analyze = sub.add_parser("analyze", help="latency-model analysis of a model")
     analyze.add_argument("--model", default="opt-13b")
     analyze.add_argument("--gpu", default="a100-80gb")
@@ -640,7 +606,6 @@ def main(argv: "list[str] | None" = None) -> int:
         "metrics": _cmd_metrics,
         "profile": _cmd_profile,
         "analyze": _cmd_analyze,
-        "lint": _cmd_lint,
     }
     return handlers[args.command](args)
 

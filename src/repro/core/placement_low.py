@@ -218,7 +218,6 @@ def place_low_affinity(
     # Wall-clock here measures *search* cost for PlacementSearchStats
     # reporting; it never feeds simulation state, placements, or
     # cache fingerprints.
-    # reprolint: disable=DET001 -- search-cost stat, not sim state
     t0 = time.perf_counter()
     try:
         # Enumerate candidate packings and the unique (kind, tp, pp)
@@ -359,5 +358,4 @@ def place_low_affinity(
             scheduling=scheduling,
         )
     finally:
-        # reprolint: disable=DET001 -- search-cost stat only (see above).
         st.wall_time_s += time.perf_counter() - t0

@@ -56,8 +56,7 @@ def decode_step_latency(
         return 0.0
     # The reference per-step path is O(B) by design; the fast-forward
     # kernel (DESIGN.md §4h) bypasses it and keeps this total
-    # incrementally. Integer sum, so order-sensitivity (DET004) is moot.
-    # reprolint: disable=PERF001 -- O(B) reference path, replaced by §4h fast kernel
+    # incrementally. Integer sum, so summation order cannot change it.
     total_context = float(sum(context_lens))
 
     # GEMM term: weight streaming (paper's C4) plus compute at batch size

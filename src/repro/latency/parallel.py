@@ -159,7 +159,6 @@ def prefill_times(
         raise ValueError(f"{config} is invalid for model {model.name}")
     # O(B) reference path: the fast kernel's prefill batches go through
     # PrefillBatchTimer (DESIGN.md §4h), which takes running totals.
-    # reprolint: disable=PERF001 -- O(B) reference path, replaced by §4h PrefillBatchTimer
     total_tokens = sum(input_lens)
     if total_tokens == 0:
         return ExecutionTimes(0.0, 0.0)

@@ -58,11 +58,9 @@ def prefill_latency(
         raise ValueError(f"num_layers must be positive, got {layers}")
     # O(B) reference path; PrefillBatchTimer (DESIGN.md §4h) memoizes
     # on these two totals, kept as running sums by its callers.
-    # reprolint: disable=PERF001 -- O(B) reference path, replaced by §4h PrefillBatchTimer
     t = sum(input_lens)
     if t == 0:
         return 0.0
-    # reprolint: disable=PERF001 -- O(B) reference path, replaced by §4h PrefillBatchTimer
     t2 = float(sum(length * length for length in input_lens))
 
     # GEMM term: compute cost (paper's C1 term) plus weight-streaming cost.

@@ -173,7 +173,7 @@ class DisaggregatedSystem(ServingSystem):
 
     def _pending_pull_depth(self) -> int:
         # Plain loop: metric callbacks run on the collection hot path and
-        # must not allocate per call (reprolint OBS001).
+        # must not allocate per call.
         total = 0
         for queue in self._pending_pull.values():
             total += len(queue)
@@ -280,9 +280,7 @@ class DisaggregatedSystem(ServingSystem):
                 # The destination died while the cache was in flight; the
                 # data is lost — recompute on the prefill side.
                 state.recompute_len = state.context_len
-                target = self._prefill_dispatch.choose(self.prefill_instances)
-                self._home_prefill[state.request_id] = target
-                target.submit(state)
+                self._reprefill(state)
                 return
             decode.submit(state)
 
@@ -305,7 +303,9 @@ class DisaggregatedSystem(ServingSystem):
         (pending pull) lose it and must recompute their prefill.
 
         Returns:
-            The number of requests re-routed.
+            The number of requests sent back for re-prefill (see
+            :meth:`_reprefill`; one whose recompute exceeds the prefill
+            pool is rejected instead).
         """
         victim = self._instance(self.prefill_instances, name)
         if len(self.prefill_instances) <= 1:
@@ -323,13 +323,9 @@ class DisaggregatedSystem(ServingSystem):
                 lost.append(state)
         for decode in self.decode_instances:
             self._note_pending(decode)
-        rerouted = 0
         for state in lost:
-            target = self._prefill_dispatch.choose(self.prefill_instances)
-            self._home_prefill[state.request_id] = target
-            target.submit(state)
-            rerouted += 1
-        return rerouted
+            self._reprefill(state)
+        return len(lost)
 
     def fail_decode(self, name: str) -> int:
         """Kill a decode instance; victims re-prefill their full context.
@@ -339,7 +335,8 @@ class DisaggregatedSystem(ServingSystem):
         pool.
 
         Returns:
-            The number of requests sent back for re-prefill.
+            The number of requests sent back for re-prefill (see
+            :meth:`_reprefill`).
         """
         victim = self._instance(self.decode_instances, name)
         if len(self.decode_instances) <= 1:
@@ -359,10 +356,25 @@ class DisaggregatedSystem(ServingSystem):
             self._pump_pulls(decode)
         # Active/waiting victims lost their decode-side KV: re-prefill.
         for state in lost:
-            target = self._prefill_dispatch.choose(self.prefill_instances)
-            self._home_prefill[state.request_id] = target
-            target.submit(state)
+            self._reprefill(state)
         return len(lost)
+
+    def _reprefill(self, state: RequestState) -> None:
+        """Send a request that lost its KV cache back to the prefill pool.
+
+        The recompute covers ``state.prefill_len`` tokens: after a decode
+        failure that is the prompt plus every token generated so far,
+        which can exceed the prefill pool even though the prompt alone
+        was admitted. Such a request can never be prefilled again, so it
+        is rejected instead of holding the prefill queue head forever.
+        """
+        if state.prefill_len > self._prefill_kv_tokens:
+            self._home_prefill.pop(state.request_id, None)
+            self._reject(state.request)
+            return
+        target = self._prefill_dispatch.choose(self.prefill_instances)
+        self._home_prefill[state.request_id] = target
+        target.submit(state)
 
     @staticmethod
     def _instance(pool, name: str):

@@ -18,6 +18,11 @@ component that plans ahead (the fast decode kernel) tell, at an exact
 time tie, whether the event now firing was already scheduled when it
 planned — i.e. whether that event sorts before or after the events the
 component would have scheduled step by step.
+
+The loop is not re-entrant: :meth:`Simulation.run` raises
+``RuntimeError`` when an event callback calls it, a check paid once per
+``run()`` call and never per event. Callbacks schedule follow-up events
+instead.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ class Simulation:
 
     __slots__ = (
         "_now", "_heap", "_counter", "_firing", "_events_processed", "_stopped",
+        "_running",
     )
 
     def __init__(self) -> None:
@@ -50,6 +56,7 @@ class Simulation:
         self._firing = 0
         self._events_processed = 0
         self._stopped = False
+        self._running = False
 
     @property
     def now(self) -> float:
@@ -113,7 +120,22 @@ class Simulation:
             until: Stop (without executing) events after this virtual time;
                 the clock is advanced to ``until``. ``None`` drains the queue.
             max_events: Safety valve against runaway simulations.
+
+        Raises:
+            RuntimeError: when called from inside an event callback.
         """
+        if self._running:
+            raise RuntimeError(
+                "Simulation.run() called from inside an event callback; the "
+                "loop is not re-entrant — schedule a follow-up event instead"
+            )
+        self._running = True
+        try:
+            self._loop(until, max_events)
+        finally:
+            self._running = False
+
+    def _loop(self, until: "float | None", max_events: "int | None") -> None:
         heap = self._heap
         heappop = heapq.heappop
         executed = 0

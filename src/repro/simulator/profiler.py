@@ -12,8 +12,8 @@ the transfer engine, mirroring the tracer's injection pattern: components
 hold the :data:`NULL_PROFILER` singleton unless a real profiler is
 passed, and every hot-path call is guarded by ``profiler.enabled``. The
 record methods are deliberately allocation-light — they append plain
-tuples, no comprehensions, no dict churn (reprolint rule OBS001 enforces
-this for all profiler/metric hot paths).
+tuples, no comprehensions, no dict churn (perfbench's ``observed-disagg``
+workload times them against its ``norm_wall_s`` bound).
 
 Collected streams (virtual-time seconds throughout):
 

@@ -1,17 +1,18 @@
 """SimSanitizer: runtime checking of the simulator's core invariants.
 
-reprolint (:mod:`repro.lint`) proves what it can statically; this module
-checks the rest at runtime, in the spirit of ASan/TSan for the event
-loop. A :class:`SimSanitizer` owns a :class:`SanitizedSimulation` — a
-drop-in :class:`~repro.simulator.events.Simulation` whose event loop
-asserts *virtual-time monotonicity* on every dispatch and reports
+This module checks them in the spirit of ASan/TSan for the event loop.
+A :class:`SimSanitizer` owns a :class:`SanitizedSimulation` — a drop-in
+:class:`~repro.simulator.events.Simulation` whose event loop asserts
+*virtual-time monotonicity* on every dispatch and reports
 past-scheduling attempts with full context — and wraps the mutable
 resources of a serving system to detect:
 
 * **request conservation** — every arrival is accounted for at quiesce:
   ``arrivals == completed + rejected + in-flight`` and, once the event
-  queue drains, ``in-flight == 0``; duplicate completions and
-  completions of never-submitted requests are caught immediately;
+  queue drains, ``in-flight == 0`` (each stranded request is named with
+  its lifecycle phase and the time of its latest lifecycle stamp);
+  duplicate completions and completions of never-submitted requests are
+  caught immediately;
 * **KV-block leaks** — any :class:`~repro.simulator.kvcache.KVBlockManager`
   still holding allocations when the simulation quiesces, reported with
   the leaking request ids (the "span ids" of PR 1's traces);
@@ -126,12 +127,11 @@ class SanitizedSimulation(Simulation):
             time = self.now
         super().schedule_at(time, callback)
 
-    def run(
-        self, until: "float | None" = None, max_events: "int | None" = None
-    ) -> None:
-        # Mirrors Simulation.run exactly, adding the monotonicity check
+    def _loop(self, until: "float | None", max_events: "int | None") -> None:
+        # Mirrors Simulation._loop exactly, adding the monotonicity check
         # before each dispatch. Keeping the loop shapes identical is
-        # what makes sanitized runs event-for-event identical.
+        # what makes sanitized runs event-for-event identical; the
+        # re-entrancy guard in Simulation.run covers both loops.
         heap = self._heap
         heappop = heapq.heappop
         executed = 0
@@ -162,6 +162,17 @@ class SanitizedSimulation(Simulation):
             self._now = until
 
 
+#: Longest id list a quiesce violation message spells out.
+_MAX_LISTED = 8
+
+
+def _listed(items: "list[str]") -> str:
+    """``items`` joined, capped at :data:`_MAX_LISTED` with a ``+N more``."""
+    shown = ", ".join(items[:_MAX_LISTED])
+    extra = len(items) - _MAX_LISTED
+    return shown + (f" (+{extra} more)" if extra > 0 else "")
+
+
 class _SystemWatch:
     """Conservation bookkeeping for one serving system."""
 
@@ -170,12 +181,27 @@ class _SystemWatch:
         self.system = system
         self.arrivals = 0
         self.completed_ids: "set[int]" = set()
+        #: Live state of each registered request neither completed nor
+        #: rejected yet, in arrival order.
+        self.states: "dict[int, Any]" = {}
         inner_submit = system.submit
         inner_complete = system._complete
+        # ServingSystem hooks; a bare stub without them still gets counts.
+        inner_register = getattr(system, "_register", None)
+        inner_reject = getattr(system, "_reject", None)
 
         def submit(request: Any) -> None:
             self.arrivals += 1
             inner_submit(request)
+
+        def register(request: Any) -> Any:
+            state = inner_register(request)
+            self.states[state.request_id] = state
+            return state
+
+        def reject(request: Any) -> None:
+            self.states.pop(request.request_id, None)
+            inner_reject(request)
 
         def complete(state: Any) -> None:
             request_id = getattr(state, "request_id", None)
@@ -188,10 +214,14 @@ class _SystemWatch:
                         request_id=request_id,
                     )
                 self.completed_ids.add(request_id)
+                self.states.pop(request_id, None)
             inner_complete(state)
 
         system.submit = submit
         system._complete = complete
+        if inner_register is not None and inner_reject is not None:
+            system._register = register
+            system._reject = reject
 
     def check_quiesce(self) -> None:
         system = self.system
@@ -206,11 +236,19 @@ class _SystemWatch:
                 self.sanitizer.now(),
             )
         if in_flight > 0:
+            stranded = list(self.states.values())
+            named = [
+                f"{s.request_id} ({s.phase.value} since t="
+                f"{max([s.request.arrival_time, *s.timestamps.values()]):.6f})"
+                for s in stranded
+            ]
             self.sanitizer.violate(
                 "conservation",
                 f"{in_flight} request(s) still in flight after the event "
-                "queue drained — they can never complete",
+                "queue drained — they can never complete"
+                + (f": {_listed(named)}" if named else ""),
                 self.sanitizer.now(),
+                request_id=stranded[0].request_id if stranded else None,
             )
 
 
@@ -226,12 +264,11 @@ class _KvWatch:
     def check_quiesce(self) -> None:
         if self.manager.used_blocks > 0:
             holders = self.manager.holders()
-            shown = ", ".join(str(h) for h in holders[:8])
-            extra = f" (+{len(holders) - 8} more)" if len(holders) > 8 else ""
             self.sanitizer.violate(
                 "kv-leak",
                 f"{self.owner}: {self.manager.used_blocks} block(s) still "
-                f"allocated at quiesce by request(s) {shown}{extra}",
+                f"allocated at quiesce by request(s) "
+                f"{_listed([str(h) for h in holders])}",
                 self.sanitizer.now(),
                 request_id=holders[0] if holders else None,
             )

@@ -20,7 +20,7 @@ __all__ = [
 
 
 def _validate(rate: float, num_requests: int) -> None:
-    if rate <= 0:
+    if not rate > 0:  # also rejects NaN
         raise ValueError(f"rate must be positive, got {rate}")
     if num_requests < 0:
         raise ValueError(f"num_requests must be >= 0, got {num_requests}")

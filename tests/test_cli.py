@@ -34,7 +34,7 @@ def _workload(requests):
 
 
 #: Every option (first spelling) and default of the subcommands that
-#: share the run flags, in declaration order, plus ``lint``.
+#: share the run flags, in declaration order.
 _OPTIONS = {
     "serve": _MODEL + _workload(300) + _DEPLOYMENT + [
         ("--ttft", 0.0), ("--tpot", 0.0),
@@ -52,10 +52,6 @@ _OPTIONS = {
         ("--json-out", ""), ("--html-out", ""), ("--diff", None),
         ("--sanitize", False),
     ] + _SCHEDULING,
-    "lint": [
-        ("--format", "human"), ("--select", ""), ("--list-rules", False),
-        ("--explain", ""),
-    ],
 }
 
 
@@ -112,9 +108,10 @@ class TestCommands:
         assert "30/30 requests" in out
         assert "SLO attainment" in out
 
-    def test_serve_unknown_model(self):
-        with pytest.raises(KeyError):
-            main(["serve", "--model", "gpt-5"])
+    def test_serve_unknown_model(self, capsys):
+        assert main(["serve", "--model", "gpt-5"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "unknown model 'gpt-5'" in err and "opt-13b" in err
 
     def test_trace_writes_chrome_and_jsonl(self, capsys, tmp_path):
         out = tmp_path / "trace.json"
@@ -316,48 +313,24 @@ class TestExitCodeSemantics:
         assert _finish_sanitize(SimSanitizer(strict=False)) == EXIT_OK
         assert _finish_sanitize(None) == EXIT_OK
 
-    def test_lint_usage_error_without_paths(self, capsys):
-        assert main(["lint"]) == EXIT_USAGE
+    @pytest.mark.parametrize("argv", [
+        "serve --rate 0", "serve --requests -5", "serve --requests 0",
+        "serve --seed -1", "serve --model nope", "serve --dataset nope",
+        "serve --num-prefill 0", "serve --prefill-tp 3",
+        "metrics --ttft -1", "metrics --window 0", "metrics --interval 0",
+        "trace --rate nan",
+    ], ids=lambda argv: argv.replace(" --", "-").replace(" ", "-"))
+    def test_bad_flag_value_is_usage_error(self, argv, capsys, tmp_path):
+        """A value the library rejects exits 2 with one line, no traceback."""
+        out = ["--out", str(tmp_path / "t.json")] if argv.startswith("trace") else []
+        assert main(argv.split() + out) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith(f"repro {argv.split()[0]}: ")
+        assert err.count("\n") == 1
 
-    def test_lint_findings_exit_code(self, tmp_path):
-        dirty = tmp_path / "dirty.py"
-        dirty.write_text("import random\nx = random.random()\n")
-        assert main(["lint", str(dirty)]) == EXIT_FINDINGS
-        clean = tmp_path / "clean.py"
-        clean.write_text("x = 1\n")
-        assert main(["lint", str(clean)]) == EXIT_OK
-
-    def test_lint_explain_deterministic(self, capsys):
-        assert main(["lint", "--explain", "SIM002"]) == EXIT_OK
-        first = capsys.readouterr().out
-        assert main(["lint", "--explain", "SIM002"]) == EXIT_OK
-        second = capsys.readouterr().out
-        assert first == second
-        assert first.startswith("SIM002 — ")
-        for section in ("Rationale:", "Example violation:", "Suppression:"):
-            assert section in first
-
-    def test_lint_explain_every_rule(self, capsys):
-        from repro.lint import rule_names
-
-        for rule in rule_names():
-            assert main(["lint", "--explain", rule]) == EXIT_OK
-            out = capsys.readouterr().out
-            assert out.startswith(f"{rule} — ")
-
-    def test_lint_explain_unknown_rule(self, capsys):
-        assert main(["lint", "--explain", "NOPE42"]) == EXIT_USAGE
-
-    def test_lint_sarif_output(self, tmp_path, capsys):
-        dirty = tmp_path / "dirty.py"
-        dirty.write_text("import random\nx = random.random()\n")
-        assert main(["lint", "--format", "sarif", str(dirty)]) == EXIT_FINDINGS
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["version"] == "2.1.0"
-        run = doc["runs"][0]
-        rules = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert "DET002" in rules and "SIM002" in rules
-        result = run["results"][0]
-        assert result["ruleId"] == "DET002"
-        region = result["locations"][0]["physicalLocation"]["region"]
-        assert region["startLine"] >= 1 and region["startColumn"] >= 1
+    def test_lint_is_not_a_command(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint"])
+        assert excinfo.value.code == EXIT_USAGE
+        assert "invalid choice: 'lint'" in capsys.readouterr().err

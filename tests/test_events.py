@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simulator import Simulation
+from repro.simulator import SimSanitizer, Simulation
 
 
 class TestSimulation:
@@ -191,3 +191,12 @@ class TestRunEdgeCases:
         sim.run()
         assert log == ["a", "b"]
         assert sim.now == 4.0
+
+    def test_run_is_not_reentrant(self):
+        for sim in (Simulation(), SimSanitizer().simulation()):
+            sim.schedule(1.0, lambda: sim.run(until=sim.now))
+            with pytest.raises(RuntimeError, match="not re-entrant"):
+                sim.run()
+            sim.schedule(1.0, lambda: None)  # the guard was released
+            sim.run()
+            assert sim.now == 2.0

@@ -29,6 +29,7 @@ from repro.serving import (
 from repro.simulator import InstanceSpec, SimSanitizer, Simulation
 from repro.simulator.colocated_instance import POLICIES, ColocatedInstance
 from repro.simulator.decode_instance import DecodeInstance
+from repro.simulator.kernel import DecodeKernel
 from repro.simulator.metrics import MetricsRegistry
 from repro.simulator.profiler import Profiler
 from repro.simulator.request import Request, RequestPhase, RequestState
@@ -537,6 +538,34 @@ class TestRunLength:
         assert _records(results[True]) == _records(results[False])
         assert results[True].completed == len(trace)
         assert 4 * results[True].events_processed <= results[False].events_processed
+
+    def test_planning_reads_no_request_context(self, monkeypatch, tiny_spec):
+        """A one-micro-batch run is planned from the kernel's running
+        context total, so planning cost does not grow with the batch:
+        ``plan()`` reads no request's context (DESIGN §4i)."""
+        planning, plans, reads = [False], [], []
+        context_len, plan = RequestState.context_len.fget, DecodeKernel.plan
+
+        def counted(state):
+            if planning[0]:
+                reads.append(state.request_id)
+            return context_len(state)
+
+        def tracked(kernel):
+            planning[0] = True
+            plans.append(len(kernel.active))
+            try:
+                return plan(kernel)
+            finally:
+                planning[0] = False
+
+        monkeypatch.setattr(RequestState, "context_len", property(counted))
+        monkeypatch.setattr(DecodeKernel, "plan", tracked)
+        system = DecodeOnlySystem(Simulation(), tiny_spec)
+        trace = [Request(request_id=i, arrival_time=0.0, input_len=64,
+                         output_len=8 + i) for i in range(32)]
+        assert simulate_trace(system, trace).completed == len(trace)
+        assert max(plans) > 1 and reads == []
 
 
 # ----------------------------------------------------------------------

@@ -1,750 +1,344 @@
-"""reprolint tests: per-rule fixtures (positive / negative / suppression)
-plus engine mechanics (selection, JSON output, module scoping) and the
-self-hosting guarantee that the shipped tree lints clean.
+"""Seeded-bug tests for the runtime twins of the cut lint rules.
+
+Each class is named after a rule (DET001-DET004, SIM002, PAR001) whose
+patterns are now caught by a check that runs the code, its runtime twin
+(DESIGN §4f, §4i). A positive test seeds one pattern the rule flagged
+into code a run executes and requires the twin to catch it; a negative
+test runs the safe variant and requires the twin to stay quiet. A twin
+that silently stops perturbing what it should fails here.
 """
 
 from __future__ import annotations
 
-import ast
+import datetime
 import json
-import pathlib
-import textwrap
+import math
+import pickle
+import random
+import time
+import types
+from functools import lru_cache, partial
 
+import numpy as np
 import pytest
 
-from repro.lint import (
-    LintEngine,
-    findings_to_json,
-    format_findings,
-    lint_paths,
-    lint_source,
-    lint_sources,
-    rule_names,
+import repro.analysis.breakdown as breakdown_module
+import repro.scheduling.dispatch as dispatch_module
+from repro.analysis import slo_attainment
+from repro.core.placement_low import IntraNodeConfig, _unit_factory
+from repro.core.search import TrialCache, make_joint_task
+from repro.hardware import Cluster, Node
+from repro.models import get_model
+from repro.serving import DisaggregatedSystem, simulate_trace
+from repro.simulator import Simulation
+from repro.workload import SLO, fixed_length_dataset, generate_trace, get_dataset
+
+from tests.test_determinism import (
+    _records,
+    _reports,
+    _spans,
+    perturbed,
+    run_with_hash_seed,
 )
-from repro.lint.engine import module_name_for
-from repro.lint.rules import _DECODE_LOOP_ROOTS, _SCHED_LOOP_ROOTS
+from tests.test_metrics import sampled_mid_run
 
-REPO_ROOT = pathlib.Path(__file__).parent.parent
-
-SIM_MODULE = "repro.simulator.fixture"
-CORE_MODULE = "repro.core.fixture"
+#: A generator shared by every run in the process, seeded once at import.
+_MODULE_RNG = np.random.default_rng(0)
 
 
-def run(source: str, module: str = SIM_MODULE, select=None):
-    return lint_source(textwrap.dedent(source), path="fixture.py",
-                       module=module, select=select)
+def _randomly_routed(spec, make_rng):
+    """A function that runs a same-seed disaggregated trace, routing every
+    request with the generator ``make_rng(sim)`` returns, and returns the
+    run's records."""
+    def run():
+        sim = Simulation()
+        system = DisaggregatedSystem(
+            sim, spec, spec, num_prefill=2, num_decode=2,
+            dispatch_policy="random", rng=make_rng(sim),
+        )
+        trace = generate_trace(get_dataset("sharegpt"), rate=4.0,
+                               num_requests=40, rng=np.random.default_rng(3))
+        return simulate_trace(system, trace).records
+    return run
 
 
-def rules_of(findings):
-    return sorted({f.rule for f in findings})
+def _caught_by_wall_clock_twin(run):
+    """``TestWallClockAndGlobalRng``'s check: does a re-run with shifted,
+    jumping clocks and reseeded global generators change the output?"""
+    expected = run()
+    with perturbed():
+        return run() != expected
+
+
+class _GlobalDraws:
+    """Stands in for a ``np.random.Generator``, drawing from ``draw``."""
+
+    def __init__(self, draw):
+        self._draw = draw
+
+    def integers(self, low, high):
+        return self._draw(low, high)
 
 
 # ----------------------------------------------------------------------
-# DET001 — wall-clock
+# DET001 — wall clocks (twin: TestWallClockAndGlobalRng)
 # ----------------------------------------------------------------------
 
 class TestDET001:
-    def test_positive_call(self):
-        findings = run("""
-            import time
-            def f():
-                return time.time()
-        """)
-        assert rules_of(findings) == ["DET001"]
+    def test_positive_call(self, tiny_spec):
+        run = _randomly_routed(
+            tiny_spec, lambda sim: np.random.default_rng(int(time.time()))
+        )
+        assert _caught_by_wall_clock_twin(run)
 
-    def test_positive_datetime_and_monotonic(self):
-        findings = run("""
-            import time, datetime
-            def f():
-                a = time.monotonic()
-                b = datetime.datetime.now()
-                return a, b
-        """)
-        assert len([f for f in findings if f.rule == "DET001"]) == 2
+    def test_positive_datetime_and_monotonic(self, tiny_spec):
+        for clock in (lambda: datetime.datetime.now().timestamp(),
+                      lambda: time.monotonic()):
+            run = _randomly_routed(
+                tiny_spec, lambda sim: np.random.default_rng(int(clock()))
+            )
+            assert _caught_by_wall_clock_twin(run)
 
-    def test_positive_bare_reference(self):
-        # Passing the clock itself as a callback is just as dangerous.
-        findings = run("""
-            import time
-            def f(items):
-                return sorted(items, key=time.perf_counter)
-        """)
-        assert rules_of(findings) == ["DET001"]
+    def test_positive_bare_reference(self, tiny_spec, monkeypatch):
+        # As if the module had run ``from time import perf_counter``: the
+        # twin must perturb the clock under the name the module bound.
+        monkeypatch.setattr(dispatch_module, "perf_counter", time.perf_counter,
+                            raising=False)
+        run = _randomly_routed(
+            tiny_spec,
+            lambda sim: np.random.default_rng(int(dispatch_module.perf_counter())),
+        )
+        assert _caught_by_wall_clock_twin(run)
 
-    def test_negative_out_of_scope_module(self):
-        findings = run("""
-            import time
-            def f():
-                return time.time()
-        """, module="benchmarks.bench_fixture")
-        assert findings == []
-
-    def test_negative_virtual_time(self):
-        findings = run("""
-            def f(sim):
-                return sim.now
-        """)
-        assert findings == []
-
-    def test_suppression(self):
-        findings = run("""
-            import time
-            def f():
-                return time.perf_counter()  # reprolint: disable=DET001 -- stats
-        """)
-        assert findings == []
+    def test_negative_virtual_time(self, tiny_spec):
+        run = _randomly_routed(
+            tiny_spec, lambda sim: np.random.default_rng(int(sim.now))
+        )
+        assert not _caught_by_wall_clock_twin(run)
 
 
 # ----------------------------------------------------------------------
-# DET002 — seeded randomness
+# DET002 — seeded randomness (twin: TestWallClockAndGlobalRng)
 # ----------------------------------------------------------------------
 
 class TestDET002:
-    def test_positive_stdlib_import(self):
-        findings = run("import random\n", module="examples.fixture")
-        assert rules_of(findings) == ["DET002"]
+    def test_positive_stdlib_import(self, tiny_spec):
+        run = _randomly_routed(tiny_spec, lambda sim: _GlobalDraws(random.randrange))
+        assert _caught_by_wall_clock_twin(run)
 
-    def test_positive_global_numpy_rng(self):
-        findings = run("""
-            import numpy as np
-            def f():
-                np.random.seed(0)
-                return np.random.rand(3)
-        """, module="examples.fixture")
-        assert len([f for f in findings if f.rule == "DET002"]) == 2
+    def test_positive_global_numpy_rng(self, tiny_spec):
+        run = _randomly_routed(tiny_spec, lambda sim: _GlobalDraws(np.random.randint))
+        assert _caught_by_wall_clock_twin(run)
 
-    def test_positive_unseeded_default_rng(self):
-        findings = run("""
-            import numpy as np
-            def f():
-                return np.random.default_rng()
-        """)
-        assert rules_of(findings) == ["DET002"]
-        assert "seed" in findings[0].message
+    def test_positive_unseeded_default_rng(self, tiny_spec):
+        run = _randomly_routed(tiny_spec, lambda sim: np.random.default_rng())
+        assert _caught_by_wall_clock_twin(run)
 
-    def test_positive_module_level_rng(self):
-        findings = run("""
-            import numpy as np
-            RNG = np.random.default_rng(0)
-        """)
-        assert rules_of(findings) == ["DET002"]
-        assert "module-level" in findings[0].message
+    def test_positive_module_level_rng(self, tiny_spec):
+        # Seeded, but shared: the re-run continues the first run's stream.
+        run = _randomly_routed(tiny_spec, lambda sim: _MODULE_RNG)
+        assert _caught_by_wall_clock_twin(run)
 
-    def test_negative_seeded_in_function(self):
-        findings = run("""
-            import numpy as np
-            def f(seed):
-                rng = np.random.default_rng(seed)
-                return rng.random(4)
-        """)
-        assert findings == []
-
-    def test_suppression(self):
-        findings = run("""
-            import numpy as np
-            def f():
-                return np.random.default_rng()  # reprolint: disable=DET002 -- demo
-        """)
-        assert findings == []
+    def test_negative_seeded_in_function(self, tiny_spec):
+        run = _randomly_routed(tiny_spec, lambda sim: np.random.default_rng(7))
+        assert not _caught_by_wall_clock_twin(run)
 
 
 # ----------------------------------------------------------------------
-# DET003 — ordering-sensitive sinks
+# DET003 — iteration order into order-sensitive sinks
+# (twin: test_exports_independent_of_hash_seed)
 # ----------------------------------------------------------------------
+
+_ITERATION_SCRIPT = """
+import hashlib, heapq, json
+from repro.simulator import Simulation
+
+NAMES = [f"{kind}-{i}" for kind in ("prefill", "decode") for i in range(8)]
+
+def scheduled(callbacks):
+    sim = Simulation()
+    for cb in callbacks:
+        sim.schedule(0.0, cb)
+    sim.run()
+    return fired
+
+def popped(names):
+    heap = []
+    for seq, name in enumerate(names):
+        heapq.heappush(heap, (0.0, seq, name))
+    return [heapq.heappop(heap)[2] for _ in range(len(heap))]
+
+fired = []
+by_name = {name: (lambda name=name: fired.append(name)) for name in set(NAMES)}
+digest = hashlib.sha256()
+digest.update(b"".join(name.encode() for name in set(NAMES)))
+print(json.dumps({
+    "set_into_heappush": popped(set(NAMES)),
+    "dict_view_into_schedule": scheduled(by_name.values()),
+    "comprehension_into_hash_update": digest.hexdigest(),
+    "sorted_iteration": popped(sorted(set(NAMES))),
+    "set_without_sink": sum(len(name) for name in set(NAMES)),
+}))
+"""
+
+
+@lru_cache(maxsize=None)
+def _under_hash_seeds():
+    return [json.loads(run_with_hash_seed(seed, _ITERATION_SCRIPT))
+            for seed in ("1", "2")]
+
+
+def _caught_by_hash_seed_twin(case):
+    first, second = _under_hash_seeds()
+    return first[case] != second[case]
+
 
 class TestDET003:
     def test_positive_set_into_heappush(self):
-        findings = run("""
-            import heapq
-            def f(items, heap):
-                for x in set(items):
-                    heapq.heappush(heap, x)
-        """, module="repro.queueing.fixture")
-        assert rules_of(findings) == ["DET003"]
+        assert _caught_by_hash_seed_twin("set_into_heappush")
 
     def test_positive_dict_view_into_schedule(self):
-        findings = run("""
-            def f(sim, callbacks):
-                for cb in callbacks.values():
-                    sim.schedule(0.0, cb)
-        """)
-        assert "DET003" in rules_of(findings)
+        # A dict view is ordered by insertion, here from a set.
+        assert _caught_by_hash_seed_twin("dict_view_into_schedule")
 
     def test_positive_comprehension_into_hash_update(self):
-        findings = run("""
-            def f(h):
-                h.update(str(x).encode() for x in {1, 2, 3})
-        """, module="repro.core.fixture")
-        assert "DET003" in rules_of(findings)
+        assert _caught_by_hash_seed_twin("comprehension_into_hash_update")
 
     def test_negative_sorted_iteration(self):
-        findings = run("""
-            import heapq
-            def f(items, heap):
-                for x in sorted(set(items)):
-                    heapq.heappush(heap, x)
-        """, module="repro.queueing.fixture")
-        assert findings == []
+        assert not _caught_by_hash_seed_twin("sorted_iteration")
 
     def test_negative_set_without_sink(self):
-        findings = run("""
-            def f(items):
-                total = 0
-                for x in set(items):
-                    total += x
-                return total
-        """)
-        assert findings == []
-
-    def test_suppression(self):
-        findings = run("""
-            import heapq
-            def f(items, heap):
-                # reprolint: disable=DET003 -- items proven pre-sorted upstream
-                for x in set(items):
-                    heapq.heappush(heap, x)
-        """, module="repro.queueing.fixture")
-        assert findings == []
+        assert not _caught_by_hash_seed_twin("set_without_sink")
 
 
 # ----------------------------------------------------------------------
-# DET004 — fsum in hot paths
+# DET004 — float sums over input order
+# (twin: test_reports_independent_of_input_order)
 # ----------------------------------------------------------------------
+
+def _caught_by_shuffle_twin(report):
+    """Does ``report(records, spans)`` change under any of 20 shuffles?"""
+    records, spans = list(_records()), list(_spans())
+    expected = report(records, spans)
+    for seed in range(20):
+        shuffle = random.Random(seed).shuffle
+        shuffle(records)
+        shuffle(spans)
+        if report(records, spans) != expected:
+            return True
+    return False
+
 
 class TestDET004:
-    def test_positive_float_genexp(self):
-        findings = run("""
-            def f(records):
-                return sum(r.exec_time for r in records)
-        """, module="repro.latency.fixture")
-        assert rules_of(findings) == ["DET004"]
+    def test_positive_float_genexp(self, monkeypatch):
+        # latency_breakdown with a bare sum() over its record generators.
+        def fsum(values):
+            return sum(values) if isinstance(values, types.GeneratorType) else math.fsum(values)
 
-    def test_positive_dict_view(self):
-        findings = run("""
-            def f(sums):
-                return sum(sums.values())
-        """, module="repro.analysis.breakdown")
-        assert rules_of(findings) == ["DET004"]
-
-    def test_negative_integer_counting(self):
-        findings = run("""
-            def f(records, input_lens):
-                n = sum(1 for r in records)
-                tok = sum(input_lens)
-                return n + tok
-        """, module="repro.latency.fixture")
-        assert findings == []
+        monkeypatch.setattr(breakdown_module, "math",
+                            types.SimpleNamespace(fsum=fsum))
+        assert _caught_by_shuffle_twin(_reports)
 
     def test_negative_fsum(self):
-        findings = run("""
-            import math
-            def f(records):
-                return math.fsum(r.exec_time for r in records)
-        """, module="repro.latency.fixture")
-        assert findings == []
+        assert not _caught_by_shuffle_twin(_reports)
 
-    def test_negative_out_of_scope_module(self):
-        findings = run("""
-            def f(records):
-                return sum(r.exec_time for r in records)
-        """, module="repro.serving.fixture")
-        assert findings == []
-
-    def test_suppression(self):
-        findings = run("""
-            def f(records):
-                return sum(r.exec_time for r in records)  # reprolint: disable=DET004 -- bounded n
-        """, module="repro.latency.fixture")
-        assert findings == []
+    def test_negative_integer_counting(self):
+        # slo_attainment counts with sum(1 for ...): exact in any order.
+        slo = SLO(ttft=2.0, tpot=0.06)
+        assert not _caught_by_shuffle_twin(
+            lambda records, spans: repr(slo_attainment(records, slo))
+        )
 
 
 # ----------------------------------------------------------------------
-# SIM002 — re-entrant mutation
+# SIM002 — re-entrant mutation (twins: Simulation.run's re-entrancy
+# guard and test_sampling_mid_run_leaves_records_unchanged)
 # ----------------------------------------------------------------------
+
+def _caught_by_sampling_twin(spec, extra):
+    """Does reading every metric callback mid-run change the records?"""
+    bare, _ = sampled_mid_run(spec, observed=False, dispatch_policy="round_robin")
+    records, _ = sampled_mid_run(spec, observed=True,
+                                 dispatch_policy="round_robin", extra=extra)
+    return records != bare
+
+
+def _peek_next(system, pool):
+    """The next target of a pool's dispatcher, read by asking it to choose."""
+    instances = getattr(system, f"{pool}_instances")
+    dispatcher = getattr(system, f"_{pool}_dispatch")
+    return instances.index(dispatcher.choose(instances))
+
 
 class TestSIM002:
-    def test_positive_mutating_metric_callback(self):
-        findings = run("""
-            def f(registry, q):
-                registry.counter("x", "desc", fn=lambda: q.pop())
-        """)
-        assert rules_of(findings) == ["SIM002"]
+    def test_positive_mutating_metric_callback(self, tiny_spec):
+        def extra(sim, system, registry, recorder):
+            registry.gauge("next_prefill_target", "Next prefill instance",
+                           fn=lambda: _peek_next(system, "prefill"))
 
-    def test_positive_mutating_recorder_callback(self):
-        findings = run("""
-            def f(recorder, sim, cb):
-                recorder.register("gauge", lambda: sim.schedule(0.0, cb))
-        """)
-        assert "SIM002" in rules_of(findings)
+        assert _caught_by_sampling_twin(tiny_spec, extra)
 
-    def test_positive_reentrant_run(self):
-        findings = run("""
-            def f(sim):
-                def cb():
-                    sim.run()
-                sim.schedule(1.0, cb)
-        """)
-        assert rules_of(findings) == ["SIM002"]
+    def test_positive_mutating_recorder_callback(self, tiny_spec):
+        def extra(sim, system, registry, recorder):
+            def peek_later():
+                sim.schedule(0.0, lambda: _peek_next(system, "decode"))
+                return 0.0
 
-    def test_negative_pure_callbacks(self):
-        findings = run("""
-            def f(registry, recorder, system, w):
-                registry.counter("x", "desc", fn=lambda: len(w))
-                registry.gauge("y", "desc", fn=lambda: system.unfinished)
-                recorder.register("z", lambda: sum(w.values()) / max(1, len(w)))
-        """)
-        assert findings == []
+            recorder.register("decode_peek", peek_later)
 
-    def test_suppression(self):
-        findings = run("""
-            def f(registry, q):
-                # reprolint: disable=SIM002 -- drain is idempotent here
-                registry.counter("x", "desc", fn=lambda: q.pop())
-        """)
-        assert findings == []
+        assert _caught_by_sampling_twin(tiny_spec, extra)
+
+    def test_positive_reentrant_run(self, tiny_spec, monkeypatch):
+        on_prefill_done = DisaggregatedSystem._on_prefill_done
+
+        def reentrant(self, state):
+            self.sim.run(until=self.sim.now)
+            on_prefill_done(self, state)
+
+        monkeypatch.setattr(DisaggregatedSystem, "_on_prefill_done", reentrant)
+        run = _randomly_routed(tiny_spec, lambda sim: np.random.default_rng(7))
+        with pytest.raises(RuntimeError, match="not re-entrant"):
+            run()
+
+    def test_negative_pure_callbacks(self, tiny_spec):
+        def extra(sim, system, registry, recorder):
+            registry.gauge("unfinished", "Requests in flight",
+                           fn=lambda: system.unfinished)
+            recorder.register("records", lambda: len(system.records))
+
+        assert not _caught_by_sampling_twin(tiny_spec, extra)
 
 
 # ----------------------------------------------------------------------
-# PAR001 — picklable tasks
+# PAR001 — picklable search tasks (twin: search.fingerprint)
 # ----------------------------------------------------------------------
+
+def _joint_task(system_factory):
+    return make_joint_task(
+        system_factory, fixed_length_dataset(256, 16), SLO(ttft=0.1, tpot=0.05),
+        attainment_target=0.9, num_requests=40, seed=0, min_duration=1.0,
+        cache=TrialCache(),
+    )
+
+
+_MODEL = get_model("opt-13b")
+_CLUSTER = Cluster(nodes=[Node(index=0, num_gpus=2)])
+_CAND = IntraNodeConfig(inter_op=1, num_prefill=1, prefill_tp=1,
+                        num_decode=1, decode_tp=1)
+
 
 class TestPAR001:
     def test_positive_lambda_task_arg(self):
-        findings = run("""
-            def f(spec):
-                return make_phase_task(spec, fn=lambda rate: rate * 2)
-        """, module=CORE_MODULE)
-        assert rules_of(findings) == ["PAR001"]
+        with pytest.raises(TypeError, match="cannot fingerprint"):
+            _joint_task(lambda sim: _unit_factory(_MODEL, _CLUSTER, _CAND, sim))
 
     def test_positive_nested_def_into_evaluator(self):
-        findings = run("""
-            def f(evaluator):
-                def task():
-                    return 1
-                return evaluator.run([task])
-        """, module=CORE_MODULE)
-        assert rules_of(findings) == ["PAR001"]
+        def factory(sim):
+            return _unit_factory(_MODEL, _CLUSTER, _CAND, sim)
+
+        with pytest.raises(TypeError, match="cannot fingerprint"):
+            _joint_task(factory)
 
     def test_negative_module_level_callable(self):
-        findings = run("""
-            def _task():
-                return 1
-
-            def f(evaluator):
-                return evaluator.run([_task])
-        """, module=CORE_MODULE)
-        assert findings == []
-
-    def test_negative_out_of_scope_module(self):
-        findings = run("""
-            def f(evaluator):
-                return evaluator.run([lambda: 1])
-        """, module="repro.serving.fixture")
-        assert findings == []
-
-    def test_suppression(self):
-        findings = run("""
-            def f(evaluator):
-                # reprolint: disable=PAR001 -- serial-only evaluator in tests
-                return evaluator.run([lambda: 1])
-        """, module=CORE_MODULE)
-        assert findings == []
-
-
-# ----------------------------------------------------------------------
-# OBS001 — allocation-light observability hot paths
-# ----------------------------------------------------------------------
-
-class TestOBS001:
-    def test_positive_comprehension_in_record_method(self):
-        findings = run("""
-            class Profiler:
-                def record_exec(self, batch):
-                    self.events.append([r.id for r in batch])
-        """)
-        assert rules_of(findings) == ["OBS001"]
-
-    def test_positive_genexp_in_observe(self):
-        findings = run("""
-            class Monitor:
-                def observe(self, records):
-                    self.total += sum(r.latency for r in records)
-        """, select=["OBS001"])
-        assert rules_of(findings) == ["OBS001"]
-
-    def test_positive_dict_comprehension_in_span(self):
-        findings = run("""
-            class Tracer:
-                def span(self, rid, kind, attrs):
-                    self.spans.append({k: v for k, v in attrs})
-        """, select=["OBS001"])
-        assert rules_of(findings) == ["OBS001"]
-
-    def test_positive_record_prefix_matches(self):
-        findings = run("""
-            class Engine:
-                def record_transfer(self, blocks):
-                    sizes = {b.size for b in blocks}
-                    self.sizes.append(sizes)
-        """, select=["OBS001"])
-        assert rules_of(findings) == ["OBS001"]
-
-    def test_positive_metric_callback_comprehension(self):
-        findings = run("""
-            def instrument(registry, queues):
-                registry.gauge(
-                    "depth", "total queue depth",
-                    fn=lambda: sum(len(q) for q in queues.values()),
-                )
-        """, select=["OBS001"])
-        assert rules_of(findings) == ["OBS001"]
-
-    def test_negative_plain_loop_in_hot_path(self):
-        findings = run("""
-            class Profiler:
-                def record_exec(self, instance, start, end, batch):
-                    total = 0
-                    for request in batch:
-                        total += request.tokens
-                    self.events.append((instance, start, end, total))
-        """, select=["OBS001"])
-        assert findings == []
-
-    def test_negative_comprehension_in_cold_method(self):
-        findings = run("""
-            class Profiler:
-                def summarize(self):
-                    return [e for e in self.events]
-        """, select=["OBS001"])
-        assert findings == []
-
-    def test_negative_free_function_not_flagged(self):
-        findings = run("""
-            def observe(values):
-                return [v * 2 for v in values]
-        """, select=["OBS001"])
-        assert findings == []
-
-    def test_negative_out_of_scope_module(self):
-        findings = run("""
-            class Profiler:
-                def record_exec(self, batch):
-                    return [r.id for r in batch]
-        """, module="repro.analysis.fixture", select=["OBS001"])
-        assert findings == []
-
-    def test_nested_def_inside_hot_method_not_flagged(self):
-        # A nested function is a deferred callback, not the per-event
-        # path itself; it is judged on its own name.
-        findings = run("""
-            class Instance:
-                def record_step(self, batch):
-                    def finish():
-                        return [r.id for r in batch]
-                    self.on_done = finish
-                    self.count += 1
-        """, select=["OBS001"])
-        assert findings == []
-
-    def test_suppression(self):
-        findings = run("""
-            class Profiler:
-                def record_exec(self, batch):
-                    # reprolint: disable=OBS001 -- cold slow-path branch
-                    self.events.append([r.id for r in batch])
-        """, select=["OBS001"])
-        assert findings == []
-
-
-# ----------------------------------------------------------------------
-# PERF001 — no sum() reachable from the decode step loop
-# ----------------------------------------------------------------------
-
-class TestPERF001:
-    def test_positive_sum_in_root(self):
-        findings = run("""
-            class Instance:
-                def _run_step(self):
-                    contexts = [s.context_len for s in self._active]
-                    return sum(contexts)
-        """, select=["PERF001"])
-        assert rules_of(findings) == ["PERF001"]
-
-    def test_positive_sum_in_transitive_callee(self):
-        findings = run("""
-            class Instance:
-                def _finish_step(self):
-                    self._report()
-
-                def _report(self):
-                    self._tally()
-
-                def _tally(self):
-                    return sum(s.tokens for s in self._active)
-        """, select=["PERF001"])
-        assert rules_of(findings) == ["PERF001"]
-
-    def test_positive_sum_in_nested_closure_of_root(self):
-        findings = run("""
-            class Instance:
-                def _kv_safe_steps(self, limit):
-                    def extra(growth):
-                        return sum(t + growth for t in self._held)
-                    return extra(limit)
-        """, select=["PERF001"])
-        assert rules_of(findings) == ["PERF001"]
-
-    def test_negative_sum_in_unreachable_function(self):
-        findings = run("""
-            class Instance:
-                def _run_step(self):
-                    self._count += 1
-
-                def summarize(self):
-                    return sum(self._latencies)
-        """, select=["PERF001"])
-        assert findings == []
-
-    def test_negative_explicit_loop_in_root(self):
-        findings = run("""
-            class Instance:
-                def _materialize(self, upto):
-                    total = 0
-                    for state in self._batch:
-                        total += state.tokens
-                    return total
-        """, select=["PERF001"])
-        assert findings == []
-
-    def test_negative_out_of_scope_module(self):
-        findings = run("""
-            def _run_step(batch):
-                return sum(b.tokens for b in batch)
-        """, module="repro.analysis.fixture", select=["PERF001"])
-        assert findings == []
-
-    def test_suppression(self):
-        findings = run("""
-            class Instance:
-                def sync_to_now(self):
-                    # reprolint: disable=PERF001 -- cold failure branch
-                    return sum(self._pending)
-        """, select=["PERF001"])
-        assert findings == []
-
-    def test_roots_name_functions_that_exist(self):
-        """A renamed loop entry point would silently stop seeding the rule."""
-        assert _DECODE_LOOP_ROOTS - _defined_functions("simulator") == set()
-        assert _SCHED_LOOP_ROOTS - _defined_functions("scheduling") == set()
-
-
-def _defined_functions(package: str) -> "set[str]":
-    """Names of every def in the ``repro.<package>`` sources."""
-    names: "set[str]" = set()
-    for path in sorted((REPO_ROOT / "src" / "repro" / package).rglob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        names.update(
-            node.name for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        )
-    return names
-
-
-# ----------------------------------------------------------------------
-# Engine mechanics
-# ----------------------------------------------------------------------
-
-class TestEngine:
-    def test_select_filters_rules(self):
-        source = """
-            import time, random
-            def f():
-                return time.time()
-        """
-        only_det002 = run(source, select=["DET002"])
-        assert rules_of(only_det002) == ["DET002"]
-        only_det001 = run(source, select=["DET001"])
-        assert rules_of(only_det001) == ["DET001"]
-
-    def test_unknown_rule_rejected(self):
-        with pytest.raises(ValueError, match="unknown rule"):
-            LintEngine(select=["NOPE42"])
-
-    def test_syntax_error_reported_not_raised(self):
-        findings = lint_source("def f(:\n", path="bad.py")
-        assert findings and findings[0].rule == "E999"
-
-    def test_file_level_suppression(self):
-        findings = run("""
-            # reprolint: disable-file=DET001
-            import time
-            def f():
-                return time.time()
-        """)
-        assert findings == []
-
-    def test_findings_sorted_and_deterministic(self):
-        source = """
-            import time
-            def f():
-                return time.time(), time.monotonic()
-        """
-        first = run(source)
-        second = run(source)
-        assert first == second == sorted(first)
-
-    def test_json_output_shape(self):
-        findings = run("""
-            import time
-            def f():
-                return time.time()
-        """)
-        payload = json.loads(findings_to_json(findings, files_checked=1))
-        assert payload["tool"] == "reprolint"
-        assert payload["files_checked"] == 1
-        assert payload["counts"] == {"DET001": 1}
-        entry = payload["findings"][0]
-        assert set(entry) == {"rule", "message", "path", "line", "col"}
-
-    def test_human_output(self):
-        findings = run("""
-            import time
-            def f():
-                return time.time()
-        """)
-        text = format_findings(findings)
-        assert "DET001" in text and "fixture.py" in text
-        assert format_findings([]) == "reprolint: clean"
-
-    def test_module_name_mapping(self):
-        assert module_name_for(
-            pathlib.Path("src/repro/simulator/events.py")
-        ) == "repro.simulator.events"
-        assert module_name_for(
-            pathlib.Path("src/repro/lint/__init__.py")
-        ) == "repro.lint"
-        assert module_name_for(
-            pathlib.Path("tests/test_lint.py")
-        ) == "tests.test_lint"
-
-    def test_rule_registry_complete(self):
-        assert rule_names() == [
-            "DET001", "DET002", "DET003", "DET004",
-            "OBS001", "PAR001", "PERF001", "SIM002",
-        ]
-
-
-# ----------------------------------------------------------------------
-# Cross-module reachability: regression tests for the whole-program
-# upgrade. Each case is invisible to the old intra-module graphs —
-# the offending code lives in a *different* module than the hot entry
-# point — and is caught only via the shared project call graph.
-# ----------------------------------------------------------------------
-
-def run_modules(select=None, **sources):
-    dedented = {
-        module.replace("__", "."): textwrap.dedent(text)
-        for module, text in sources.items()
-    }
-    return lint_sources(dedented, select=select)
-
-
-class TestCrossModuleReachability:
-    def test_perf001_sum_in_other_module_called_from_run_step(self):
-        findings = run_modules(
-            select=["PERF001"],
-            repro__simulator__inst="""
-                from repro.latency_model.steps import step_time
-
-                class Instance:
-                    def _run_step(self):
-                        return step_time(self._lens)
-            """,
-            repro__latency_model__steps="""
-                def step_time(lens):
-                    return sum(lens) * 0.001
-            """,
-        )
-        assert rules_of(findings) == ["PERF001"]
-        assert findings[0].path == "<repro.latency_model.steps>"
-
-    def test_perf001_same_fixture_clean_without_hot_caller(self):
-        findings = run_modules(
-            select=["PERF001"],
-            repro__latency_model__steps="""
-                def step_time(lens):
-                    return sum(lens) * 0.001
-            """,
-        )
-        assert findings == []
-
-    def test_det004_float_sum_in_helper_module_feeding_hot_path(self):
-        findings = run_modules(
-            select=["DET004"],
-            repro__latency__report="""
-                from repro.serving.rollup import total_time
-
-                def report(records):
-                    return total_time(records)
-            """,
-            repro__serving__rollup="""
-                def total_time(records):
-                    return sum(r.exec_time for r in records)
-            """,
-        )
-        assert rules_of(findings) == ["DET004"]
-        assert findings[0].path == "<repro.serving.rollup>"
-
-    def test_det004_same_helper_clean_without_hot_caller(self):
-        findings = run_modules(
-            select=["DET004"],
-            repro__serving__rollup="""
-                def total_time(records):
-                    return sum(r.exec_time for r in records)
-            """,
-        )
-        assert findings == []
-
-    def test_obs001_comprehension_in_helper_called_from_record(self):
-        findings = run_modules(
-            select=["OBS001"],
-            repro__simulator__prof="""
-                from repro.analysis.agg import snapshot
-
-                class Profiler:
-                    def record_exec(self, batch):
-                        self.events.append(snapshot(batch))
-            """,
-            repro__analysis__agg="""
-                def snapshot(batch):
-                    return [r.id for r in batch]
-            """,
-        )
-        assert rules_of(findings) == ["OBS001"]
-        assert findings[0].path == "<repro.analysis.agg>"
-        assert "reachable from a per-event hot path" in findings[0].message
-
-    def test_obs001_same_helper_clean_without_hot_caller(self):
-        findings = run_modules(
-            select=["OBS001"],
-            repro__analysis__agg="""
-                def snapshot(batch):
-                    return [r.id for r in batch]
-            """,
-        )
-        assert findings == []
-
-
-# ----------------------------------------------------------------------
-# Self-hosting: the shipped tree is clean
-# ----------------------------------------------------------------------
-
-class TestSelfHosting:
-    def test_src_lints_clean(self):
-        findings, checked = lint_paths([str(REPO_ROOT / "src")])
-        assert checked > 50
-        assert findings == [], format_findings(findings)
-
-    def test_tests_lint_clean(self):
-        findings, _checked = lint_paths([str(REPO_ROOT / "tests")])
-        assert findings == [], format_findings(findings)
+        task = _joint_task(partial(_unit_factory, _MODEL, _CLUSTER, _CAND))
+        assert pickle.loads(pickle.dumps(task)).context_fp == task.context_fp

@@ -30,6 +30,7 @@ from repro.simulator import (
     RequestRecord,
     Simulation,
     SloMonitor,
+    TelemetryRecorder,
     exponential_buckets,
 )
 from repro.workload import SHAREGPT, SLO, Request, generate_trace
@@ -415,6 +416,44 @@ def _instrumented_disagg_run(tiny_spec, seed=0, num_requests=40):
     return system, registry, monitor, result, slo, trace
 
 
+def sampled_mid_run(spec, observed, dispatch_policy="least_loaded", extra=None):
+    """Records of a short disaggregated run, and its mid-run exports.
+
+    When ``observed``, every registered metric callback is read every
+    0.25 s of the run and a Prometheus export is taken halfway through;
+    ``extra(sim, system, registry, recorder)``, if given, registers more
+    callbacks first.
+    """
+    sim = Simulation()
+    system = DisaggregatedSystem(
+        sim, spec, spec, num_prefill=2, num_decode=2,
+        dispatch_policy=dispatch_policy,
+    )
+    trace = generate_trace(
+        SHAREGPT, rate=4.0, num_requests=40, rng=np.random.default_rng(5)
+    )
+    exports = []
+    if observed:
+        registry = MetricsRegistry()
+        system.attach_monitor(SloMonitor(
+            sim, SLO(ttft=1.0, tpot=0.1), window=20.0, registry=registry
+        ))
+        system.instrument(registry)
+        recorder = TelemetryRecorder(sim, interval=0.25)
+        if extra is not None:
+            extra(sim, system, registry, recorder)
+        for family in registry.families():
+            for labels, child in family.children.items():
+                if not isinstance(child, Histogram):
+                    recorder.register(f"{family.name}{labels}",
+                                      lambda child=child: child.value)
+        recorder.start(until=trace.duration)
+        sim.schedule_at(trace.duration / 2, lambda: exports.append(
+            to_prometheus_text(registry)
+        ))
+    return simulate_trace(system, trace).records, exports
+
+
 class TestSystemInstrumentation:
     def test_disaggregated_wiring(self, tiny_spec):
         system, reg, mon, result, slo, trace = _instrumented_disagg_run(tiny_spec)
@@ -453,6 +492,15 @@ class TestSystemInstrumentation:
         ]
         assert texts[0] == texts[1]
         assert texts[0]  # non-trivial export
+
+    def test_sampling_mid_run_leaves_records_unchanged(self, tiny_spec):
+        """Metric callbacks are pure reads: sampling every one of them
+        while the run is in flight, and exporting mid-run, changes no
+        record of the run."""
+        bare, _ = sampled_mid_run(tiny_spec, observed=False)
+        records, exports = sampled_mid_run(tiny_spec, observed=True)
+        assert records == bare
+        assert "repro_requests_in_flight" in exports[0]
 
     def test_phase_utilization(self, tiny_spec):
         _sys, reg, _mon, _res, _slo, _trace = _instrumented_disagg_run(tiny_spec)

@@ -10,14 +10,17 @@ from types import SimpleNamespace
 import pytest
 
 from repro.hardware import NVLINK
+from repro.serving import ServingSystem, simulate_trace
 from repro.simulator import (
     KVBlockManager,
+    RequestPhase,
     SanitizerError,
     SimSanitizer,
     Simulation,
     TransferEngine,
     to_jsonl,
 )
+from repro.workload import Request, Trace
 from tests.test_golden_trace import GOLDEN_FILE, build_golden_spans
 
 
@@ -140,6 +143,32 @@ class TestConservation:
         san.check_quiesce()
         assert kinds(san) == ["conservation"]
         assert "arrivals (2)" in san.violations[0].message
+
+    def test_stranded_requests_are_named(self):
+        """Each stranded request: id, phase, time of its latest stamp."""
+
+        class AcceptsAndForgets(ServingSystem):
+            def submit(self, request):
+                state = self._register(request)
+                if request.request_id == 1:
+                    state.phase = RequestPhase.DECODING
+                    state.stamp("decode_start", 3.25)
+
+        san = SimSanitizer(strict=False)
+        system = AcceptsAndForgets(san.simulation())
+        san.watch_system(system)
+        simulate_trace(system, Trace([Request(i, 0.5 * i, 8, 4) for i in range(11)]))
+        san.check_quiesce()
+        assert kinds(san) == ["conservation"]
+        named = ", ".join(
+            f"{i} (waiting_prefill since t={0.5 * i:.6f})" for i in range(2, 8)
+        )
+        assert san.violations[0].message == (
+            "11 request(s) still in flight after the event queue drained — "
+            "they can never complete: 0 (waiting_prefill since t=0.000000), "
+            f"1 (decoding since t=3.250000), {named} (+3 more)"
+        )
+        assert san.violations[0].request_id == 0
 
     def test_duplicate_completion_detected(self):
         san = SimSanitizer(strict=False)

@@ -194,6 +194,33 @@ class TestDisaggregatedRejection:
         assert sorted(r.request_id for r in res.records) == [0, 2]
 
 
+    @pytest.mark.parametrize("fast_kernel", [True, False])
+    def test_decode_failure_rejects_a_recompute_over_the_prefill_pool(
+        self, opt13b, fast_kernel
+    ):
+        """A decode failure re-prefills prompt + generated tokens, which
+        can exceed the prefill pool the prompt alone fit: that request is
+        rejected, and the one queued behind it completes."""
+        prefill = InstanceSpec(model=opt13b)
+        decode = InstanceSpec(model=opt13b, config=ParallelismConfig(2, 1))
+        sanitizer = SimSanitizer(strict=True)
+        sim = sanitizer.simulation()
+        system = DisaggregatedSystem(sim, prefill, decode, num_prefill=1,
+                                     num_decode=2, fast_kernel=fast_kernel)
+        sanitizer.watch_system(system)
+        sim.schedule_at(204.0, lambda: system.fail_decode(next(
+            d.name for d in system.decode_instances if d.load
+        )))
+        res = simulate_trace(system, [
+            Request(request_id=0, arrival_time=0.0,
+                    input_len=self._pool_tokens(prefill) - 5, output_len=400),
+            Request(request_id=1, arrival_time=250.0, input_len=100, output_len=10),
+        ])
+        sanitizer.check_quiesce()
+        assert system.rejections == 1
+        assert [r.request_id for r in res.records] == [1]
+
+
 class TestPhaseOnlyRejection:
     """The phase-only systems reject what their pool can never hold, by
     the disaggregated rule for their phase, and the request queued behind
