@@ -1,4 +1,4 @@
-.PHONY: install test sanitize-demo trace-demo metrics-demo profile-demo golden-regen bench bench-search bench-profile bench-kernel examples clean
+.PHONY: install test sanitize-demo trace-demo metrics-demo profile-demo golden-regen bench bench-search perf-check examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -42,16 +42,14 @@ bench:
 bench-search:
 	PYTHONPATH=src python benchmarks/bench_fig12_algorithm_time.py
 
-# Profiler hook-overhead benchmark: bare vs traced vs traced+profiled;
-# enforces the <5% per-event budget and writes BENCH_profile.json.
-bench-profile:
-	PYTHONPATH=src python benchmarks/bench_profile_overhead.py
-
-# Fast-forward kernel benchmark (DESIGN.md §4h): macro-stepped decode +
-# memoized batch latency vs the per-step reference; writes
-# BENCH_kernel.json at the repo root with bitwise-parity witnesses.
-bench-kernel:
-	PYTHONPATH=src python benchmarks/bench_kernel.py
+# perfbench's exact outputs at seed 1 (completed_frac, sim_* values and
+# per-layer counts) against the committed BENCH_perf.json, for every
+# workload BENCHMARK.json declares. Regenerate one workload's entry with
+# `python3 benchmarks/check_perf.py --workload W --write`.
+perf-check:
+	status=0; for w in $$(python3 -c 'import json; print(*[w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]])'); do \
+		python3 benchmarks/check_perf.py --workload $$w || status=1; \
+	done; exit $$status
 
 examples:
 	python examples/quickstart.py

@@ -68,7 +68,7 @@ from .scheduling import (
     QUEUE_POLICIES,
     SchedulingConfig,
 )
-from .serving import ColocatedSystem, DisaggregatedSystem, simulate_trace
+from .serving import ColocatedSystem, DisaggregatedSystem, SimulationResult, simulate_trace
 from .simulator import (
     InstanceSpec,
     MetricsRegistry,
@@ -147,6 +147,11 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
+def _rejected(result: SimulationResult) -> str:
+    """The first output line's rejection count; empty when none was rejected."""
+    return f", {result.rejected} rejected" if result.rejected else ""
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         system = _build_system(args, Simulation())
@@ -156,7 +161,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return _usage_error(args, exc)
     result = simulate_trace(system, trace)
     print(f"{result.completed}/{len(trace)} requests on {result.num_gpus} GPUs "
-          f"in {result.sim_time:.1f}s simulated")
+          f"in {result.sim_time:.1f}s simulated{_rejected(result)}")
     summary = latency_summary(result.records)
     print(f"TTFT p50/p90/p99: {summary['ttft_p50']:.3f} / "
           f"{summary['ttft_p90']:.3f} / {summary['ttft_p99']:.3f} s")
@@ -286,7 +291,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.jsonl_out:
         write_jsonl(args.jsonl_out, result.spans)
     print(f"{result.completed}/{len(trace)} requests, "
-          f"{len(result.spans)} spans in {result.sim_time:.1f}s simulated")
+          f"{len(result.spans)} spans in {result.sim_time:.1f}s simulated"
+          f"{_rejected(result)}")
     print(f"Chrome trace written to {args.out} "
           f"(open in Perfetto or chrome://tracing)")
     if args.jsonl_out:

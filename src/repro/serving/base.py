@@ -139,10 +139,18 @@ class ServingSystem(abc.ABC):
 
 @dataclass
 class SimulationResult:
-    """Outcome of one trace simulation."""
+    """Outcome of one trace simulation.
+
+    Every submitted request is completed, ``rejected`` or ``unfinished``;
+    without a ``max_sim_time`` or ``max_events`` cutoff every request of
+    the trace is submitted, so ``completed + rejected + unfinished ==
+    len(trace)``.
+    """
 
     records: "list[RequestRecord]"
     unfinished: int
+    #: Requests refused admission (``ServingSystem.rejections``).
+    rejected: int
     sim_time: float
     events_processed: int
     transfer_records: "list[TransferRecord]" = field(default_factory=list)
@@ -187,6 +195,7 @@ def simulate_trace(
     return SimulationResult(
         records=list(system.records),
         unfinished=system.unfinished,
+        rejected=system.rejections,
         sim_time=sim.now,
         events_processed=sim.events_processed,
         transfer_records=list(transfers),

@@ -1,7 +1,10 @@
 """Tests for the benchmark helper layer (no expensive searches)."""
 
+import json
+
 import pytest
 
+from benchmarks import check_perf
 from benchmarks.common import (
     VLLM_TP,
     _placement_from_json,
@@ -50,8 +53,6 @@ class TestPlacementSerialization:
             prefill=PhasePlan(ParallelismConfig(1, 1), 1, 1.0),
             decode=PhasePlan(ParallelismConfig(1, 1), 1, 1.0),
         )
-        import json
-
         blob = json.dumps(_placement_to_json(placement))
         assert "prefill" in blob
 
@@ -69,101 +70,74 @@ class TestVLLMBaseline:
         assert system.num_gpus() == gpus
 
 
-class TestTrajectoryChecker:
-    """The CI perf-trajectory guard generalizes across report shapes."""
+class TestPerfGate:
+    """benchmarks/check_perf.py holds perfbench's exact outputs to BENCH_perf.json."""
+
+    WORKLOAD = "disagg-sharegpt"
 
     @staticmethod
-    def _write(tmp_path, name, payload):
-        import json
+    def _results(values, traced_correct=True):
+        """An untraced and a traced perfbench result carrying ``values``."""
+        return tuple(
+            {
+                "correct": correct,
+                "metrics": {name: {"value": values[name]} for name in names},
+            }
+            for correct, names in zip((True, traced_correct), check_perf.pinned_names())
+        )
 
-        path = tmp_path / name
-        path.write_text(json.dumps(payload))
-        return str(path)
+    def _committed(self):
+        return json.loads(check_perf.RECORD.read_text())[self.WORKLOAD]
 
-    def _check(self, tmp_path, baseline, fresh, extra=()):
-        from benchmarks.check_search_trajectory import main
+    def test_identical_values_pass(self):
+        committed = self._committed()
+        assert check_perf.differences(committed, *self._results(committed)) == []
 
-        base = self._write(tmp_path, "base.json", baseline)
-        new = self._write(tmp_path, "fresh.json", fresh)
-        return main(["--baseline", base, "--fresh", new, *extra])
+    def test_changed_sim_value_fails(self):
+        committed = self._committed()
+        moved = dict(committed, sim_ttft_p99_s=committed["sim_ttft_p99_s"] * (1 + 1e-12))
+        problems = check_perf.differences(committed, *self._results(moved))
+        assert len(problems) == 1 and problems[0].startswith("sim_ttft_p99_s:")
 
-    def test_search_shape_ok(self, tmp_path):
-        report = {
-            "placement_parity": True,
-            "runs": [{"workers": 1, "speedup_vs_baseline": 2.0}],
+    def test_moved_count_fails_in_either_direction(self):
+        committed = self._committed()
+        for delta in (-1, 1):
+            moved = dict(committed)
+            moved["decode_instance.events"] += delta
+            problems = check_perf.differences(committed, *self._results(moved))
+            assert len(problems) == 1 and problems[0].startswith("decode_instance.events:")
+
+    def test_failed_output_check_fails(self):
+        committed = self._committed()
+        problems = check_perf.differences(
+            committed, *self._results(committed, traced_correct=False))
+        assert problems == ["perfbench --trace 1 failed its output checks"]
+
+    def test_write_round_trips(self, tmp_path, monkeypatch):
+        committed = self._committed()
+        record = tmp_path / "BENCH_perf.json"
+        record.write_text(json.dumps({"other": {"events.count": 7}}))
+        results = {"values": committed, "traced_correct": True}
+        monkeypatch.setattr(check_perf, "RECORD", record)
+        monkeypatch.setattr(
+            check_perf, "run_perfbench",
+            lambda workload, trace: self._results(**results)[trace],
+        )
+        argv = ["--workload", self.WORKLOAD]
+        assert check_perf.main(argv) == 1  # no entry yet
+        assert check_perf.main(argv + ["--write"]) == 0
+        assert json.loads(record.read_text()) == {
+            "other": {"events.count": 7}, self.WORKLOAD: committed,
         }
-        assert self._check(tmp_path, report, report) == 0
+        assert check_perf.main(argv) == 0
+        results["traced_correct"] = False
+        before = record.read_text()
+        assert check_perf.main(argv + ["--write"]) == 1
+        assert record.read_text() == before  # a failed run is never written
 
-    def test_kernel_shape_ok(self, tmp_path):
-        report = {
-            "record_parity": True,
-            "placement_parity": True,
-            "runs": [
-                {"scenario": "decode_heavy", "speedup_vs_baseline": 3.5},
-                {"scenario": "fig12_sweep", "speedup_vs_baseline": 2.0},
-            ],
-        }
-        assert self._check(tmp_path, report, report) == 0
-
-    def test_regression_fails(self, tmp_path):
-        base = {
-            "record_parity": True,
-            "runs": [{"scenario": "decode_heavy", "speedup_vs_baseline": 4.0}],
-        }
-        fresh = {
-            "record_parity": True,
-            "runs": [{"scenario": "decode_heavy", "speedup_vs_baseline": 2.0}],
-        }
-        assert self._check(tmp_path, base, fresh) == 1
-
-    def test_within_tolerance_passes(self, tmp_path):
-        base = {
-            "record_parity": True,
-            "runs": [{"scenario": "decode_heavy", "speedup_vs_baseline": 4.0}],
-        }
-        fresh = {
-            "record_parity": True,
-            "runs": [{"scenario": "decode_heavy", "speedup_vs_baseline": 3.5}],
-        }
-        assert self._check(tmp_path, base, fresh) == 0
-
-    def test_any_parity_flag_false_fails(self, tmp_path):
-        base = {
-            "record_parity": True,
-            "runs": [{"scenario": "decode_heavy", "speedup_vs_baseline": 3.0}],
-        }
-        fresh = dict(base, record_parity=False)
-        assert self._check(tmp_path, base, fresh) == 1
-
-    def test_multiple_pairs(self, tmp_path):
-        from benchmarks.check_search_trajectory import main
-
-        search = {
-            "placement_parity": True,
-            "runs": [{"workers": 1, "speedup_vs_baseline": 2.0}],
-        }
-        kernel = {
-            "record_parity": True,
-            "runs": [{"scenario": "decode_heavy", "speedup_vs_baseline": 3.0}],
-        }
-        s_base = self._write(tmp_path, "s_base.json", search)
-        s_new = self._write(tmp_path, "s_new.json", search)
-        k_base = self._write(tmp_path, "k_base.json", kernel)
-        k_new = self._write(tmp_path, "k_new.json",
-                            dict(kernel, runs=[{"scenario": "decode_heavy",
-                                                "speedup_vs_baseline": 1.0}]))
-        assert main(["--baseline", s_base, "--fresh", s_new,
-                     "--baseline", k_base, "--fresh", k_new]) == 1
-        assert main(["--baseline", s_base, "--fresh", s_new]) == 0
-
-    def test_mismatched_pair_counts(self, tmp_path):
-        from benchmarks.check_search_trajectory import main
-
-        report = {
-            "placement_parity": True,
-            "runs": [{"workers": 1, "speedup_vs_baseline": 2.0}],
-        }
-        base = self._write(tmp_path, "b.json", report)
-        new = self._write(tmp_path, "f.json", report)
-        assert main(["--baseline", base, "--baseline", base,
-                     "--fresh", new]) == 2
+    def test_record_covers_every_workload_and_metric(self):
+        record = json.loads(check_perf.RECORD.read_text())
+        assert sorted(record) == sorted(w["name"] for w in check_perf.spec()["workloads"])
+        untraced, traced = check_perf.pinned_names()
+        for workload, values in record.items():
+            assert sorted(values) == sorted(untraced + traced), workload

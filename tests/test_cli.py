@@ -14,6 +14,7 @@ from repro.cli import (
     main,
 )
 from repro.simulator import SimSanitizer
+from repro.workload import Request, Trace
 
 
 _MODEL = [("--model", "opt-13b"), ("--dataset", "sharegpt")]
@@ -107,6 +108,20 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "30/30 requests" in out
         assert "SLO attainment" in out
+
+    @pytest.mark.parametrize("command", ["serve", "trace"])
+    def test_rejections_end_the_first_line(self, command, capsys, monkeypatch, tmp_path):
+        """A run that rejects requests counts them on its first line."""
+        oversized = Request(request_id=0, arrival_time=0.0, input_len=10**7, output_len=8)
+        servable = Request(request_id=1, arrival_time=0.1, input_len=100, output_len=8)
+        monkeypatch.setattr(
+            "repro.cli._trace_from_args", lambda args: Trace([oversized, servable]))
+        argv = [command, "--model", "opt-1.3b"]
+        if command == "trace":
+            argv += ["--out", str(tmp_path / "trace.json")]
+        assert main(argv) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first.startswith("1/2 requests") and first.endswith("simulated, 1 rejected")
 
     def test_serve_unknown_model(self, capsys):
         assert main(["serve", "--model", "gpt-5"]) == EXIT_USAGE

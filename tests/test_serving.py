@@ -91,6 +91,8 @@ class TestColocatedRejection:
         res = simulate_trace(system, trace, max_events=max_events)
         assert len(sim) == 0, "the simulation did not drain"
         sanitizer.check_quiesce()
+        assert res.rejected == system.rejections
+        assert res.completed + res.rejected + res.unfinished == len(trace)
         return system, res
 
     def test_oversized_prompt_does_not_strand_the_queue(self, opt13b):
@@ -105,7 +107,7 @@ class TestColocatedRejection:
             for i in range(1, 6)
         ]
         system, res = self._run(spec, trace)
-        assert system.rejections == 1
+        assert res.rejected == 1
         assert res.completed == 5
         assert res.unfinished == 0
 
@@ -147,6 +149,8 @@ class TestDisaggregatedRejection:
         res = simulate_trace(system, trace)
         assert len(sim) == 0, "the simulation did not drain"
         sanitizer.check_quiesce()
+        assert res.rejected == system.rejections
+        assert res.completed + res.rejected + res.unfinished == len(trace)
         return system, res
 
     @staticmethod
@@ -172,7 +176,7 @@ class TestDisaggregatedRejection:
             Request(request_id=1, arrival_time=0.1, input_len=100, output_len=10),
         ]
         system, res = self._run(spec, trace)
-        assert system.rejections == 1
+        assert res.rejected == 1
         assert [r.request_id for r in res.records] == [1]
         assert res.unfinished == 0
 
