@@ -3,10 +3,7 @@
 from .breakdown import (
     STAGES,
     LatencyBreakdown,
-    RequestSpanBreakdown,
     latency_breakdown,
-    latency_breakdown_from_spans,
-    request_breakdowns,
 )
 from .critpath import (
     PHASES,
@@ -35,10 +32,7 @@ from .slo import AttainmentReport, slo_attainment
 __all__ = [
     "STAGES",
     "LatencyBreakdown",
-    "RequestSpanBreakdown",
     "latency_breakdown",
-    "latency_breakdown_from_spans",
-    "request_breakdowns",
     "PHASES",
     "TTFT_PHASES",
     "RequestCriticalPath",

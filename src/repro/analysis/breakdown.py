@@ -6,14 +6,12 @@ queuing, and decoding execution. The total time consumed by all requests
 in each stage is then summed up to determine their respective
 proportions in the system's total execution time."
 
-Two derivations are offered: :func:`latency_breakdown` sums the stage
-scalars of :class:`~repro.simulator.request.RequestRecord` (timestamps
-reconstructed at completion), while :func:`request_breakdowns` /
-:func:`latency_breakdown_from_spans` read the ground-truth span timeline
-emitted by :class:`~repro.simulator.tracing.Tracer` — queue, exec, and
-transfer stages come from the actual spans, and decode execution is the
-residual up to the completion event, so the five stages always sum to
-the end-to-end latency exactly.
+:func:`latency_breakdown` sums the stage scalars of
+:class:`~repro.simulator.request.RequestRecord` (timestamps reconstructed
+at completion). The decomposition of the ground-truth span timeline is
+:func:`repro.analysis.critpath.critical_paths`, whose seven phases refine
+these five stages (``dispatch`` and the KV ``kv_wait``/``kv_transmit``
+split).
 """
 
 from __future__ import annotations
@@ -22,15 +20,11 @@ import math
 from dataclasses import dataclass
 
 from ..simulator.request import RequestRecord
-from ..simulator.tracing import Span, SpanKind, spans_by_request
 
 __all__ = [
     "LatencyBreakdown",
     "latency_breakdown",
     "STAGES",
-    "RequestSpanBreakdown",
-    "request_breakdowns",
-    "latency_breakdown_from_spans",
 ]
 
 STAGES = (
@@ -84,94 +78,4 @@ def latency_breakdown(records: "list[RequestRecord]") -> LatencyBreakdown:
         transfer=math.fsum(r.transfer_time for r in records),
         decode_queue=math.fsum(r.decode_queue_time for r in records),
         decode_exec=math.fsum(r.decode_exec_time for r in records),
-    )
-
-
-@dataclass(frozen=True)
-class RequestSpanBreakdown:
-    """One request's five-stage breakdown derived from its real spans.
-
-    ``decode_exec`` is the residual between the end-to-end latency and
-    the other four stages, so the stage sum reconciles with
-    ``completion - arrival`` exactly (up to float rounding the residual
-    absorbs; it is clamped at zero).
-    """
-
-    request_id: int
-    arrival_time: float
-    completion_time: float
-    prefill_queue: float
-    prefill_exec: float
-    transfer: float
-    decode_queue: float
-    decode_exec: float
-
-    @property
-    def end_to_end_latency(self) -> float:
-        return self.completion_time - self.arrival_time
-
-    @property
-    def stage_sum(self) -> float:
-        return (
-            self.prefill_queue
-            + self.prefill_exec
-            + self.transfer
-            + self.decode_queue
-            + self.decode_exec
-        )
-
-
-def request_breakdowns(spans: "list[Span]") -> "list[RequestSpanBreakdown]":
-    """Per-request stage breakdowns from a span timeline.
-
-    Only requests with both an ``arrival`` and a ``completion`` span are
-    included (requests still in flight at simulation cutoff have no
-    complete lifecycle to break down). Results are ordered by completion
-    then request id — the order analysis code sees records in.
-    """
-    out: "list[RequestSpanBreakdown]" = []
-    for request_id, request_spans in spans_by_request(spans).items():
-        arrival = completion = None
-        sums = {
-            SpanKind.PREFILL_QUEUE: 0.0,
-            SpanKind.PREFILL_EXEC: 0.0,
-            SpanKind.KV_TRANSFER: 0.0,
-            SpanKind.DECODE_QUEUE: 0.0,
-        }
-        for span in request_spans:
-            if span.kind == SpanKind.ARRIVAL:
-                arrival = span.start
-            elif span.kind == SpanKind.COMPLETION:
-                completion = span.end
-            elif span.kind in sums:
-                sums[span.kind] += span.duration
-        if arrival is None or completion is None:
-            continue
-        e2e = completion - arrival
-        covered = math.fsum(sums.values())
-        out.append(
-            RequestSpanBreakdown(
-                request_id=request_id,
-                arrival_time=arrival,
-                completion_time=completion,
-                prefill_queue=sums[SpanKind.PREFILL_QUEUE],
-                prefill_exec=sums[SpanKind.PREFILL_EXEC],
-                transfer=sums[SpanKind.KV_TRANSFER],
-                decode_queue=sums[SpanKind.DECODE_QUEUE],
-                decode_exec=max(0.0, e2e - covered),
-            )
-        )
-    out.sort(key=lambda b: (b.completion_time, b.request_id))
-    return out
-
-
-def latency_breakdown_from_spans(spans: "list[Span]") -> LatencyBreakdown:
-    """Figure 10a's statistic computed from the real span timeline."""
-    breakdowns = request_breakdowns(spans)
-    return LatencyBreakdown(
-        prefill_queue=math.fsum(b.prefill_queue for b in breakdowns),
-        prefill_exec=math.fsum(b.prefill_exec for b in breakdowns),
-        transfer=math.fsum(b.transfer for b in breakdowns),
-        decode_queue=math.fsum(b.decode_queue for b in breakdowns),
-        decode_exec=math.fsum(b.decode_exec for b in breakdowns),
     )

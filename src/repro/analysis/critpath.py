@@ -19,11 +19,10 @@ Three layers of machinery:
   to within 1e-9 — a property test enforces this.
 * :func:`build_profile` — the full deterministic report: aggregate
   phase totals, TTFT/TPOT distributions with per-phase TTFT breakdown,
-  inter-token gap statistics, per-instance utilization timelines and
-  batch-occupancy histograms (from the
-  :class:`~repro.simulator.profiler.Profiler` event streams), and the
-  colocated-mode interference attribution (prefill iterations that ran
-  while decodes were mid-generation on the same replica).
+  per-instance utilization timelines and batch-occupancy histograms
+  (from the :class:`~repro.simulator.profiler.Profiler` event streams),
+  and the colocated-mode interference attribution (prefill iterations
+  that ran while decodes were mid-generation on the same replica).
 * :func:`diff_profiles` — the differential comparator: aligns two
   same-seed runs by request id and attributes the TTFT / TPOT / e2e
   deltas to phase-level shifts, the "why is B slower than A" answer.
@@ -75,7 +74,7 @@ PHASES = (
 #: arrival→first-token window not covered by the named phases.
 TTFT_PHASES = ("dispatch", "prefill_queue", "prefill_exec", "ttft_other")
 
-PROFILE_SCHEMA = "repro-profile/1"
+PROFILE_SCHEMA = "repro-profile/2"
 PROFILE_DIFF_SCHEMA = "repro-profile-diff/1"
 
 _TTFT_WINDOW_KINDS = (SpanKind.PREFILL_QUEUE, SpanKind.PREFILL_EXEC)
@@ -104,8 +103,9 @@ class RequestCriticalPath:
     decode_exec: float
     #: TTFT decomposition aligned with :data:`TTFT_PHASES`.
     ttft_breakdown: "tuple[float, ...]"
-    #: Inter-token gaps (seconds between consecutive token completions).
-    token_gaps: "tuple[float, ...]"
+    #: Output tokens the ``decode`` spans account for (the highest
+    #: ``token_index`` plus one).
+    num_tokens: int
 
     @property
     def end_to_end_latency(self) -> float:
@@ -117,9 +117,9 @@ class RequestCriticalPath:
 
     @property
     def tpot(self) -> float:
-        if not self.token_gaps:
+        if self.num_tokens < 2:
             return 0.0
-        return (self.completion_time - self.first_token_time) / len(self.token_gaps)
+        return (self.completion_time - self.first_token_time) / (self.num_tokens - 1)
 
     def phase_values(self) -> "tuple[float, ...]":
         """Phase durations aligned with :data:`PHASES`."""
@@ -170,7 +170,7 @@ def critical_paths(
         arrival = completion = None
         first_start: "float | None" = None
         queue_total = exec_total = kv_total = dq_total = 0.0
-        token_ends: "list[tuple[int, float]]" = []
+        decode_ends: "list[tuple[int, float]]" = []
         window_spans: "list[tuple[str, float, float]]" = []
         for span in request_spans:
             if span.kind == SpanKind.ARRIVAL:
@@ -191,18 +191,13 @@ def critical_paths(
                 kv_total += span.duration
             elif span.kind == SpanKind.DECODE_QUEUE:
                 dq_total += span.duration
-            elif span.kind == SpanKind.DECODE_STEP:
-                index = span.token_index if span.token_index is not None else -1
-                token_ends.append((index, span.end))
+            elif span.kind == SpanKind.DECODE:
+                decode_ends.append((span.token_index, span.end))
             if span.kind in _TTFT_WINDOW_KINDS:
                 window_spans.append((span.kind, span.start, span.end))
-        if arrival is None or completion is None or not token_ends:
+        if arrival is None or completion is None or not decode_ends:
             continue
-        token_ends.sort()
-        first_token = token_ends[0][1]
-        gaps: "list[float]" = []
-        for i in range(1, len(token_ends)):
-            gaps.append(token_ends[i][1] - token_ends[i - 1][1])
+        first_token = min(decode_ends)[1]
 
         dispatch = max(0.0, (first_start if first_start is not None else arrival) - arrival)
         transmit_raw = wire_time.get(request_id)
@@ -244,7 +239,7 @@ def critical_paths(
                 decode_queue=dq_total,
                 decode_exec=decode_exec,
                 ttft_breakdown=(dispatch_window, pq_window, pe_window, ttft_other),
-                token_gaps=tuple(gaps),
+                num_tokens=max(decode_ends)[0] + 1,
             )
         )
     out.sort(key=lambda path: path.request_id)
@@ -367,9 +362,11 @@ def _interference(spans: "list[Span]", sim_time: float) -> "dict[str, dict[str, 
     """Prefill-vs-decode contention per instance (colocated mode).
 
     An instance's *decode-active* union covers, per request it decoded,
-    the window from first to last token; its contended seconds are the
-    prefill-execution intervals falling inside that union — iterations
-    that made mid-generation requests wait for their next token (§3.1).
+    the window from the start of its first ``decode`` span there (its
+    first admission, or token 0 at a colocated prefill's end) to its
+    last token; its contended seconds are the prefill-execution
+    intervals falling inside that union — iterations that made
+    mid-generation requests wait for their next token (§3.1).
     Disaggregated instances score zero by construction (no instance both
     prefills and decodes).
     """
@@ -382,14 +379,14 @@ def _interference(spans: "list[Span]", sim_time: float) -> "dict[str, dict[str, 
             prefill_by_inst.setdefault(span.instance, []).append(
                 (span.start, span.end)
             )
-        elif span.kind == SpanKind.DECODE_STEP:
+        elif span.kind == SpanKind.DECODE:
             windows = decode_window.setdefault(span.instance, {})
             known = windows.get(span.request_id)
             if known is None:
-                windows[span.request_id] = (span.end, span.end)
+                windows[span.request_id] = (span.start, span.end)
             else:
                 windows[span.request_id] = (
-                    min(known[0], span.end), max(known[1], span.end)
+                    min(known[0], span.start), max(known[1], span.end)
                 )
     out: "dict[str, dict[str, float]]" = {}
     for instance in sorted(set(prefill_by_inst) | set(decode_window)):
@@ -442,7 +439,6 @@ def build_profile(
     ttfts: "list[float]" = []
     tpots: "list[float]" = []
     e2es: "list[float]" = []
-    all_gaps: "list[float]" = []
     ttft_bd_totals = [0.0, 0.0, 0.0, 0.0]
     for path in paths:
         values = path.phase_values()
@@ -453,7 +449,6 @@ def build_profile(
         ttfts.append(path.ttft)
         tpots.append(path.tpot)
         e2es.append(path.end_to_end_latency)
-        all_gaps.extend(path.token_gaps)
         per_request.append(
             {
                 "id": path.request_id,
@@ -463,8 +458,7 @@ def build_profile(
                 "e2e": path.end_to_end_latency,
                 "ttft": path.ttft,
                 "tpot": path.tpot,
-                "tokens": len(path.token_gaps) + 1,
-                "max_gap": max(path.token_gaps) if path.token_gaps else 0.0,
+                "tokens": path.num_tokens,
                 "phases": {name: value for name, value in zip(PHASES, values)},
                 "ttft_breakdown": {
                     name: value
@@ -526,7 +520,6 @@ def build_profile(
         },
         "tpot": _dist(tpots),
         "e2e": _dist(e2es),
-        "token_gaps": {"count": len(all_gaps), **_dist(all_gaps)},
         "slo": slo_report,
         "utilization": _utilization(profiler, sim_time) if profiler else {},
         "interference": _interference(spans, sim_time),
@@ -544,8 +537,15 @@ def diff_profiles(a: "dict[str, Any]", b: "dict[str, Any]") -> "dict[str, Any]":
     alignment is total); per-phase mean deltas over the matched set sum
     — via the residual phases — to the measured TTFT and e2e deltas,
     which is what makes the attribution exhaustive.
+
+    Raises:
+        ValueError: when either report is not a profile object.
     """
     for report in (a, b):
+        if not isinstance(report, dict):
+            raise ValueError(
+                f"expected a {PROFILE_SCHEMA} object, got {type(report).__name__}"
+            )
         if report.get("schema") != PROFILE_SCHEMA:
             raise ValueError(
                 f"expected {PROFILE_SCHEMA} reports, got {report.get('schema')!r}"
@@ -679,11 +679,6 @@ def format_profile(report: "dict[str, Any]") -> str:
     lines.append(
         f"tpot: mean={_fmt(tpot['mean'])} p50={_fmt(tpot['p50'])}"
         f" p99={_fmt(tpot['p99'])} max={_fmt(tpot['max'])}"
-    )
-    gaps = report["token_gaps"]
-    lines.append(
-        f"token gaps: count={gaps['count']} mean={_fmt(gaps['mean'])}"
-        f" p99={_fmt(gaps['p99'])} max={_fmt(gaps['max'])}"
     )
     if report["slo"]:
         slo = report["slo"]

@@ -31,23 +31,24 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import pathlib
 import sys
 
 import numpy as np
 
 from .analysis import (
+    PHASES,
     build_profile,
+    critical_paths,
     diff_profiles,
     format_profile,
     format_profile_diff,
     format_series,
-    latency_breakdown_from_spans,
     latency_summary,
     phase_utilization,
     profile_to_html,
     profile_to_json,
-    request_breakdowns,
     slo_attainment,
     write_metrics_json,
     write_prometheus_text,
@@ -297,14 +298,16 @@ def _cmd_trace(args: argparse.Namespace) -> int:
           f"(open in Perfetto or chrome://tracing)")
     if args.jsonl_out:
         print(f"JSON-lines trace written to {args.jsonl_out}")
-    breakdown = latency_breakdown_from_spans(result.spans)
-    for stage, frac in breakdown.fractions().items():
-        print(f"  {stage:14s} {frac:6.1%}")
-    # Reconciliation: per-request stage sums vs record end-to-end latency.
+    paths = critical_paths(result.spans)
+    totals = {name: math.fsum(getattr(p, name) for p in paths) for name in PHASES}
+    grand = math.fsum(totals.values())
+    for name, total in totals.items():
+        print(f"  {name:14s} {total / grand if grand > 0 else 0.0:6.1%}")
+    # Reconciliation: per-request phase sums vs record end-to-end latency.
     by_id = {r.request_id: r.end_to_end_latency for r in result.records}
     worst = max(
-        (abs(b.stage_sum - by_id[b.request_id])
-         for b in request_breakdowns(result.spans) if b.request_id in by_id),
+        (abs(p.phase_sum - by_id[p.request_id])
+         for p in paths if p.request_id in by_id),
         default=0.0,
     )
     summary = latency_summary(result.records)
@@ -387,7 +390,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             return EXIT_USAGE
         try:
             report = diff_profiles(report_a, report_b)
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             print(f"repro profile: bad report: {exc}", file=sys.stderr)
             return EXIT_USAGE
         rendered = (

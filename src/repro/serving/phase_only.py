@@ -6,8 +6,9 @@ system serving *only* decoding — its TPOT is unpolluted by prefill.
 These are idealized single-phase engines:
 
 * :class:`PrefillOnlySystem` completes a request when its first token is
-  produced; subsequent output tokens are stamped instantly so records
-  stay well-formed (TPOT ~ 0 by construction, only TTFT is meaningful).
+  produced; subsequent output tokens are stamped instantly, without
+  spans, so records stay well-formed (TPOT ~ 0 by construction, only
+  TTFT is meaningful).
 * :class:`DecodeOnlySystem` assumes the KV cache materializes for free
   at arrival (TTFT ~ 0 by construction, only TPOT is meaningful).
 
@@ -81,22 +82,9 @@ class PrefillOnlySystem(ServingSystem):
         # remaining tokens are free — only TTFT is under test.
         for inst in self.instances:
             inst.release_kv(state.request_id)
-        if self._trace.enabled:
-            while not state.is_finished:
-                state.record_token(self.sim.now)
-                self._trace.span(
-                    state.request_id,
-                    SpanKind.DECODE_STEP,
-                    self.sim.now,
-                    self.sim.now,
-                    token_index=state.generated - 1,
-                )
-        else:
-            # Bulk-stamp the free tokens: one extend instead of an
-            # O(output_len) loop of property reads and span calls.
-            remaining = state.remaining_tokens
-            if remaining > 0:
-                state.record_tokens([self.sim.now] * remaining)
+        remaining = state.remaining_tokens
+        if remaining > 0:
+            state.record_tokens([self.sim.now] * remaining)
         self._complete(state)
 
     def num_gpus(self) -> int:
@@ -153,7 +141,7 @@ class DecodeOnlySystem(ServingSystem):
         state.record_token(self.sim.now)
         self._trace.span(
             state.request_id,
-            SpanKind.DECODE_STEP,
+            SpanKind.DECODE,
             self.sim.now,
             self.sim.now,
             token_index=0,

@@ -26,21 +26,21 @@ re-admission.
 **Fast-forward kernel (DESIGN §4h).** The running set lives in the same
 :class:`~repro.simulator.kernel.DecodeKernel` that drives
 :class:`~repro.simulator.decode_instance.DecodeInstance`. Under the two
-priority policies, with ``fast_kernel`` on and nothing observing
-individual steps, consecutive pure-decode iterations run as one macro
-event, ending at the shortest remaining request or at the KV-growth-safe
-bound (admission is always optimistic here). Under ``prefill_priority``
-a submission ends the run at the boundary where the per-step path would
-start the newcomer's prefill; under ``decode_priority`` nothing outside
-the instance ends it. While requests wait, ``prefill_priority`` re-runs
+priority policies, with ``fast_kernel`` on, consecutive pure-decode
+iterations run as one macro event, ending at the shortest remaining
+request or at the KV-growth-safe bound (admission is always optimistic
+here). Under ``prefill_priority`` a submission ends the run at the
+boundary where the per-step path would start the newcomer's prefill;
+under ``decode_priority`` nothing outside the instance ends it. While requests wait, ``prefill_priority`` re-runs
 admission at every boundary, so a run may start then only under FCFS:
 its blocked head cannot become admissible mid-run, because the running
 set is fixed and KV only grows. Time-dependent queue orders (``sjf``,
 ``edf``) step per iteration while anything waits, and ``combined`` and
 ``chunked`` always step per iteration (their mixed-batch latency has no
 closed-form run). Prefill iterations use the memoized
-:class:`~repro.latency.memo.PrefillBatchTimer`. Results are
-bit-identical to the per-step reference path.
+:class:`~repro.latency.memo.PrefillBatchTimer`. Results, spans, exec
+events and sampled metrics are bit-identical to the per-step reference
+path: counter and KV reads bring a run up to date first.
 """
 
 from __future__ import annotations
@@ -81,14 +81,14 @@ class ColocatedInstance:
         max_prefill_tokens: Token budget of one prefill iteration.
         chunk_size: Prompt-chunk budget for the ``"chunked"`` policy.
         name: Identifier for reporting.
-        tracer: Optional lifecycle tracer receiving queue/exec/step spans.
+        tracer: Optional lifecycle tracer receiving queue/exec spans and
+            one ``decode`` span per stay in the running set.
         profiler: Optional critical-path profiler receiving one exec
             event per iteration, tagged by iteration kind.
         fast_kernel: Evaluate iteration latency through the memoized
             timers and, under the two priority policies, run consecutive
-            decode iterations as macro runs while no tracer, profiler,
-            or :meth:`instrument` registry observes individual steps.
-            Results are bit-identical either way; disabling forces the
+            decode iterations as macro runs. Results and observer output
+            are bit-identical either way; disabling forces the
             one-event-per-iteration reference path.
         scheduling: Policy configuration (:mod:`repro.scheduling`); the
             queue policy orders the waiting deque before each admission
@@ -145,8 +145,6 @@ class ColocatedInstance:
         self._trace = tracer if tracer is not None else NULL_TRACER
         self._prof = profiler if profiler is not None else NULL_PROFILER
         self._iterating = False
-        # Memoized batch latency defers no state, so it needs no
-        # observability gate (as in PrefillInstance).
         self._memo = bool(fast_kernel)
         self._decode_timer = DecodeStepTimer(
             spec.model, spec.config, self._coeffs, spec.tp_link, spec.pp_link
@@ -164,12 +162,10 @@ class ColocatedInstance:
             kv_grows=True,
             jitter=spec.make_jitter(name) if spec.jitter_sigma else None,
             on_run_end=self._finish_fast_run,
-            enabled=(
-                bool(fast_kernel)
-                and policy in _RUN_POLICIES
-                and not self._trace.enabled
-                and not self._prof.enabled
-            ),
+            enabled=bool(fast_kernel) and policy in _RUN_POLICIES,
+            name=name,
+            tracer=self._trace,
+            profiler=self._prof,
         )
         # Under prefill_priority a run may start while requests wait
         # only if the queue order cannot change with time.
@@ -183,17 +179,18 @@ class ColocatedInstance:
     # ------------------------------------------------------------------
     @property
     def decode_iterations(self) -> int:
-        """Pure-decode iterations executed (or started, if failed)."""
-        return self._kernel.steps_executed
+        """Pure-decode iterations started, the one in flight included."""
+        return self._kernel.counters()[0]
 
     @property
     def busy_time(self) -> float:
-        """Virtual seconds spent executing iterations of every kind."""
-        return self._kernel.busy_time
+        """Virtual seconds of iterations of every kind (charged at start)."""
+        return self._kernel.counters()[1]
 
     @property
     def tokens_generated(self) -> int:
         """Output tokens generated by decoding steps on this replica."""
+        self._kernel.sync_to_now()
         return self._kernel.tokens_generated
 
     @property
@@ -204,13 +201,17 @@ class ColocatedInstance:
         """Token slots of the replica's KV pool when empty."""
         return self._kv.total_blocks * self._kv.block_size
 
+    def _live_kv(self) -> KVBlockManager:
+        """The KV pool with a macro run's growth brought up to date."""
+        self._kernel.sync_to_now()
+        return self._kv
+
     def instrument(self, registry: MetricsRegistry) -> None:
         """Register this replica's gauges/counters (callback-backed).
 
-        Gauges sample live state, which a macro run advances only in
-        bulk, so every step after the one in flight runs per iteration.
+        Counter and KV reads bring a macro run up to date first, so every
+        sample equals the per-step path's at the same event.
         """
-        self._kernel.fallback()
         labels = {"phase": "colocated", "instance": self.name}
         registry.gauge(
             "repro_queue_depth", "Requests waiting for a batch slot",
@@ -227,11 +228,11 @@ class ColocatedInstance:
         )
         registry.gauge(
             "repro_kv_blocks_used", "KV-cache blocks allocated",
-            labels=labels, fn=lambda: self._kv.used_blocks,
+            labels=labels, fn=lambda: self._live_kv().used_blocks,
         )
         registry.gauge(
             "repro_kv_blocks_free", "KV-cache blocks available",
-            labels=labels, fn=lambda: self._kv.free_blocks,
+            labels=labels, fn=lambda: self._live_kv().free_blocks,
         )
         for kind, fn in (
             ("prefill", lambda: self.prefill_iterations),
@@ -503,7 +504,7 @@ class ColocatedInstance:
                 state.record_token(self._sim.now)
                 self._trace.span(
                     state.request_id,
-                    SpanKind.DECODE_STEP,
+                    SpanKind.DECODE,
                     self._sim.now,
                     self._sim.now,
                     self.name,
@@ -533,7 +534,7 @@ class ColocatedInstance:
     ) -> None:
         if not self._alive:
             return  # the replica died mid-iteration; victims re-routed
-        step_tokens = self._advance_decodes(batch, step_start)
+        step_tokens = self._advance_decodes(batch)
         if self._prof.enabled:
             self._prof.record_exec(
                 self.name, "decode", step_start, self._sim.now,
@@ -552,9 +553,7 @@ class ColocatedInstance:
             state = kernel.pop_finished()
         self._run_iteration()
 
-    def _advance_decodes(
-        self, batch: "list[RequestState]", step_start: float = 0.0
-    ) -> int:
+    def _advance_decodes(self, batch: "list[RequestState]") -> int:
         """Per-step decode of ``batch``: one token each, KV grown first."""
         kernel = self._kernel
         running = kernel.active
@@ -571,16 +570,6 @@ class ColocatedInstance:
             kv.append(state.request_id)
             state.record_token(self._sim.now)
             step_tokens += 1
-            if self._trace.enabled:
-                self._trace.span(
-                    state.request_id,
-                    SpanKind.DECODE_STEP,
-                    step_start,
-                    self._sim.now,
-                    self.name,
-                    batch_size=len(batch),
-                    token_index=state.generated - 1,
-                )
             if state.is_finished:
                 finished.append(state)
         kernel.tokens_generated += step_tokens
@@ -723,14 +712,14 @@ class ColocatedInstance:
                 state.record_token(self._sim.now)
                 self._trace.span(
                     state.request_id,
-                    SpanKind.DECODE_STEP,
+                    SpanKind.DECODE,
                     self._sim.now,
                     self._sim.now,
                     self.name,
                     token_index=0,
                 )
             self._start_decoding(state)
-        step_tokens = self._advance_decodes(decode_batch, step_start)
+        step_tokens = self._advance_decodes(decode_batch)
         if self._prof.enabled:
             self._prof.record_exec(
                 self.name, "mixed", step_start, self._sim.now,

@@ -18,18 +18,18 @@ instance can afford because the prefill side buffers overflow (§4.3
 pull policy). KV therefore never grows during a step.
 
 **Fast-forward kernel (DESIGN §4h).** The active set lives in a
-:class:`~repro.simulator.kernel.DecodeKernel`. When per-step
-observability is off (tracer and profiler are the NULL objects, no
-metrics registry attached) and ``fast_kernel`` is enabled, the instance
-*macro-steps*: one heap event per run of steps whose batch membership
-the instance itself cannot change, instead of one per step. A
-submission landing mid-run truncates the run at the step boundary where
-the per-step path would admit the newcomer, and mid-run reads (the pull
-policy's :meth:`can_reserve`) first materialize every step the per-step
-path would have completed. Results are bit-identical either way. A
-batched request's ``generated`` and ``token_times`` lag while it sits in
-a run; they are written back when it leaves the batch, when the instance
-fails, and before :meth:`instrument` or any per-step step reads them.
+:class:`~repro.simulator.kernel.DecodeKernel`. When ``fast_kernel`` is
+enabled, the instance *macro-steps*: one heap event per run of steps
+whose batch membership the instance itself cannot change, instead of
+one per step. A submission landing mid-run truncates the run at the step
+boundary where the per-step path would admit the newcomer, and mid-run
+reads (the pull policy's :meth:`can_reserve`, counters and gauges) first
+materialize every step the per-step path would have completed. Results,
+spans, exec events and sampled metrics are bit-identical either way, so
+observers see the path the placement search runs. A batched request's
+``generated`` and ``token_times`` lag while it sits in a run; they are
+written back when it leaves the batch, when the instance fails, and
+before any per-step step reads them.
 """
 
 from __future__ import annotations
@@ -64,12 +64,13 @@ class DecodeInstance:
         on_request_done: Callback fired when a request's last token is
             generated.
         name: Identifier for reporting.
-        tracer: Optional lifecycle tracer receiving queue/step spans.
+        tracer: Optional lifecycle tracer receiving queue spans and one
+            ``decode`` span per stay in the running batch.
         profiler: Optional critical-path profiler receiving one exec
             event per decoding step.
-        fast_kernel: Allow macro-stepped runs when per-step observability
-            is off. Results are bit-identical either way; disabling
-            forces the one-event-per-step reference path.
+        fast_kernel: Allow macro-stepped runs. Results and observer
+            output are bit-identical either way; disabling forces the
+            one-event-per-step reference path.
         scheduling: Policy configuration (:mod:`repro.scheduling`); the
             queue policy orders the waiting deque before admission and
             the batch policy gates the ``max_batch_size`` cap. Defaults
@@ -109,10 +110,7 @@ class DecodeInstance:
         self._timer = DecodeStepTimer(
             spec.model, spec.config, self._coeffs, spec.tp_link, spec.pp_link
         )
-        # The active set, its counters, and macro runs. Runs are allowed
-        # only when nothing observes individual steps (tracing/profiling
-        # emit per-step artifacts; instrument() samples live state
-        # through gauges).
+        # The active set, its counters, and macro runs.
         self._kernel = DecodeKernel(
             sim,
             self._kv,
@@ -121,27 +119,27 @@ class DecodeInstance:
             kv_grows=False,
             jitter=spec.make_jitter(name) if spec.jitter_sigma else None,
             on_run_end=self._finish_fast_run,
-            enabled=(
-                bool(fast_kernel)
-                and not self._trace.enabled
-                and not self._prof.enabled
-            ),
+            enabled=bool(fast_kernel),
+            name=name,
+            tracer=self._trace,
+            profiler=self._prof,
         )
 
     # ------------------------------------------------------------------
     @property
     def steps_executed(self) -> int:
-        """Decode steps executed (or started, if the instance failed)."""
-        return self._kernel.steps_executed
+        """Decode steps started, the one in flight included."""
+        return self._kernel.counters()[0]
 
     @property
     def busy_time(self) -> float:
-        """Virtual seconds spent executing decode steps."""
-        return self._kernel.busy_time
+        """Virtual seconds of decode steps started (charged at start)."""
+        return self._kernel.counters()[1]
 
     @property
     def tokens_generated(self) -> int:
         """Output tokens generated by this instance."""
+        self._kernel.sync_to_now()
         return self._kernel.tokens_generated
 
     @property
@@ -155,8 +153,9 @@ class DecodeInstance:
 
     @property
     def active_tokens(self) -> int:
-        """Total context tokens of the active set, O(1) mid-run."""
-        return self._kernel.live_context_tokens()
+        """Total context tokens of the active set."""
+        self._kernel.sync_to_now()
+        return self._kernel.context_tokens
 
     def kv_capacity_tokens(self) -> int:
         return self._kv.total_blocks * self._kv.block_size
@@ -167,12 +166,9 @@ class DecodeInstance:
     def instrument(self, registry: MetricsRegistry) -> None:
         """Register this instance's gauges/counters (callback-backed).
 
-        Gauges sample live batch/KV/counter state, which a macro-stepped
-        run advances only in bulk — so instrumenting an instance routes
-        every step after the one in flight through the exact per-step
-        path. State a run left lagging is brought up to date first.
+        Counter reads bring a macro run up to date first, so every sample
+        equals the per-step path's at the same event.
         """
-        self._kernel.fallback()
         labels = {"phase": "decode", "instance": self.name}
         registry.gauge(
             "repro_queue_depth", "Requests waiting for a batch slot",
@@ -325,28 +321,16 @@ class DecodeInstance:
             return  # the instance died mid-step; victims re-routed
         kernel = self._kernel
         finished: "list[RequestState]" = []
-        step_tokens = 0
         for state in batch:
             state.record_token(self._sim.now)
-            step_tokens += 1
-            if self._trace.enabled:
-                self._trace.span(
-                    state.request_id,
-                    SpanKind.DECODE_STEP,
-                    step_start,
-                    self._sim.now,
-                    self.name,
-                    batch_size=len(batch),
-                    token_index=state.generated - 1,
-                )
             if state.is_finished:
                 finished.append(state)
-        kernel.tokens_generated += step_tokens
-        kernel.context_tokens += step_tokens
+        kernel.tokens_generated += len(batch)
+        kernel.context_tokens += len(batch)
         if self._prof.enabled:
             self._prof.record_exec(
                 self.name, "decode", step_start, self._sim.now,
-                len(batch), step_tokens,
+                len(batch), len(batch),
             )
         for state in finished:
             kernel.leave(state)

@@ -100,7 +100,10 @@ class Simulation:
 
         Equal-time events fire in scheduling order, so an event pending
         at ``mark`` fires before any event scheduled after it for the
-        same time. Code running outside :meth:`run` counts as pending.
+        same time. Code running before the first event counts as
+        pending; after :meth:`run` stopped at ``until``, every event
+        through ``until`` has fired, so code running then counts as
+        scheduled after all of them.
         """
         return self._firing <= mark
 
@@ -143,6 +146,7 @@ class Simulation:
             time = heap[0][0]
             if until is not None and time > until:
                 self._now = until
+                self._firing = self._counter + 1
                 return
             _, seq, callback = heappop(heap)
             self._now = time

@@ -35,7 +35,16 @@ one-micro-batch context is the incrementally kept running total. A
 batched request's ``generated`` and ``token_times`` therefore lag: they
 are written back once per stay, from a per-kernel step-time history,
 when the request leaves the batch or the instance fails, and before any
-per-step step or observer reads them.
+per-step step reads them.
+
+Observers see the same events on either path, because the kernel emits
+them for both. A tracer gets one ``decode`` span per request per stay in
+the batch, from the join to the stay's last token, when the request
+leaves it (:meth:`leave`, :meth:`clear`); a profiler gets one exec event
+per decode step, recorded as run steps materialize. Counter reads go
+through :meth:`counters`, which materializes completed steps and charges
+the step in flight, so gauges sampled mid-run read what the per-step
+path would show.
 """
 
 from __future__ import annotations
@@ -49,7 +58,9 @@ from typing import Callable, Deque
 
 from .events import Simulation
 from .kvcache import KVBlockManager
+from .profiler import Profiler
 from .request import RequestState
+from .tracing import SpanKind, Tracer
 
 __all__ = ["DecodeKernel"]
 
@@ -75,10 +86,14 @@ class DecodeKernel:
             :meth:`end_run`.
         enabled: Macro runs allowed (the fast kernel); when False the
             owner only uses the per-step bookkeeping.
+        name: The owning instance's name, for spans and exec events.
+        tracer: Receives one ``decode`` span per stay in the batch.
+        profiler: Receives one exec event per materialized run step.
 
-    The owner reads and updates the public counters; ``busy_time`` is the
-    instance's whole busy time, so every iteration kind accumulates into
-    one float in event order.
+    The owner updates the public counters from its per-step path and
+    reads them through :meth:`counters`; ``busy_time`` is the instance's
+    whole busy time, so every iteration kind accumulates into one float
+    in event order.
     """
 
     def __init__(
@@ -91,6 +106,9 @@ class DecodeKernel:
         jitter: "Callable[[], float] | None",
         on_run_end: "Callable[[int], None]",
         enabled: bool,
+        name: str,
+        tracer: Tracer,
+        profiler: Profiler,
     ) -> None:
         self._sim = sim
         self._kv = kv
@@ -100,6 +118,9 @@ class DecodeKernel:
         self._jitter = jitter
         self._on_run_end = on_run_end
         self.enabled = enabled
+        self._name = name
+        self._trace = tracer
+        self._prof = profiler
         #: Running batch in join order, each request mapped to its mark.
         #: Marks ascend in join order, so the first is the oldest.
         self.active: "dict[RequestState, int]" = {}
@@ -119,6 +140,7 @@ class DecodeKernel:
         self._durations: "list[float]" = []
         self._jitters: "list[float]" = []
         self._cursor = 0
+        self._run_start = 0.0
         self._generation = 0
         # Simulation watermark taken when the run was planned (see
         # _steps_done for what it decides at an exact time tie).
@@ -132,6 +154,9 @@ class DecodeKernel:
         # requests that left the batch or re-joined are skipped.
         self._heap: "list[tuple[int, int, RequestState]]" = []
         self._joins = 0
+        # Join time and token count of each batched request's stay, kept
+        # while a tracer is attached (the start of its decode span).
+        self._stays: "dict[RequestState, tuple[float, int]]" = {}
 
     # ------------------------------------------------------------------
     # Batch membership and per-step bookkeeping
@@ -148,6 +173,8 @@ class DecodeKernel:
         """Add ``state`` (token fields current) to the running batch."""
         self.active[state] = self._steps
         self.context_tokens += state.context_len
+        if self._trace.enabled:
+            self._stays[state] = (self._sim.now, state.generated)
         if self.enabled:
             self._joins += 1
             heapq.heappush(
@@ -158,6 +185,17 @@ class DecodeKernel:
         """Remove ``state`` from the batch, its token fields written back."""
         self._write_back(state, self.active.pop(state))
         self.context_tokens -= state.context_len
+        if self._trace.enabled:
+            self._end_stay(state)
+
+    def _end_stay(self, state: RequestState) -> None:
+        """Emit the ``decode`` span of a stay that made tokens."""
+        start, generated = self._stays.pop(state)
+        if state.generated > generated:
+            self._trace.span(
+                state.request_id, SpanKind.DECODE, start, state.token_times[-1],
+                self._name, token_index=state.generated - 1,
+            )
 
     def write_back_all(self) -> None:
         """Bring every batched request's token fields up to date."""
@@ -259,7 +297,7 @@ class DecodeKernel:
         boundaries: "list[float]" = []
         durations: "list[float]" = []
         jitters: "list[float]" = []
-        t = self._sim.now
+        t = start = self._sim.now
         if self._jitter is None:
             # base * 1.0 is bitwise base; no stream position to advance,
             # so nothing to refund on truncation either.
@@ -284,6 +322,7 @@ class DecodeKernel:
         self._durations = durations
         self._jitters = jitters
         self._cursor = 0
+        self._run_start = start
         self._run_mark = self._sim.mark()
         assert t >= self._sim.now
         self._sim.schedule_at(t, partial(self._on_run_end, self._generation))
@@ -306,12 +345,11 @@ class DecodeKernel:
     def truncate(self) -> None:
         """End the in-flight run at the step in flight.
 
-        Called when something joins the batch (or observes it) at the
-        next step boundary, where the per-step path would first see it.
-        Keeps boundaries through the first step not yet done
-        (:meth:`_steps_done`), refunds the dropped steps' jitter draws,
-        and re-aims the run-end event (the stale one is voided by the
-        generation bump).
+        Called when something joins the batch at the next step boundary,
+        where the per-step path would first see it. Keeps boundaries
+        through the first step not yet done (:meth:`_steps_done`),
+        refunds the dropped steps' jitter draws, and re-aims the run-end
+        event (the stale one is voided by the generation bump).
         """
         boundaries = self._boundaries
         if self._cursor >= len(boundaries):
@@ -334,7 +372,8 @@ class DecodeKernel:
         Counters accumulate per step in boundary order (preserving the
         per-step path's float-addition sequence); the step times join
         the history the batch's token fields are written back from, and
-        KV growth is one bulk append per request.
+        KV growth is one bulk append per request. A profiler gets the
+        exec event the per-step path records at each step's end.
         """
         cursor = self._cursor
         if upto <= cursor:
@@ -345,12 +384,19 @@ class DecodeKernel:
             busy += duration
         self.busy_time = busy
         self.steps_executed += count
-        self._history.extend(self._boundaries[cursor:upto])
+        boundaries = self._boundaries
+        self._history.extend(boundaries[cursor:upto])
         if self._kv_grows:
             kv = self._kv
             for state in self.active:
                 kv.append(state.request_id, count)
         batch = len(self.active)
+        if self._prof.enabled:
+            record_exec = self._prof.record_exec
+            start = boundaries[cursor - 1] if cursor else self._run_start
+            for end in boundaries[cursor:upto]:
+                record_exec(self._name, "decode", start, end, batch, batch)
+                start = end
         self.tokens_generated += count * batch
         self.context_tokens += count * batch
         self._steps += count
@@ -361,16 +407,20 @@ class DecodeKernel:
         if self._cursor < len(self._boundaries):
             self._materialize(self._steps_done())
 
-    def live_context_tokens(self) -> int:
-        """Total batch context as of now, without materializing a run.
+    def counters(self) -> "tuple[int, float]":
+        """``(steps_executed, busy_time)`` as the per-step path has them now.
 
-        Completed but unmaterialized steps times the batch size bridge
-        the gap, so mid-run readers touch no per-request state.
+        Materializes every completed run step (so ``tokens_generated``,
+        ``context_tokens`` and KV are current too) and charges the step
+        in flight, which the per-step path charges when the step starts.
         """
-        extra = 0
+        self.sync_to_now()
         if self._cursor < len(self._boundaries):
-            extra = (self._steps_done() - self._cursor) * len(self.active)
-        return self.context_tokens + extra
+            return (
+                self.steps_executed + 1,
+                self.busy_time + self._durations[self._cursor],
+            )
+        return self.steps_executed, self.busy_time
 
     def end_run(self, generation: int) -> bool:
         """Materialize a run whose last boundary fired.
@@ -422,20 +472,8 @@ class DecodeKernel:
             self._history_base = oldest
 
     # ------------------------------------------------------------------
-    # Leaving the fast path
+    # Instance failure
     # ------------------------------------------------------------------
-    def fallback(self) -> None:
-        """Switch to per-step stepping from the step in flight on.
-
-        Brings counters, KV and token fields up to date and ends the
-        in-flight run at its current step, so every later step is an
-        individual event that observers can see.
-        """
-        self.sync_to_now()
-        self.write_back_all()
-        self.truncate()
-        self.enabled = False
-
     def abort(self) -> None:
         """Cancel the in-flight run because the instance failed.
 
@@ -443,11 +481,7 @@ class DecodeKernel:
         (the per-step path charges counters when a step starts), then
         writes every batched request's tokens back.
         """
-        if self._cursor < len(self._boundaries):
-            self.sync_to_now()
-            if self._cursor < len(self._boundaries):
-                self.steps_executed += 1
-                self.busy_time += self._durations[self._cursor]
+        self.steps_executed, self.busy_time = self.counters()
         self.write_back_all()
         self._generation += 1
         self._boundaries = []
@@ -456,7 +490,13 @@ class DecodeKernel:
         self._cursor = 0
 
     def clear(self) -> None:
-        """Empty the batch (after :meth:`abort`, once victims are taken)."""
+        """Empty the batch (after :meth:`abort`, once victims are taken).
+
+        Each batched request's stay ends here, as in :meth:`leave`.
+        """
+        if self._trace.enabled:
+            for state in self.active:
+                self._end_stay(state)
         self.active.clear()
         self._heap.clear()
         self._history.clear()

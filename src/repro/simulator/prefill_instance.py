@@ -118,8 +118,6 @@ class PrefillInstance:
         self._jitter = spec.make_jitter(name)
         self._trace = tracer if tracer is not None else NULL_TRACER
         self._prof = profiler if profiler is not None else NULL_PROFILER
-        # Memoized batch latency needs no observability gate: it defers
-        # no state, so spans/profiler events are unchanged either way.
         self._fast = bool(fast_kernel)
         self._timer = PrefillBatchTimer(
             spec.model, spec.config, self._coeffs, spec.tp_link, spec.pp_link
@@ -348,7 +346,7 @@ class PrefillInstance:
                     state.record_token(self._sim.now)  # the first output token
                     self._trace.span(
                         state.request_id,
-                        SpanKind.DECODE_STEP,
+                        SpanKind.DECODE,
                         self._sim.now,
                         self._sim.now,
                         self.name,

@@ -2,7 +2,7 @@
 
 §3.1 and Figure 10 argue about *where time goes per request* — prefill
 queueing, prefill execution, KV-cache transfer, decode queueing,
-per-token decoding. The aggregate :class:`~repro.simulator.request.RequestRecord`
+decoding. The aggregate :class:`~repro.simulator.request.RequestRecord`
 compresses that story into five scalars; this module keeps the full
 timeline. A :class:`Tracer` collects typed :class:`Span` objects emitted
 by the instances and serving systems as the simulation runs, yielding a
@@ -10,16 +10,24 @@ deterministic, replayable artifact:
 
 * **Golden traces** — a fixed-seed run serializes to byte-identical
   JSON-lines, so a checked-in fixture pins simulator behavior.
-* **Breakdowns from ground truth** — :mod:`repro.analysis.breakdown`
+* **Breakdowns from ground truth** — :mod:`repro.analysis.critpath`
   derives Figure 10's stage proportions from real spans rather than
   reconstructed timestamps.
 * **Timeline visualisation** — the Chrome ``trace_event`` exporter
   produces files viewable in Perfetto / ``chrome://tracing``, one row
   per request.
 
+Decoding is traced per stay, not per token: a request gets one
+``decode`` span for each stay in a running batch, from its join to the
+stay's last token (``token_index`` is that token's index), emitted by
+the :class:`~repro.simulator.kernel.DecodeKernel` on the fast and the
+per-step path alike. The prefill-produced token 0 is a zero-width
+``decode`` span at prefill completion.
+
 Tracing is opt-in and zero-cost when disabled: components hold the
 shared :data:`NULL_TRACER` singleton (every method a no-op) unless an
 enabled tracer is injected, and hot paths guard on ``tracer.enabled``.
+Attaching one does not change which code runs.
 """
 
 from __future__ import annotations
@@ -51,7 +59,7 @@ class SpanKind:
     PREFILL_EXEC = "prefill_exec"
     KV_TRANSFER = "kv_transfer"
     DECODE_QUEUE = "decode_queue"
-    DECODE_STEP = "decode_step"
+    DECODE = "decode"
     COMPLETION = "completion"
     PREEMPTED = "preempted"
     REJECTED = "rejected"
@@ -63,7 +71,7 @@ class SpanKind:
             PREFILL_EXEC,
             KV_TRANSFER,
             DECODE_QUEUE,
-            DECODE_STEP,
+            DECODE,
             COMPLETION,
             PREEMPTED,
             REJECTED,
@@ -85,8 +93,9 @@ class Span:
         end: Virtual-time end (== ``start`` for instants).
         instance: Name of the instance (or link endpoints) involved.
         batch_size: Size of the batch this work ran in (0 if N/A).
-        token_index: Output-token ordinal for ``decode_step`` spans
-            (0 is the prefill-produced first token); -1 otherwise.
+        token_index: For ``decode`` spans, the ordinal of the last output
+            token the span covers (0 is the prefill-produced first
+            token); -1 otherwise.
     """
 
     request_id: int
@@ -229,8 +238,8 @@ class NullTracer(Tracer):
     """The disabled tracer: every method is a no-op, every query empty.
 
     Components default to the shared :data:`NULL_TRACER` so span
-    emission costs one attribute load and a no-op call — and the
-    per-token hot path skips even that by guarding on ``enabled``.
+    emission costs one attribute load and a no-op call — and the decode
+    kernel skips even that by guarding on ``enabled``.
     """
 
     enabled = False

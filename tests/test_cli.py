@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.analysis.critpath import PROFILE_SCHEMA
 from repro.cli import (
     EXIT_FINDINGS,
     EXIT_OK,
@@ -145,7 +146,7 @@ class TestCommands:
         doc = json.loads(out.read_text())
         assert doc["traceEvents"]
         names = {e["name"] for e in doc["traceEvents"]}
-        assert {"prefill_exec", "kv_transfer", "decode_step"} <= names
+        assert {"prefill_exec", "kv_transfer", "decode"} <= names
         lines = jsonl.read_text().strip().split("\n")
         assert all(json.loads(line)["kind"] for line in lines)
 
@@ -244,7 +245,7 @@ class TestProfileCommand:
              "--json-out", str(json_out), "--html-out", str(html_out)]
         ) == EXIT_OK
         report = json.loads(json_out.read_text())
-        assert report["schema"] == "repro-profile/1"
+        assert report["schema"] == "repro-profile/2"
         assert capsys.readouterr().out.strip() == json_out.read_text().strip()
         assert html_out.read_text().startswith("<!DOCTYPE html>")
 
@@ -287,12 +288,21 @@ class TestProfileCommand:
             ["profile", "--diff", str(missing), str(ok)]
         ) == EXIT_USAGE
 
-    def test_profile_diff_rejects_non_profile_json(self, tmp_path):
+    @pytest.mark.parametrize("report", [
+        {"schema": "something-else"},
+        [],
+        PROFILE_SCHEMA,
+        {"schema": PROFILE_SCHEMA, "per_request": 5, "meta": {}},
+    ], ids=["wrong-schema", "list", "string", "malformed-profile"])
+    def test_profile_diff_rejects_non_profile_json(self, capsys, tmp_path, report):
         bogus = tmp_path / "bogus.json"
-        bogus.write_text('{"schema": "something-else"}')
+        bogus.write_text(json.dumps(report))
         assert main(
             ["profile", "--diff", str(bogus), str(bogus)]
         ) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("repro profile: bad report: ")
+        assert err.count("\n") == 1  # one line, no traceback
 
 
 class TestExitCodeSemantics:

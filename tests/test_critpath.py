@@ -72,16 +72,15 @@ def _hand_spans():
         Span(1, SpanKind.ARRIVAL, 0.0, 0.0),
         Span(1, SpanKind.PREFILL_QUEUE, 0.1, 0.3, instance="prefill-0"),
         Span(1, SpanKind.PREFILL_EXEC, 0.3, 0.8, instance="prefill-0"),
-        Span(1, SpanKind.DECODE_STEP, 0.8, 0.8, token_index=0),
+        Span(1, SpanKind.DECODE, 0.8, 0.8, token_index=0),
         Span(1, SpanKind.KV_TRANSFER, 0.8, 1.0, instance="prefill-0->decode-0"),
         Span(1, SpanKind.DECODE_QUEUE, 1.0, 1.1, instance="decode-0"),
-        Span(1, SpanKind.DECODE_STEP, 1.2, 1.3, instance="decode-0", token_index=1),
-        Span(1, SpanKind.DECODE_STEP, 1.4, 1.5, instance="decode-0", token_index=2),
+        Span(1, SpanKind.DECODE, 1.1, 1.5, instance="decode-0", token_index=2),
         Span(1, SpanKind.COMPLETION, 1.5, 1.5),
     ]
 
 
-def build_golden_profile():
+def build_golden_profile(fast_kernel=True):
     """Run the pinned scenario and build its profile report."""
     sim = Simulation()
     tracer = Tracer()
@@ -89,7 +88,7 @@ def build_golden_profile():
     spec = InstanceSpec(model=MODEL)
     system = DisaggregatedSystem(
         sim, spec, spec, num_prefill=2, num_decode=2,
-        tracer=tracer, profiler=profiler,
+        tracer=tracer, profiler=profiler, fast_kernel=fast_kernel,
     )
     trace = generate_trace(
         get_dataset(DATASET), rate=RATE, num_requests=NUM_REQUESTS,
@@ -142,7 +141,7 @@ class TestCriticalPaths:
         assert path.decode_exec == pytest.approx(0.4)
         assert path.first_token_time == pytest.approx(0.8)
         assert path.ttft == pytest.approx(0.8)
-        assert path.token_gaps == pytest.approx((0.5, 0.2))
+        assert path.num_tokens == 3
         assert path.tpot == pytest.approx(0.35)
 
     def test_reconciliation_is_exact(self):
@@ -181,7 +180,7 @@ class TestCriticalPaths:
             spans.extend(
                 [
                     Span(rid, SpanKind.ARRIVAL, 0.0, 0.0),
-                    Span(rid, SpanKind.DECODE_STEP, 0.5, 0.5, token_index=0),
+                    Span(rid, SpanKind.DECODE, 0.5, 0.5, token_index=0),
                     Span(rid, SpanKind.COMPLETION, 1.0, 1.0),
                 ]
             )
@@ -238,7 +237,7 @@ class TestReconciliationProperty:
 class TestBuildProfile:
     def test_report_shape_and_phase_fractions(self):
         report = build_golden_profile()
-        assert report["schema"] == "repro-profile/1"
+        assert report["schema"] == "repro-profile/2"
         assert report["summary"]["completed"] == NUM_REQUESTS
         assert set(report["phases"]) == set(PHASES)
         fractions = math.fsum(
@@ -310,6 +309,12 @@ class TestGoldenProfile:
         )
 
 
+    def test_reference_path_matches_fixture(self):
+        """Observers ride the fast kernel: the per-step path agrees."""
+        actual = profile_to_json(build_golden_profile(fast_kernel=False))
+        assert actual.encode("utf-8") == GOLDEN_PROFILE.read_bytes()
+
+
 class TestDiffProfiles:
     def _two_mode_reports(self):
         reports = {}
@@ -356,8 +361,11 @@ class TestDiffProfiles:
 
     def test_rejects_wrong_schema(self):
         report = build_golden_profile()
-        with pytest.raises(ValueError, match="repro-profile/1"):
+        with pytest.raises(ValueError, match="repro-profile/2"):
             diff_profiles({"schema": "bogus"}, report)
+        for not_an_object in ([report], "repro-profile/2"):
+            with pytest.raises(ValueError, match="object"):
+                diff_profiles(report, not_an_object)
         diff = diff_profiles(report, report)
         with pytest.raises(ValueError):
             diff_profiles(diff, report)  # a diff is not a profile

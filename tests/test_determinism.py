@@ -36,8 +36,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro import quickserve
 from repro.analysis import (
+    critical_paths,
     latency_breakdown,
-    latency_breakdown_from_spans,
     latency_summary,
     registry_snapshot,
     slo_attainment,
@@ -271,7 +271,7 @@ def _reports(records, spans):
         latency_summary(records),
         ttft_percentile(records, 90.0), tpot_percentile(records, 99.0),
         latency_breakdown(records),
-        latency_breakdown_from_spans(spans),
+        critical_paths(spans),
         slo_attainment(records, slo, num_expected=len(records) + 3),
         monitor.violations,
     ))

@@ -126,6 +126,16 @@ class TestRunEdgeCases:
         sim.run(until=3.0)
         assert log == ["first", "chained"]
 
+    def test_code_after_until_cutoff_follows_every_fired_event(self):
+        # Every event through `until` fired, those scheduled last too, so
+        # code running after the cutoff sorts after all of them.
+        sim = Simulation()
+        sim.schedule(1.0, lambda: None)
+        sim.schedule(5.0, lambda: None)
+        mark = sim.mark()
+        sim.run(until=2.0)
+        assert not sim.was_pending_at(mark)
+
     def test_empty_heap_advances_clock_to_until(self):
         sim = Simulation()
         sim.run(until=7.5)

@@ -30,8 +30,8 @@ GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 GOLDEN_FILE = GOLDEN_DIR / "disaggregated_seed0.jsonl"
 
 #: Pinned scenario — keep in lockstep with the fixture. humaneval's
-#: short outputs keep the per-token span count (and fixture size) small
-#: while still exercising queueing, batching, transfer, and decode.
+#: short outputs keep the run (and fixture) small while still
+#: exercising queueing, batching, transfer, and decode.
 SEED = 0
 NUM_REQUESTS = 12
 RATE = 4.0
@@ -46,7 +46,7 @@ MODEL = ModelArchitecture(
 )
 
 
-def build_golden_spans(sanitizer=None):
+def build_golden_spans(sanitizer=None, fast_kernel=True):
     """Run the pinned scenario and return its span timeline.
 
     Pass a :class:`repro.simulator.SimSanitizer` to run the scenario
@@ -57,7 +57,8 @@ def build_golden_spans(sanitizer=None):
     tracer = Tracer()
     spec = InstanceSpec(model=MODEL)
     system = DisaggregatedSystem(
-        sim, spec, spec, num_prefill=2, num_decode=2, tracer=tracer
+        sim, spec, spec, num_prefill=2, num_decode=2, tracer=tracer,
+        fast_kernel=fast_kernel,
     )
     if sanitizer is not None:
         sanitizer.watch_system(system)
@@ -88,6 +89,11 @@ class TestGoldenTrace:
             "with `PYTHONPATH=src python -m tests.test_golden_trace --regen` "
             "and commit the fixture diff."
         )
+
+    def test_reference_path_matches_fixture(self):
+        """A traced run takes the fast kernel; the per-step path agrees."""
+        actual = to_jsonl(build_golden_spans(fast_kernel=False)).encode("utf-8")
+        assert actual == GOLDEN_FILE.read_bytes()
 
     def test_two_runs_identical(self):
         assert to_jsonl(build_golden_spans()) == to_jsonl(build_golden_spans())

@@ -569,23 +569,30 @@ class TestRunLength:
 
 
 # ----------------------------------------------------------------------
-# Observability forces the exact per-step path.
+# Only the flag and the iteration policy pick the per-step path; an
+# observer never does.
 # ----------------------------------------------------------------------
-class TestObservabilityFallback:
-    def test_tracer_disables_fast_path(self, tiny_spec):
-        sim = Simulation()
-        tracer = Tracer()
-        inst = DecodeInstance(
-            sim, tiny_spec, lambda s: None, tracer=tracer, fast_kernel=True
-        )
-        assert not inst._kernel.enabled
+def _metric_values(registry):
+    return [
+        (family.name, labels, child.value)
+        for family in registry.families()
+        for labels, child in family.children.items()
+    ]
 
-    def test_instrument_disables_fast_path(self, tiny_spec):
-        sim = Simulation()
-        inst = DecodeInstance(sim, tiny_spec, lambda s: None, fast_kernel=True)
+
+class TestObservabilityFallback:
+    def test_tracer_keeps_fast_path(self, tiny_spec):
+        inst = DecodeInstance(
+            Simulation(), tiny_spec, lambda s: None, tracer=Tracer(),
+            profiler=Profiler(), fast_kernel=True,
+        )
         assert inst._kernel.enabled
+
+    def test_instrument_keeps_fast_path(self, tiny_spec):
+        inst = DecodeInstance(Simulation(), tiny_spec, lambda s: None,
+                              fast_kernel=True)
         inst.instrument(MetricsRegistry())
-        assert not inst._kernel.enabled
+        assert inst._kernel.enabled
 
     def test_flag_off_disables_fast_path(self, tiny_spec):
         sim = Simulation()
@@ -593,10 +600,10 @@ class TestObservabilityFallback:
         assert not inst._kernel.enabled
 
     @pytest.mark.parametrize("observer", ["tracer", "profiler"])
-    def test_colocated_observers_disable_runs(self, tiny_spec, observer):
+    def test_colocated_observers_keep_runs(self, tiny_spec, observer):
         kwargs = {observer: Tracer() if observer == "tracer" else Profiler()}
         inst = ColocatedInstance(Simulation(), tiny_spec, lambda s: None, **kwargs)
-        assert not inst._kernel.enabled
+        assert inst._kernel.enabled
 
     @pytest.mark.parametrize("policy", ["combined", "chunked"])
     def test_mixed_policies_step_per_iteration(self, tiny_spec, policy):
@@ -604,17 +611,17 @@ class TestObservabilityFallback:
                                  policy=policy)
         assert not inst._kernel.enabled
 
-    def test_colocated_instrument_mid_run_falls_back(self, tiny_spec):
-        """instrument() mid-run writes tokens back and steps per iteration.
+    def test_colocated_instrument_mid_run_matches_reference(self, tiny_spec):
+        """instrument() mid-run: every metric equals the per-step path's.
 
-        Gauges sample live state, so from the fallback on, token fields
-        and KV blocks must match the reference path at every event, and
-        so must the iteration counters once the step in flight ends (the
-        per-step path charged that step when it started).
+        Reads bring the run up to date and charge the iteration in
+        flight, so the samples agree at every probe, the first included,
+        and the run goes on as a macro event.
         """
         first, boundaries = _colocated_alone(tiny_spec)
         probes = [(boundaries[5] + boundaries[6]) / 2, boundaries[9],
                   (boundaries[20] + boundaries[21]) / 2]
+        kv_labels = {"phase": "colocated", "instance": "colocated-0"}
         results = {}
         for fast in (True, False):
             sim = Simulation()
@@ -623,25 +630,81 @@ class TestObservabilityFallback:
             )
             state = RequestState(request=first)
             inst.submit(state)
+            registry = MetricsRegistry()
             seen = []
 
             def probe():
-                counters = (inst.decode_iterations, inst.busy_time)
                 if not seen:
-                    inst.instrument(MetricsRegistry())
-                    counters = ()
-                seen.append((
-                    state.generated, tuple(state.token_times),
-                    inst.tokens_generated, inst._kv.used_blocks, counters,
-                ))
+                    inst.instrument(registry)
+                # KV first: no other read has brought the run up to date.
+                kv = registry.get("repro_kv_blocks_used", kv_labels).value
+                seen.append((kv, _metric_values(registry)))
 
             for at in probes:
                 sim.schedule_at(at, probe)
             sim.run()
-            results[fast] = (seen, tuple(state.token_times), inst.busy_time)
-            assert not inst._kernel.enabled
-        assert results[True] == results[False]
-        assert results[True][0][0][0] == 6  # fields current at the fallback
+            results[fast] = (seen, tuple(state.token_times), inst.busy_time,
+                             sim.events_processed)
+            assert inst._kernel.enabled == fast
+        assert results[True][:3] == results[False][:3]
+        first_probe = dict(
+            ((name, labels), value) for name, labels, value in results[True][0][0][1]
+        )
+        labels = ("colocated-0", "decode", "colocated")  # instance, kind, phase
+        assert first_probe[("repro_iterations_total", labels)] == 6  # in flight
+        assert results[True][3] < results[False][3]  # still macro runs
+
+
+class TestCutoffCounters:
+    """Counters read after a ``max_sim_time`` cutoff, a run in flight."""
+
+    @staticmethod
+    def _system(mode, spec, fast, profiler=None):
+        if mode == "disaggregated":
+            return DisaggregatedSystem(
+                Simulation(), spec, spec, num_prefill=2, num_decode=2,
+                fast_kernel=fast, profiler=profiler,
+            )
+        return ColocatedSystem(Simulation(), spec, num_replicas=2,
+                               fast_kernel=fast, profiler=profiler)
+
+    @staticmethod
+    def _counters(system):
+        if isinstance(system, DisaggregatedSystem):
+            return [(i.steps_executed, i.tokens_generated, i.busy_time,
+                     i.active_tokens) for i in system.decode_instances]
+        return [(i.decode_iterations, i.tokens_generated, i.busy_time)
+                for i in system.instances]
+
+    def _check(self, mode, spec, trace, cutoffs):
+        for cutoff in cutoffs:
+            results = {}
+            for fast in (True, False):
+                system = self._system(mode, spec, fast)
+                simulate_trace(system, trace, max_sim_time=cutoff)
+                results[fast] = self._counters(system)
+            assert results[True] == results[False], cutoff
+
+    @pytest.mark.parametrize("mode", ["disaggregated", "colocated"])
+    def test_counters_match_reference_at_cutoffs(self, opt13b, mode):
+        trace = generate_trace(
+            get_dataset("sharegpt"), rate=4.0, num_requests=200,
+            rng=np.random.default_rng(3),
+        )
+        self._check(mode, InstanceSpec(model=opt13b), trace, (5.0, 20.0, 37.3))
+
+    @pytest.mark.parametrize("mode", ["disaggregated", "colocated"])
+    def test_cutoff_exactly_on_a_step_boundary(self, opt13b, mode):
+        """At a cutoff equal to a step's end, that step is done."""
+        trace = generate_trace(
+            get_dataset("sharegpt"), rate=4.0, num_requests=60,
+            rng=np.random.default_rng(3),
+        )
+        spec = InstanceSpec(model=opt13b)
+        profiler = Profiler()
+        simulate_trace(self._system(mode, spec, False, profiler), trace)
+        ends = [e[3] for e in profiler.exec_events if e[1] == "decode"]
+        self._check(mode, spec, trace, ends[10::len(ends) // 8])
 
 
 # ----------------------------------------------------------------------

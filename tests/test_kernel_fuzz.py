@@ -13,6 +13,12 @@ dispatch policy for the disaggregated system; queue and dispatch policy,
 every iteration policy, and one or two replicas with an optional mid-run
 ``fail_replica()`` for the colocated one. The randomized dispatch
 policies draw from separate generators seeded alike in the two runs.
+
+With ``observed`` set, both runs also carry a tracer, a profiler,
+``instrument(registry)`` and a :class:`TelemetryRecorder` sampling every
+non-histogram metric; they must then agree bitwise on the span stream,
+each instance's exec-event sequence and every sampled series as well
+(and, for the serving systems, on the ``build_profile`` JSON).
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import build_profile, profile_to_json
 from repro.hardware import ETHERNET_25G
 from repro.latency import ParallelismConfig
 from repro.models import ModelArchitecture
@@ -33,9 +40,17 @@ from repro.scheduling import (
     SchedulingConfig,
 )
 from repro.serving import ColocatedSystem, DisaggregatedSystem, simulate_trace
-from repro.simulator import InstanceSpec, SimSanitizer
+from repro.simulator import (
+    InstanceSpec,
+    MetricsRegistry,
+    Profiler,
+    SimSanitizer,
+    TelemetryRecorder,
+    Tracer,
+)
 from repro.simulator.colocated_instance import POLICIES, ColocatedInstance
 from repro.simulator.decode_instance import DecodeInstance
+from repro.simulator.metrics import Histogram
 from repro.simulator.request import Request, RequestPhase, RequestState
 from tests.test_kernel import _small_gpu
 
@@ -112,15 +127,63 @@ def _counters(inst: DecodeInstance) -> tuple:
     return (inst.steps_executed, inst.tokens_generated, inst.busy_time)
 
 
-def _drive_decode(trace, spec, policy, fail_at, fast):
+#: Telemetry cadence of observed runs, well below one decode step.
+SAMPLE_INTERVAL = 0.003
+
+
+def _observers(observed: bool) -> "dict":
+    """Constructor keywords: a fresh tracer and profiler, or none."""
+    return {"tracer": Tracer(), "profiler": Profiler()} if observed else {}
+
+
+def _record_metrics(sim, target, trace) -> TelemetryRecorder:
+    """``target.instrument()`` and sample every non-histogram metric."""
+    registry = MetricsRegistry()
+    target.instrument(registry)
+    recorder = TelemetryRecorder(sim, interval=SAMPLE_INTERVAL)
+    for family in registry.families():
+        for labels, child in family.children.items():
+            if not isinstance(child, Histogram):
+                recorder.register(f"{family.name}{labels}",
+                                  lambda child=child: child.value)
+    recorder.start(until=trace[-1].arrival_time + 0.5)
+    return recorder
+
+
+def _observations(observers, recorder) -> tuple:
+    """Spans, per-instance exec events and every sampled series."""
+    if not observers:
+        return ()
+    exec_events: "dict[str, list[tuple]]" = {}
+    for event in observers["profiler"].exec_events:
+        exec_events.setdefault(event[0], []).append(event)
+    series = {}
+    for name in recorder.names():
+        sampled = recorder.series(name)
+        series[name] = (sampled.times, sampled.values)
+    return observers["tracer"].spans, exec_events, series
+
+
+def _profile(observers, result) -> str:
+    if not observers:
+        return ""
+    return profile_to_json(build_profile(
+        observers["tracer"].spans, profiler=observers["profiler"],
+        sim_time=result.sim_time,
+    ))
+
+
+def _drive_decode(trace, spec, policy, fail_at, fast, observed=False):
     """Feed ``trace`` to one decode instance as if prefill had just run."""
     sanitizer = SimSanitizer(strict=True)
     sim = sanitizer.simulation()
     done: "list[int]" = []
+    observers = _observers(observed)
     inst = DecodeInstance(
         sim, spec, lambda s: done.append(s.request_id), fast_kernel=fast,
-        scheduling=SchedulingConfig(queue_policy=policy),
+        scheduling=SchedulingConfig(queue_policy=policy), **observers,
     )
+    recorder = _record_metrics(sim, inst, trace) if observed else None
     sanitizer.watch_kv(inst._kv, owner=inst.name)
     states = []
     for request in trace:
@@ -141,7 +204,8 @@ def _drive_decode(trace, spec, policy, fail_at, fast):
         sim.schedule_at(fail_at, inst.fail)
     sim.run()
     sanitizer.check_quiesce()
-    return done, _timeline(states), _counters(inst)
+    return (done, _timeline(states), _counters(inst),
+            _observations(observers, recorder))
 
 
 class _Recording:
@@ -177,15 +241,19 @@ TRIPLES = st.builds(
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 
-def _run_disaggregated(trace, num_prefill, mode, jitter, scheduling, seed, fast):
+def _run_disaggregated(trace, num_prefill, mode, jitter, scheduling, seed,
+                       observed, fast):
     sanitizer = SimSanitizer(strict=True)
+    sim = sanitizer.simulation()
+    observers = _observers(observed)
     system = _RecordingSystem(
-        sanitizer.simulation(), _spec(1, 0.0), _spec(1, jitter),
+        sim, _spec(1, 0.0), _spec(1, jitter),
         num_prefill=num_prefill, num_decode=2, transfer_link=ETHERNET_25G,
         transfer_mode=mode, fast_kernel=fast, scheduling=scheduling,
-        rng=np.random.default_rng(seed),
+        rng=np.random.default_rng(seed), **observers,
     )
     sanitizer.watch_system(system)
+    recorder = _record_metrics(sim, system, trace) if observed else None
     result = simulate_trace(system, trace)
     sanitizer.check_quiesce()
     return (
@@ -193,6 +261,8 @@ def _run_disaggregated(trace, num_prefill, mode, jitter, scheduling, seed, fast)
         system.rejections,
         _timeline(system.states),
         [_counters(inst) for inst in system.decode_instances],
+        _observations(observers, recorder),
+        _profile(observers, result),
     )
 
 
@@ -202,14 +272,17 @@ def _run_disaggregated(trace, num_prefill, mode, jitter, scheduling, seed, fast)
     pp=st.sampled_from([1, 2]),
     policy=st.sampled_from(QUEUE_POLICIES),
     fail_at=st.one_of(st.none(), st.floats(min_value=0.0, max_value=0.5)),
+    observed=st.booleans(),
 )
 @settings(max_examples=100, deadline=None)
-def test_decode_instance_matches_reference(rows, jitter, pp, policy, fail_at):
+def test_decode_instance_matches_reference(rows, jitter, pp, policy, fail_at,
+                                           observed):
     trace = _trace(rows)
     spec = _spec(pp, jitter)
-    fast = _drive_decode(trace, spec, policy, fail_at, fast=True)
-    slow = _drive_decode(trace, spec, policy, fail_at, fast=False)
-    assert fast == slow
+    args = (trace, spec, policy, fail_at)
+    assert _drive_decode(*args, fast=True, observed=observed) == _drive_decode(
+        *args, fast=False, observed=observed
+    )
 
 
 @given(
@@ -219,12 +292,13 @@ def test_decode_instance_matches_reference(rows, jitter, pp, policy, fail_at):
     jitter=st.sampled_from([0.0, 0.1]),
     scheduling=TRIPLES,
     seed=SEEDS,
+    observed=st.booleans(),
 )
 @settings(max_examples=60, deadline=None)
 def test_disaggregated_matches_reference(rows, num_prefill, mode, jitter,
-                                         scheduling, seed):
+                                         scheduling, seed, observed):
     trace = _trace(rows)
-    args = (trace, num_prefill, mode, jitter, scheduling, seed)
+    args = (trace, num_prefill, mode, jitter, scheduling, seed, observed)
     assert _run_disaggregated(*args, fast=True) == _run_disaggregated(
         *args, fast=False
     )
@@ -237,14 +311,16 @@ def _colocated_counters(inst: ColocatedInstance) -> tuple:
 
 
 def _run_colocated(trace, spec, replicas, policy, scheduling, seed, fail_at,
-                   fast):
+                   observed, fast):
     sanitizer = SimSanitizer(strict=True)
     sim = sanitizer.simulation()
+    observers = _observers(observed)
     system = _RecordingColocated(
         sim, spec, num_replicas=replicas, policy=policy, fast_kernel=fast,
-        scheduling=scheduling, rng=np.random.default_rng(seed),
+        scheduling=scheduling, rng=np.random.default_rng(seed), **observers,
     )
     sanitizer.watch_system(system)
+    recorder = _record_metrics(sim, system, trace) if observed else None
     instances = list(system.instances)
     if fail_at is not None:
         sim.schedule_at(fail_at, lambda: system.fail_replica(instances[0].name))
@@ -255,6 +331,8 @@ def _run_colocated(trace, spec, replicas, policy, scheduling, seed, fail_at,
         system.rejections,
         _timeline(system.states),
         [_colocated_counters(inst) for inst in instances],
+        _observations(observers, recorder),
+        _profile(observers, result),
     )
 
 
@@ -271,13 +349,14 @@ def _run_colocated(trace, spec, replicas, policy, scheduling, seed, fail_at,
     jitter=st.sampled_from([0.0, 0.1]),
     replicas=st.sampled_from([1, 2]),
     fail_at=st.one_of(st.none(), st.floats(min_value=0.0, max_value=0.5)),
+    observed=st.booleans(),
 )
 @settings(max_examples=150, deadline=None)
 def test_colocated_matches_reference(rows, policy, scheduling, seed, pp, jitter,
-                                     replicas, fail_at):
+                                     replicas, fail_at, observed):
     trace = _trace(rows)
     spec = _spec(pp, jitter)
     if replicas == 1:
         fail_at = None  # the last replica cannot fail
-    args = (trace, spec, replicas, policy, scheduling, seed, fail_at)
+    args = (trace, spec, replicas, policy, scheduling, seed, fail_at, observed)
     assert _run_colocated(*args, fast=True) == _run_colocated(*args, fast=False)

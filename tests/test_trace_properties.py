@@ -3,16 +3,18 @@
 For arbitrary small workloads and either serving architecture, the span
 timeline must be well-formed: spans non-negative and inside the request's
 [arrival, completion] window, stage boundaries monotone, exactly one
-prefill execution and ``output_len`` decode-step spans per completed
-request, TTFT derivable from spans equal to what the percentile layer
-reports, and KV-transfer spans appearing only under disaggregation.
+prefill execution per completed request and ``decode`` spans whose token
+indices rise strictly from 0 to ``output_len - 1``, TTFT derivable from
+spans equal to what the percentile layer reports, critical-path TPOT
+bitwise equal to the record's, and KV-transfer spans appearing only
+under disaggregation.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import request_breakdowns, ttft_percentile
+from repro.analysis import critical_paths, ttft_percentile
 from repro.models import ModelArchitecture
 from repro.serving import ColocatedSystem, DisaggregatedSystem, simulate_trace
 from repro.simulator import (
@@ -66,6 +68,10 @@ def check_common_invariants(trace, result, tracer):
     by_record = {r.request_id: r for r in result.records}
     grouped = spans_by_request(tracer.spans)
     assert sorted(grouped) == sorted(by_origin)
+    paths = critical_paths(tracer.spans)
+    assert [p.request_id for p in paths] == sorted(by_record)
+    for path in paths:
+        assert path.tpot == by_record[path.request_id].tpot
     for rid, spans in grouped.items():
         origin = by_origin[rid]
         record = by_record[rid]
@@ -82,12 +88,13 @@ def check_common_invariants(trace, result, tracer):
             assert span.duration >= 0.0
             assert span.start >= arrival - 1e-12
             assert span.end <= completion + 1e-12
-        # One decode_step per output token, indices 0..output_len-1, and
-        # token spans ordered in time.
-        steps = [s for s in spans if s.kind == SpanKind.DECODE_STEP]
-        assert len(steps) == origin.output_len
-        assert [s.token_index for s in steps] == list(range(origin.output_len))
+        # Token 0, then one decode span per stay in a running batch: the
+        # indices rise strictly to the last token, and so do the ends.
+        steps = [s for s in spans if s.kind == SpanKind.DECODE]
+        indices = [s.token_index for s in steps]
+        assert indices[0] == 0 and indices[-1] == origin.output_len - 1
         for prev, cur in zip(steps, steps[1:]):
+            assert cur.token_index > prev.token_index
             assert cur.end >= prev.end
         # Spans are well-nested: stage boundaries never move backwards.
         boundaries = [
@@ -157,7 +164,7 @@ class TestTraceProperties:
             arrival = next(s for s in spans if s.kind == SpanKind.ARRIVAL).start
             first = min(
                 s.end for s in spans
-                if s.kind == SpanKind.DECODE_STEP and s.token_index == 0
+                if s.kind == SpanKind.DECODE and s.token_index == 0
             )
             span_ttfts.append(first - arrival)
         records = sorted(result.records, key=lambda r: r.request_id)
@@ -174,5 +181,5 @@ class TestTraceProperties:
         trace = make_trace(raw)
         result, tracer = run_traced("disaggregated", trace)
         by_id = {r.request_id: r.end_to_end_latency for r in result.records}
-        for b in request_breakdowns(tracer.spans):
-            assert abs(b.stage_sum - by_id[b.request_id]) < 1e-9
+        for path in critical_paths(tracer.spans):
+            assert abs(path.phase_sum - by_id[path.request_id]) < 1e-9

@@ -1,14 +1,11 @@
 """Unit tests for the lifecycle tracing layer and its exporters."""
 
 import json
+import math
 
 import pytest
 
-from repro.analysis import (
-    latency_breakdown,
-    latency_breakdown_from_spans,
-    request_breakdowns,
-)
+from repro.analysis import critical_paths, latency_breakdown
 from repro.models import ModelArchitecture
 from repro.serving import (
     ColocatedSystem,
@@ -63,11 +60,11 @@ class TestSpan:
             Span(request_id=0, kind=SpanKind.PREFILL_EXEC, start=2.0, end=1.0)
 
     def test_duration_and_dict_roundtrip(self):
-        span = Span(1, SpanKind.DECODE_STEP, 1.0, 1.5, "decode-0",
+        span = Span(1, SpanKind.DECODE, 1.0, 1.5, "decode-0",
                     batch_size=3, token_index=2)
         assert span.duration == 0.5
         d = span.to_dict()
-        assert d["kind"] == "decode_step"
+        assert d["kind"] == "decode"
         assert d["token_index"] == 2
         assert d["batch_size"] == 3
 
@@ -112,7 +109,7 @@ class TestTracer:
     def test_null_tracer_is_inert(self):
         NULL_TRACER.begin(1, SpanKind.PREFILL_QUEUE, 0.0)
         NULL_TRACER.end(1, SpanKind.PREFILL_QUEUE, 1.0)
-        NULL_TRACER.span(1, SpanKind.DECODE_STEP, 0.0, 1.0)
+        NULL_TRACER.span(1, SpanKind.DECODE, 0.0, 1.0)
         NULL_TRACER.instant(1, SpanKind.ARRIVAL, 0.0)
         assert not NULL_TRACER.enabled
         assert len(NULL_TRACER) == 0
@@ -124,7 +121,7 @@ class TestExporters:
         tracer = Tracer()
         tracer.instant(0, SpanKind.ARRIVAL, 0.0)
         tracer.span(0, SpanKind.PREFILL_EXEC, 0.0, 0.5, "prefill-0", batch_size=2)
-        tracer.span(0, SpanKind.DECODE_STEP, 0.5, 0.5, "prefill-0", token_index=0)
+        tracer.span(0, SpanKind.DECODE, 0.5, 0.5, "prefill-0", token_index=0)
         tracer.instant(0, SpanKind.COMPLETION, 0.5)
         return tracer.spans
 
@@ -149,7 +146,7 @@ class TestExporters:
         exec_event = next(e for e in events if e["name"] == "prefill_exec")
         assert exec_event["dur"] == pytest.approx(0.5e6)
         assert exec_event["args"]["batch_size"] == 2
-        step = next(e for e in events if e["name"] == "decode_step")
+        step = next(e for e in events if e["name"] == "decode")
         assert step["ph"] == "i"   # zero-width first token renders as instant
         assert step["args"]["token_index"] == 0
 
@@ -222,7 +219,7 @@ class TestChromeExporterEdgeCases:
             for tok in range(spans_per_request - 2):
                 t = base + 0.01 * (tok + 1)
                 spans.append(
-                    Span(rid, SpanKind.DECODE_STEP, t, t + 0.005,
+                    Span(rid, SpanKind.DECODE, t, t + 0.005,
                          instance="decode-0", token_index=tok)
                 )
             end = base + 0.01 * spans_per_request
@@ -253,7 +250,10 @@ class TestSystemIntegration:
             assert kinds.count(SpanKind.COMPLETION) == 1
             assert kinds.count(SpanKind.PREFILL_EXEC) == 1
             assert kinds.count(SpanKind.KV_TRANSFER) == 1
-            assert kinds.count(SpanKind.DECODE_STEP) == trace[rid].output_len
+            # Token 0 at prefill completion, then one stay in a decode
+            # batch ending at the last token.
+            decode = [s.token_index for s in spans if s.kind == SpanKind.DECODE]
+            assert decode == [0, trace[rid].output_len - 1]
 
     def test_no_tracer_means_no_spans(self):
         res = run_disaggregated(small_trace())
@@ -269,7 +269,9 @@ class TestSystemIntegration:
         assert all(s.kind != SpanKind.DECODE_QUEUE for s in res.spans)
 
     def test_phase_only_systems_trace(self):
-        for cls in (PrefillOnlySystem, DecodeOnlySystem):
+        # The prefill-only system stamps tokens >= 1 for free, without
+        # spans; the decode-only one decodes them in one stay.
+        for cls, indices in ((PrefillOnlySystem, [0]), (DecodeOnlySystem, [0, 3])):
             sim = Simulation()
             tracer = Tracer()
             system = cls(sim, InstanceSpec(model=MODEL), tracer=tracer)
@@ -278,7 +280,8 @@ class TestSystemIntegration:
             by_req = spans_by_request(res.spans)
             for rid, spans in by_req.items():
                 kinds = [s.kind for s in spans]
-                assert kinds.count(SpanKind.DECODE_STEP) == 4
+                decode = [s.token_index for s in spans if s.kind == SpanKind.DECODE]
+                assert decode == indices
                 assert kinds.count(SpanKind.COMPLETION) == 1
 
     def test_single_token_request_skips_transfer_and_decode(self):
@@ -289,7 +292,7 @@ class TestSystemIntegration:
         kinds = [s.kind for s in res.spans]
         assert SpanKind.KV_TRANSFER not in kinds
         assert SpanKind.DECODE_QUEUE not in kinds
-        assert kinds.count(SpanKind.DECODE_STEP) == 1
+        assert kinds.count(SpanKind.DECODE) == 1
 
     def test_spans_deterministic_across_runs(self):
         t1, t2 = Tracer(), Tracer()
@@ -299,30 +302,32 @@ class TestSystemIntegration:
 
 
 class TestSpanBreakdowns:
+    """The span decomposition (critical paths) against the records."""
+
     def test_stage_sums_reconcile_with_records(self):
         tracer = Tracer()
         res = run_disaggregated(small_trace(8), tracer=tracer,
                                 num_prefill=2, num_decode=2)
         by_id = {r.request_id: r for r in res.records}
-        breakdowns = request_breakdowns(res.spans)
-        assert len(breakdowns) == len(res.records)
-        for b in breakdowns:
-            rec = by_id[b.request_id]
-            assert b.stage_sum == pytest.approx(rec.end_to_end_latency, abs=1e-9)
-            assert b.end_to_end_latency == pytest.approx(rec.end_to_end_latency)
-            for stage in ("prefill_queue", "prefill_exec", "transfer",
-                          "decode_queue", "decode_exec"):
-                assert getattr(b, stage) >= 0.0
+        paths = critical_paths(res.spans)
+        assert len(paths) == len(res.records)
+        for path in paths:
+            rec = by_id[path.request_id]
+            assert path.phase_sum == pytest.approx(rec.end_to_end_latency, abs=1e-9)
+            assert path.end_to_end_latency == pytest.approx(rec.end_to_end_latency)
+            assert all(value >= 0.0 for value in path.phase_values())
 
     def test_aggregate_matches_record_breakdown_total(self):
         tracer = Tracer()
         res = run_disaggregated(small_trace(8), tracer=tracer)
-        from_spans = latency_breakdown_from_spans(res.spans)
+        paths = critical_paths(res.spans)
         from_records = latency_breakdown(res.records)
-        assert from_spans.total == pytest.approx(from_records.total, rel=1e-9)
-        assert from_spans.prefill_exec == pytest.approx(
-            from_records.prefill_exec, rel=1e-9
-        )
+        total = math.fsum(path.phase_sum for path in paths)
+        assert total == pytest.approx(from_records.total, rel=1e-9)
+        prefill_exec = math.fsum(path.prefill_exec for path in paths)
+        assert prefill_exec == pytest.approx(from_records.prefill_exec, rel=1e-9)
+        # Prefill queueing starts at arrival: nothing is dispatch time.
+        assert all(path.dispatch == 0.0 for path in paths)
 
     def test_unfinished_requests_are_excluded(self):
         tracer = Tracer()
@@ -332,5 +337,4 @@ class TestSpanBreakdowns:
         res = simulate_trace(system, small_trace(6, output_len=32),
                              max_sim_time=0.05)
         assert res.unfinished > 0
-        breakdowns = request_breakdowns(res.spans)
-        assert len(breakdowns) == res.completed
+        assert len(critical_paths(res.spans)) == res.completed
