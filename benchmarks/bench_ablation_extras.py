@@ -21,6 +21,7 @@ from repro.analysis import format_table, tpot_percentile, ttft_percentile
 from repro.hardware import NVLINK
 from repro.latency import ParallelismConfig
 from repro.models import get_model
+from repro.scheduling import SchedulingConfig
 from repro.serving import ColocatedSystem, DisaggregatedSystem, simulate_trace
 from repro.simulator import InstanceSpec, PrefillInstance, RequestState, Simulation
 from repro.workload import SHAREGPT, generate_trace
@@ -60,7 +61,7 @@ def run_ablations():
         res = _run(
             lambda sim, p=policy: DisaggregatedSystem(
                 sim, SPEC, SPEC, num_prefill=3, num_decode=2,
-                transfer_link=NVLINK, dispatch_policy=p,
+                transfer_link=NVLINK, scheduling=SchedulingConfig(dispatch_policy=p),
                 rng=np.random.default_rng(9),
             ),
             steady,
@@ -75,7 +76,7 @@ def run_ablations():
         inst = PrefillInstance(
             sim, SPEC,
             on_prefill_done=lambda s: (done.append(s), inst.release_kv(s.request_id)),
-            batch_token_limit=limit,
+            scheduling=SchedulingConfig(batch_token_limit=limit),
         )
         for req in trace:
             sim.schedule_at(

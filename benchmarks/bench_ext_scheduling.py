@@ -19,6 +19,7 @@ import numpy as np
 from repro.analysis import format_table, tpot_percentile, ttft_percentile
 from repro.latency import ParallelismConfig
 from repro.models import get_model
+from repro.scheduling import SchedulingConfig
 from repro.serving import DisaggregatedSystem
 from repro.simulator import InstanceSpec, PrefillInstance, RequestState, Simulation
 from repro.workload import LONGBENCH, SHAREGPT, generate_trace
@@ -39,7 +40,7 @@ def run_convoy():
         inst = PrefillInstance(
             sim, SPEC,
             on_prefill_done=lambda s: (done.append(s), inst.release_kv(s.request_id)),
-            queue_policy=policy,
+            scheduling=SchedulingConfig(queue_policy=policy),
         )
         for req in trace:
             sim.schedule_at(

@@ -17,7 +17,6 @@ from .critpath import (
     profile_to_html,
     profile_to_json,
 )
-from .fidelity import FidelityReport, compare_runs
 from .metrics_export import (
     phase_utilization,
     registry_snapshot,
@@ -43,8 +42,6 @@ __all__ = [
     "format_profile_diff",
     "profile_to_html",
     "profile_to_json",
-    "FidelityReport",
-    "compare_runs",
     "phase_utilization",
     "registry_snapshot",
     "to_prometheus_text",

@@ -53,7 +53,7 @@ from .analysis import (
     write_metrics_json,
     write_prometheus_text,
 )
-from .core import PlacementSearchStats, build_system, place_high_affinity, place_low_affinity
+from .core import PlacementSearchStats, place_high_affinity, place_low_affinity
 from .hardware import get_gpu, paper_testbed
 from .latency import (
     ParallelismConfig,
@@ -68,6 +68,7 @@ from .scheduling import (
     DISPATCH_POLICIES,
     QUEUE_POLICIES,
     SchedulingConfig,
+    dispatch_rng,
 )
 from .serving import ColocatedSystem, DisaggregatedSystem, SimulationResult, simulate_trace
 from .simulator import (
@@ -174,32 +175,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _scheduling_from_args(args: argparse.Namespace) -> "SchedulingConfig | None":
-    """The policy triple selected by the shared scheduling flags.
-
-    Returns ``None`` when every flag is at its default so default runs
-    construct systems exactly as before (byte-identical traces, stable
-    search fingerprints).
-    """
-    cfg = SchedulingConfig(
-        queue_policy=getattr(args, "queue_policy", "fcfs"),
-        batch_policy=getattr(args, "batch_policy", "token_budget"),
-        dispatch_policy=getattr(args, "dispatch_policy", "least_loaded"),
+def _scheduling_from_args(args: argparse.Namespace) -> SchedulingConfig:
+    """The policy triple selected by the shared scheduling flags."""
+    return SchedulingConfig(
+        queue_policy=args.queue_policy,
+        batch_policy=args.batch_policy,
+        dispatch_policy=args.dispatch_policy,
     )
-    return None if cfg.is_default() else cfg
-
-
-def _dispatch_rng(
-    cfg: "SchedulingConfig | None", seed: int
-) -> "np.random.Generator | None":
-    """A dedicated dispatch RNG for the randomized policies.
-
-    Kept separate from the trace RNG so the workload a seed generates
-    never depends on the dispatch policy.
-    """
-    if cfg is not None and cfg.dispatch_policy in ("random", "power_of_two"):
-        return np.random.default_rng(seed)
-    return None
 
 
 def _make_sim(args: argparse.Namespace) -> "tuple[Simulation, SimSanitizer | None]":
@@ -237,7 +219,7 @@ def _build_system(
     """Construct the serving system described by the shared run flags."""
     model = get_model(args.model)
     scheduling = _scheduling_from_args(args)
-    rng = _dispatch_rng(scheduling, getattr(args, "seed", 0))
+    rng = dispatch_rng(scheduling.dispatch_policy, args.seed)
     if args.mode == "disaggregated":
         prefill_spec = InstanceSpec(
             model=model, config=ParallelismConfig(args.prefill_tp, args.prefill_pp)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..latency.parallel import ParallelismConfig
-from ..scheduling.config import SchedulingConfig
+from ..scheduling.config import DEFAULT_SCHEDULING, SchedulingConfig
 
 __all__ = ["PhasePlan", "Placement"]
 
@@ -54,15 +54,15 @@ class Placement:
         decode: Decode-phase plan.
         kv_transfer_intra_node: Whether KV migrations stay on NVLink
             (True under Algorithm 2's stage-colocated layout).
-        scheduling: The policy triple the placement was searched under
-            (``None`` = paper defaults). Deployments must run the same
-            policies the search simulated, so the plan carries them.
+        scheduling: The policy triple the placement was searched under.
+            Deployments must run the same policies the search simulated,
+            so the plan carries them to :func:`repro.core.build_system`.
     """
 
     prefill: PhasePlan
     decode: PhasePlan
     kv_transfer_intra_node: bool = True
-    scheduling: "SchedulingConfig | None" = None
+    scheduling: SchedulingConfig = DEFAULT_SCHEDULING
 
     @property
     def num_gpus(self) -> int:

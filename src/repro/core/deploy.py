@@ -5,6 +5,7 @@ from __future__ import annotations
 from .config import Placement
 from ..hardware.cluster import Cluster
 from ..models.architecture import ModelArchitecture
+from ..scheduling.dispatch import dispatch_rng
 from ..serving.disaggregated import DisaggregatedSystem
 from ..simulator.events import Simulation
 from ..simulator.instance import InstanceSpec
@@ -23,6 +24,9 @@ def build_system(
 
     KV transfers ride NVLink when the placement is stage-colocated
     (Algorithm 2 output), the cross-node fabric otherwise (Algorithm 1).
+    The system runs the scheduling policies the placement was searched
+    under; randomized dispatch draws from the same fixed-seed generator
+    Algorithm 2's trials use.
     """
     if placement.kv_transfer_intra_node:
         link = cluster.intra_node_link
@@ -57,4 +61,6 @@ def build_system(
         transfer_link=link,
         transfer_channels=channels,
         transfer_mode=transfer_mode,
+        rng=dispatch_rng(placement.scheduling.dispatch_policy),
+        scheduling=placement.scheduling,
     )

@@ -35,7 +35,7 @@ from .search import (
     resolve_trial_cache,
 )
 from .simulate import candidate_configs
-from ..scheduling.config import SchedulingConfig
+from ..scheduling.config import DEFAULT_SCHEDULING, SchedulingConfig
 from ..hardware.cluster import Cluster
 from ..latency.parallel import ParallelismConfig
 from ..models.architecture import ModelArchitecture
@@ -65,7 +65,7 @@ def place_high_affinity(
     prune: bool = True,
     early_abort: bool = True,
     fast_kernel: bool = True,
-    scheduling: "SchedulingConfig | None" = None,
+    scheduling: SchedulingConfig = DEFAULT_SCHEDULING,
 ) -> Placement:
     """Algorithm 1 of the paper.
 
@@ -96,9 +96,9 @@ def place_high_affinity(
         fast_kernel: Use the fast-forward simulation kernel for trials
             (default on; results are bit-identical either way).
         scheduling: Queue/batch/dispatch policy triple the simulated
-            instances run (``None`` = paper defaults). Enters trial
-            fingerprints when non-default, so the trial cache never
-            conflates policies; the returned placement carries it.
+            instances run. It enters every trial fingerprint, so the
+            trial cache never conflates policies; the returned placement
+            carries it to :func:`repro.core.build_system`.
 
     Returns:
         The per-GPU-goodput-optimal placement.

@@ -33,8 +33,6 @@ import time
 from dataclasses import dataclass
 from functools import partial
 
-import numpy as np
-
 from .config import PhasePlan, Placement
 from .search import (
     JOINT_PRUNE_WAVE,
@@ -50,7 +48,8 @@ from ..hardware.cluster import Cluster
 from ..latency.parallel import ParallelismConfig
 from ..models.architecture import ModelArchitecture
 from ..models.memory import fits_in_memory
-from ..scheduling.config import SchedulingConfig
+from ..scheduling.config import DEFAULT_SCHEDULING, SchedulingConfig
+from ..scheduling.dispatch import dispatch_rng
 from ..serving.disaggregated import DisaggregatedSystem
 from ..simulator.events import Simulation
 from ..simulator.instance import InstanceSpec
@@ -132,7 +131,7 @@ def _unit_factory(
     cand: IntraNodeConfig,
     sim: Simulation,
     fast_kernel: bool = True,
-    scheduling: "SchedulingConfig | None" = None,
+    scheduling: SchedulingConfig = DEFAULT_SCHEDULING,
 ) -> DisaggregatedSystem:
     gpu = cluster.gpu
     # Stage k of both phases shares node k, so pipeline activations cross
@@ -152,14 +151,6 @@ def _unit_factory(
         tp_link=cluster.intra_node_link,
         pp_link=pp_link,
     )
-    # Randomized dispatch gets a fixed-seed generator built *inside* the
-    # factory: trials stay deterministic and reproducible from the task
-    # fingerprint alone (a Generator object could not be fingerprinted).
-    rng = None
-    if scheduling is not None and scheduling.dispatch_policy in (
-        "random", "power_of_two"
-    ):
-        rng = np.random.default_rng(0)
     return DisaggregatedSystem(
         sim,
         prefill_spec,
@@ -172,7 +163,9 @@ def _unit_factory(
         transfer_channels=cand.inter_op,
         fast_kernel=fast_kernel,
         scheduling=scheduling,
-        rng=rng,
+        # Built inside the factory, so trials are reproducible from the
+        # task fingerprint alone.
+        rng=dispatch_rng(scheduling.dispatch_policy),
     )
 
 
@@ -193,7 +186,7 @@ def place_low_affinity(
     prune: bool = True,
     early_abort: bool = True,
     fast_kernel: bool = True,
-    scheduling: "SchedulingConfig | None" = None,
+    scheduling: SchedulingConfig = DEFAULT_SCHEDULING,
 ) -> Placement:
     """Algorithm 2 of the paper.
 
@@ -309,16 +302,10 @@ def place_low_affinity(
                     if prune and best is not None and estimate <= best[0]:
                         st.configs_pruned += 1
                         continue
-                    # Defaults bind no extra keyword so the trial
-                    # fingerprint (and any warm cache) is unchanged; a
-                    # non-default SchedulingConfig is bound in and thus
-                    # keys the cache by policy triple.
-                    fkwargs = {}
-                    if not fast_kernel:
-                        fkwargs["fast_kernel"] = False
-                    if scheduling is not None and not scheduling.is_default():
-                        fkwargs["scheduling"] = scheduling
-                    factory = partial(_unit_factory, model, cluster, cand, **fkwargs)
+                    factory = partial(
+                        _unit_factory, model, cluster, cand,
+                        fast_kernel=fast_kernel, scheduling=scheduling,
+                    )
                     tasks.append(
                         make_joint_task(
                             factory,

@@ -53,7 +53,7 @@ from .goodput import (
 )
 from .simulate import PHASE_TRIAL_MIN_DURATION, phase_trial_setup
 from ..latency.parallel import decode_times, prefill_times
-from ..scheduling.config import SchedulingConfig
+from ..scheduling.config import DEFAULT_SCHEDULING, SchedulingConfig
 from ..simulator.instance import InstanceSpec
 from ..workload.datasets import SyntheticDataset
 from ..workload.slos import SLO
@@ -354,13 +354,14 @@ class GoodputTask:
     context_fp: str
     seed_entries: "dict[float, TrialEntry]" = field(default_factory=dict)
     early_abort: bool = True
-    #: Fast-forward simulation kernel (bit-identical results; off routes
-    #: every trial through the per-step reference path).
+    #: Fast-forward simulation kernel for phase tasks (bit-identical
+    #: results; off routes every trial through the per-step reference
+    #: path). Joint tasks carry it inside the factory partial.
     fast_kernel: bool = True
     #: Scheduling policy triple for phase tasks (joint tasks carry it
-    #: inside the factory partial). Non-default configs are bound into
-    #: the re-derived factory and hence the fingerprint.
-    scheduling: "SchedulingConfig | None" = None
+    #: inside the factory partial). It is bound into the re-derived
+    #: factory and hence the fingerprint.
+    scheduling: SchedulingConfig = DEFAULT_SCHEDULING
 
 
 @dataclass
@@ -448,7 +449,7 @@ def make_phase_task(
     cache: TrialCache,
     early_abort: bool = True,
     fast_kernel: bool = True,
-    scheduling: "SchedulingConfig | None" = None,
+    scheduling: SchedulingConfig = DEFAULT_SCHEDULING,
 ) -> GoodputTask:
     """A phase-level goodput search task (``simu_prefill``/``simu_decode``)."""
     factory, trial_slo = phase_trial_setup(
@@ -476,13 +477,13 @@ def make_joint_task(
     min_duration: float,
     cache: TrialCache,
     early_abort: bool = True,
-    fast_kernel: bool = True,
 ) -> GoodputTask:
     """A full-system goodput search task (Algorithm 2's joint simulation).
 
     ``system_factory`` must be picklable and fingerprintable — in
     practice a ``functools.partial`` over a module-level function with
-    dataclass arguments.
+    dataclass arguments — and binds everything its trials depend on,
+    the fast-kernel switch and the scheduling policies included.
     """
     fp = trial_context_fingerprint(
         system_factory, dataset, slo, num_requests, seed, min_duration
@@ -492,7 +493,6 @@ def make_joint_task(
         attainment_target=attainment_target, num_requests=num_requests,
         seed=seed, min_duration=min_duration,
         context_fp=fp, seed_entries=cache.snapshot(fp), early_abort=early_abort,
-        fast_kernel=fast_kernel,
     )
 
 

@@ -19,7 +19,7 @@ from functools import partial
 
 from .goodput import GoodputResult, TrialRunner, max_goodput
 from ..latency.parallel import ParallelismConfig
-from ..scheduling.config import SchedulingConfig
+from ..scheduling.config import DEFAULT_SCHEDULING, SchedulingConfig
 from ..serving.phase_only import DecodeOnlySystem, PrefillOnlySystem
 from ..simulator.events import Simulation
 from ..simulator.instance import InstanceSpec
@@ -40,7 +40,7 @@ def _prefill_factory(
     spec: InstanceSpec,
     sim: Simulation,
     fast_kernel: bool = True,
-    scheduling: "SchedulingConfig | None" = None,
+    scheduling: SchedulingConfig = DEFAULT_SCHEDULING,
 ) -> PrefillOnlySystem:
     return PrefillOnlySystem(sim, spec, fast_kernel=fast_kernel, scheduling=scheduling)
 
@@ -49,7 +49,7 @@ def _decode_factory(
     spec: InstanceSpec,
     sim: Simulation,
     fast_kernel: bool = True,
-    scheduling: "SchedulingConfig | None" = None,
+    scheduling: SchedulingConfig = DEFAULT_SCHEDULING,
 ) -> DecodeOnlySystem:
     return DecodeOnlySystem(sim, spec, fast_kernel=fast_kernel, scheduling=scheduling)
 
@@ -59,18 +59,15 @@ def phase_trial_setup(
     spec: InstanceSpec,
     slo: SLO,
     fast_kernel: bool = True,
-    scheduling: "SchedulingConfig | None" = None,
+    scheduling: SchedulingConfig = DEFAULT_SCHEDULING,
 ):
     """The (system factory, masked SLO) pair of one phase-level trial.
 
     The factory is a picklable ``functools.partial`` over module-level
     functions, so it can cross a process boundary and be fingerprinted
-    deterministically. The default (fast kernel on, default scheduling)
-    binds no extra keyword, so fingerprints — and therefore on-disk
-    caches — are unchanged from before the kernel and the scheduling
-    layer existed; a *non-default* :class:`SchedulingConfig` is bound
-    into the partial and thus enters the fingerprint, so the
-    ``TrialCache`` never conflates trials run under different policies.
+    deterministically. It binds ``fast_kernel`` and ``scheduling``, so
+    both enter the fingerprint and the ``TrialCache`` never conflates
+    trials run under different policies.
 
     Args:
         kind: ``"prefill"`` or ``"decode"``.
@@ -79,22 +76,18 @@ def phase_trial_setup(
             replaced by an unbounded value.
         fast_kernel: Disable to force the per-step reference path (the
             ``--no-fast-kernel`` escape hatch).
-        scheduling: Policy configuration; ``None`` or the default triple
-            keeps the historic factory shape.
+        scheduling: Policy configuration the trial systems run.
     """
-    kwargs = {}
-    if not fast_kernel:
-        kwargs["fast_kernel"] = False
-    if scheduling is not None and not scheduling.is_default():
-        kwargs["scheduling"] = scheduling
     if kind == "prefill":
         return (
-            partial(_prefill_factory, spec, **kwargs),
+            partial(_prefill_factory, spec, fast_kernel=fast_kernel,
+                    scheduling=scheduling),
             SLO(ttft=slo.ttft, tpot=_UNBOUNDED),
         )
     if kind == "decode":
         return (
-            partial(_decode_factory, spec, **kwargs),
+            partial(_decode_factory, spec, fast_kernel=fast_kernel,
+                    scheduling=scheduling),
             SLO(ttft=_UNBOUNDED, tpot=slo.tpot),
         )
     raise ValueError(f"unknown phase kind {kind!r}; expected 'prefill' or 'decode'")
@@ -110,7 +103,7 @@ def simu_prefill(
     trial_runner: "TrialRunner | None" = None,
     early_abort: bool = True,
     fast_kernel: bool = True,
-    scheduling: "SchedulingConfig | None" = None,
+    scheduling: SchedulingConfig = DEFAULT_SCHEDULING,
 ) -> GoodputResult:
     """Max rate one prefill instance sustains under the TTFT SLO alone."""
     factory, phase_slo = phase_trial_setup(
@@ -139,7 +132,7 @@ def simu_decode(
     trial_runner: "TrialRunner | None" = None,
     early_abort: bool = True,
     fast_kernel: bool = True,
-    scheduling: "SchedulingConfig | None" = None,
+    scheduling: SchedulingConfig = DEFAULT_SCHEDULING,
 ) -> GoodputResult:
     """Max rate one decode instance sustains under the TPOT SLO alone."""
     factory, phase_slo = phase_trial_setup(

@@ -11,9 +11,11 @@ touching every engine:
   ``round_robin``, ``random``, ``power_of_two``)
 
 A single frozen :class:`SchedulingConfig` names the triple plus its
-knobs and threads through the simulator engines, serving modes, and the
-placement search (where non-default configs enter trial fingerprints).
-The default triple is bitwise-identical to the pre-refactor behavior.
+knobs and is the one way a policy choice travels: through the simulator
+engines, the serving modes, the placement search (where it enters every
+trial fingerprint) and the :class:`~repro.core.config.Placement` a
+search returns, which ``repro.core.build_system`` deploys.
+:data:`DEFAULT_SCHEDULING` is the paper's recipe.
 """
 
 from .batch import (
@@ -36,6 +38,7 @@ from .dispatch import (
     PowerOfTwoDispatch,
     RandomDispatch,
     RoundRobinDispatch,
+    dispatch_rng,
     make_dispatch_policy,
 )
 from .queue import EDFQueue, FCFSQueue, QueuePolicy, SJFQueue, make_queue_policy
@@ -62,4 +65,5 @@ __all__ = [
     "RandomDispatch",
     "PowerOfTwoDispatch",
     "make_dispatch_policy",
+    "dispatch_rng",
 ]

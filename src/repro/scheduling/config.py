@@ -2,11 +2,11 @@
 
 One :class:`SchedulingConfig` value describes the full policy triple —
 admission order, batch shaping, and cross-instance dispatch — plus the
-knobs each policy reads. It is a frozen dataclass so the search layer
-can fingerprint it (``repro.core.search._canonical`` iterates dataclass
-fields); the default triple reproduces the paper's §4.3 recipe exactly
-and is deliberately *omitted* from trial fingerprints so warm
-``TrialCache`` entries stay valid across the refactor.
+knobs each policy reads. It is the only way a policy choice reaches an
+instance, a serving system, a placement search or a deployment. It is a
+frozen dataclass so the search layer can fingerprint it
+(``repro.core.search._canonical`` iterates dataclass fields);
+:data:`DEFAULT_SCHEDULING` reproduces the paper's §4.3 recipe exactly.
 """
 
 from __future__ import annotations
@@ -86,14 +86,6 @@ class SchedulingConfig:
                 f"edf_default_deadline must be positive, "
                 f"got {self.edf_default_deadline}"
             )
-
-    def is_default(self) -> bool:
-        """Whether this is the paper-default triple with default knobs.
-
-        Default configs are dropped from trial fingerprints so the
-        refactor never invalidates warm :class:`TrialCache` entries.
-        """
-        return self == DEFAULT_SCHEDULING
 
 
 #: The paper's §4.3 recipe: FCFS + L_m token budget + least-loaded.

@@ -24,6 +24,7 @@ __all__ = [
     "RandomDispatch",
     "PowerOfTwoDispatch",
     "make_dispatch_policy",
+    "dispatch_rng",
 ]
 
 T = TypeVar("T")
@@ -129,3 +130,17 @@ def make_dispatch_policy(
     if policy == "random":
         return RandomDispatch(rng)
     return PowerOfTwoDispatch(load_fn, rng)
+
+
+def dispatch_rng(policy: str, seed: int = 0) -> "np.random.Generator | None":
+    """The dedicated generator ``random`` and ``power_of_two`` draw from.
+
+    Returns ``None`` for the deterministic policies. Routing never shares
+    the trace's generator, so the workload a seed generates does not
+    depend on the dispatch policy; and a system factory that calls this
+    with the default seed is reproducible from its arguments alone (a
+    ``Generator`` object could not be fingerprinted).
+    """
+    if policy in ("random", "power_of_two"):
+        return np.random.default_rng(seed)
+    return None

@@ -11,7 +11,6 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass, field
 
-from ..scheduling.config import SchedulingConfig
 from ..simulator.events import Simulation
 from ..simulator.metrics import MetricsRegistry, SloMonitor
 from ..simulator.profiler import NULL_PROFILER, Profiler
@@ -42,15 +41,10 @@ class ServingSystem(abc.ABC):
         sim: Simulation,
         tracer: "Tracer | None" = None,
         profiler: "Profiler | None" = None,
-        scheduling: "SchedulingConfig | None" = None,
     ) -> None:
         self.sim = sim
         self.tracer = tracer
         self.profiler = profiler
-        #: The policy triple this system runs under (None = paper
-        #: defaults). Subclasses thread it into their instances and
-        #: dispatchers; exposed here so reports can label runs.
-        self.scheduling = scheduling
         self._trace = tracer if tracer is not None else NULL_TRACER
         self._prof = profiler if profiler is not None else NULL_PROFILER
         self.records: "list[RequestRecord]" = []

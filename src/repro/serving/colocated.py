@@ -12,7 +12,7 @@ import numpy as np
 
 from .base import ServingSystem
 from .dispatch import Dispatcher
-from ..scheduling.config import SchedulingConfig
+from ..scheduling.config import DEFAULT_SCHEDULING, SchedulingConfig
 from ..simulator.colocated_instance import ColocatedInstance
 from ..simulator.events import Simulation
 from ..simulator.instance import InstanceSpec
@@ -33,10 +33,10 @@ class ColocatedSystem(ServingSystem):
         spec: Per-replica resources and parallelism.
         num_replicas: Model replicas (rate capacity scales linearly, §2.2).
         policy: Iteration scheduling policy of each replica.
-        dispatch_policy: How arrivals are routed across replicas.
         max_prefill_tokens: Per-iteration prefill token budget.
         chunk_size: Chunk budget for the ``"chunked"`` policy.
-        rng: Needed only for random dispatch.
+        rng: Needed only for randomized dispatch (see
+            :func:`repro.scheduling.dispatch_rng`).
         tracer: Optional lifecycle tracer, shared with every replica.
         profiler: Optional critical-path profiler, shared with every
             replica.
@@ -44,9 +44,11 @@ class ColocatedSystem(ServingSystem):
             timers and run decode iterations as macro runs (see
             :class:`~repro.simulator.colocated_instance.ColocatedInstance`);
             results are bit-identical either way.
-        scheduling: Full policy configuration (:mod:`repro.scheduling`)
-            shared by every replica; its ``dispatch_policy`` overrides
-            the legacy ``dispatch_policy`` keyword.
+        scheduling: Policy configuration (:mod:`repro.scheduling`): its
+            queue policy runs on every replica, its dispatch policy
+            routes arrivals across them. Colocated replicas take no
+            batch policy (see
+            :class:`~repro.simulator.colocated_instance.ColocatedInstance`).
     """
 
     def __init__(
@@ -55,20 +57,17 @@ class ColocatedSystem(ServingSystem):
         spec: InstanceSpec,
         num_replicas: int = 1,
         policy: str = "prefill_priority",
-        dispatch_policy: str = "least_loaded",
         max_prefill_tokens: int = 2048,
         chunk_size: int = 512,
         rng: "np.random.Generator | None" = None,
         tracer: "Tracer | None" = None,
         profiler: "Profiler | None" = None,
         fast_kernel: bool = True,
-        scheduling: "SchedulingConfig | None" = None,
+        scheduling: SchedulingConfig = DEFAULT_SCHEDULING,
     ) -> None:
-        super().__init__(sim, tracer=tracer, profiler=profiler, scheduling=scheduling)
+        super().__init__(sim, tracer=tracer, profiler=profiler)
         if num_replicas <= 0:
             raise ValueError(f"num_replicas must be positive, got {num_replicas}")
-        if scheduling is not None:
-            dispatch_policy = scheduling.dispatch_policy
         self.spec = spec
         self.instances = [
             ColocatedInstance(
@@ -87,7 +86,7 @@ class ColocatedSystem(ServingSystem):
             for i in range(num_replicas)
         ]
         self._dispatcher = Dispatcher(
-            dispatch_policy, load_fn=lambda inst: inst.load, rng=rng
+            scheduling.dispatch_policy, load_fn=lambda inst: inst.load, rng=rng
         )
         #: Replicas killed via fault injection.
         self.failures = 0

@@ -19,7 +19,7 @@ import numpy as np
 
 from .base import ServingSystem
 from .dispatch import Dispatcher
-from ..scheduling.config import SchedulingConfig
+from ..scheduling.config import DEFAULT_SCHEDULING, SchedulingConfig
 from ..hardware.network import NVLINK, NetworkLink
 from ..latency.comm import kv_cache_bytes
 from ..simulator.decode_instance import DecodeInstance
@@ -51,18 +51,17 @@ class DisaggregatedSystem(ServingSystem):
         transfer_channels: Parallel channels per migration (corresponding
             pipeline-stage pairs move their shards concurrently).
         transfer_mode: ``"pull"`` (default, §4.3) or ``"push"``.
-        dispatch_policy: Routing policy for both pools.
-        rng: Needed only for random dispatch.
+        rng: Needed only for randomized dispatch (see
+            :func:`repro.scheduling.dispatch_rng`).
         tracer: Optional lifecycle tracer, shared with every instance.
         profiler: Optional critical-path profiler, shared with every
             instance and the transfer engine; additionally receives
             blocked-on-transfer intervals per decode instance (pull mode).
         fast_kernel: Enable the fast-forward simulation kernel on every
-            instance (bit-identical results; tracing/profiling forces
-            decode instances back to the per-step reference path).
-        scheduling: Full policy configuration (:mod:`repro.scheduling`)
-            shared by every instance; its ``dispatch_policy`` overrides
-            the legacy ``dispatch_policy`` keyword.
+            instance (bit-identical results and observer output; off
+            forces the per-step reference path).
+        scheduling: Policy configuration (:mod:`repro.scheduling`) shared
+            by every instance; its dispatch policy routes both pools.
     """
 
     def __init__(
@@ -75,16 +74,13 @@ class DisaggregatedSystem(ServingSystem):
         transfer_link: NetworkLink = NVLINK,
         transfer_channels: "int | None" = None,
         transfer_mode: str = "pull",
-        dispatch_policy: str = "least_loaded",
         rng: "np.random.Generator | None" = None,
         tracer: "Tracer | None" = None,
         profiler: "Profiler | None" = None,
         fast_kernel: bool = True,
-        scheduling: "SchedulingConfig | None" = None,
+        scheduling: SchedulingConfig = DEFAULT_SCHEDULING,
     ) -> None:
-        super().__init__(sim, tracer=tracer, profiler=profiler, scheduling=scheduling)
-        if scheduling is not None:
-            dispatch_policy = scheduling.dispatch_policy
+        super().__init__(sim, tracer=tracer, profiler=profiler)
         if num_prefill <= 0 or num_decode <= 0:
             raise ValueError("need at least one instance of each kind")
         if transfer_mode not in ("pull", "push"):
@@ -118,10 +114,10 @@ class DisaggregatedSystem(ServingSystem):
             for i in range(num_decode)
         ]
         self._prefill_dispatch = Dispatcher(
-            dispatch_policy, load_fn=lambda inst: inst.queue_len, rng=rng
+            scheduling.dispatch_policy, load_fn=lambda inst: inst.queue_len, rng=rng
         )
         self._decode_dispatch = Dispatcher(
-            dispatch_policy, load_fn=lambda inst: inst.load, rng=rng
+            scheduling.dispatch_policy, load_fn=lambda inst: inst.load, rng=rng
         )
         # Pull queues: per decode instance, requests parked on prefill
         # memory awaiting a reservation.

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from .base import ServingSystem
 from .dispatch import Dispatcher
-from ..scheduling.config import SchedulingConfig
+from ..scheduling.config import DEFAULT_SCHEDULING, SchedulingConfig
 from ..simulator.decode_instance import DecodeInstance
 from ..simulator.events import Simulation
 from ..simulator.instance import InstanceSpec
@@ -47,9 +47,9 @@ class PrefillOnlySystem(ServingSystem):
         tracer: "Tracer | None" = None,
         profiler: "Profiler | None" = None,
         fast_kernel: bool = True,
-        scheduling: "SchedulingConfig | None" = None,
+        scheduling: SchedulingConfig = DEFAULT_SCHEDULING,
     ) -> None:
-        super().__init__(sim, tracer=tracer, profiler=profiler, scheduling=scheduling)
+        super().__init__(sim, tracer=tracer, profiler=profiler)
         self.spec = spec
         self.instances = [
             PrefillInstance(
@@ -102,9 +102,9 @@ class DecodeOnlySystem(ServingSystem):
         tracer: "Tracer | None" = None,
         profiler: "Profiler | None" = None,
         fast_kernel: bool = True,
-        scheduling: "SchedulingConfig | None" = None,
+        scheduling: SchedulingConfig = DEFAULT_SCHEDULING,
     ) -> None:
-        super().__init__(sim, tracer=tracer, profiler=profiler, scheduling=scheduling)
+        super().__init__(sim, tracer=tracer, profiler=profiler)
         self.spec = spec
         self.instances = [
             DecodeInstance(

@@ -59,7 +59,7 @@ from .tracing import NULL_TRACER, SpanKind, Tracer
 from ..latency.memo import DecodeStepTimer, PrefillBatchTimer
 from ..latency.mixed import mixed_batch_latency
 from ..latency.parallel import decode_times, prefill_times
-from ..scheduling.config import SchedulingConfig
+from ..scheduling.config import DEFAULT_SCHEDULING, SchedulingConfig
 from ..scheduling.queue import QueuePolicy, make_queue_policy
 
 __all__ = ["ColocatedInstance", "POLICIES"]
@@ -93,7 +93,9 @@ class ColocatedInstance:
         scheduling: Policy configuration (:mod:`repro.scheduling`); the
             queue policy orders the waiting deque before each admission
             pass (FCFS default is a no-op). Batch shaping stays with the
-            iteration ``policy`` above — the vLLM baseline's own axis.
+            iteration ``policy`` and ``max_prefill_tokens`` above — the
+            vLLM baseline's own axis — so a non-default ``batch_policy``
+            or ``batch_token_limit`` raises ``ValueError``.
     """
 
     def __init__(
@@ -108,12 +110,22 @@ class ColocatedInstance:
         tracer: "Tracer | None" = None,
         profiler: "Profiler | None" = None,
         fast_kernel: bool = True,
-        scheduling: "SchedulingConfig | None" = None,
+        scheduling: SchedulingConfig = DEFAULT_SCHEDULING,
     ) -> None:
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
         if max_prefill_tokens <= 0 or chunk_size <= 0:
             raise ValueError("max_prefill_tokens and chunk_size must be positive")
+        if scheduling.batch_policy != DEFAULT_SCHEDULING.batch_policy:
+            raise ValueError(
+                f"batch_policy {scheduling.batch_policy!r} does not apply to "
+                "colocated instances: their batches follow the iteration policy"
+            )
+        if scheduling.batch_token_limit is not None:
+            raise ValueError(
+                "batch_token_limit does not apply to colocated instances: "
+                "their prefill budget is max_prefill_tokens"
+            )
         self._sim = sim
         self.spec = spec
         self.name = name
@@ -121,11 +133,10 @@ class ColocatedInstance:
         self._on_done = on_request_done
         self._max_prefill_tokens = max_prefill_tokens
         self._chunk_size = chunk_size
-        cfg = scheduling if scheduling is not None else SchedulingConfig()
         self._qpolicy: QueuePolicy = make_queue_policy(
-            cfg.queue_policy,
-            sjf_aging=cfg.sjf_aging,
-            edf_default_deadline=cfg.edf_default_deadline,
+            scheduling.queue_policy,
+            sjf_aging=scheduling.sjf_aging,
+            edf_default_deadline=scheduling.edf_default_deadline,
             enqueue_stamp="prefill_enqueue",
         )
         self._alive = True

@@ -49,7 +49,7 @@ from .tracing import NULL_TRACER, SpanKind, Tracer
 from ..latency.memo import DecodeStepTimer
 from ..latency.parallel import decode_times
 from ..scheduling.batch import BatchPolicy, make_batch_policy
-from ..scheduling.config import SchedulingConfig
+from ..scheduling.config import DEFAULT_SCHEDULING, SchedulingConfig
 from ..scheduling.queue import QueuePolicy, make_queue_policy
 
 __all__ = ["DecodeInstance"]
@@ -86,20 +86,19 @@ class DecodeInstance:
         tracer: "Tracer | None" = None,
         profiler: "Profiler | None" = None,
         fast_kernel: bool = True,
-        scheduling: "SchedulingConfig | None" = None,
+        scheduling: SchedulingConfig = DEFAULT_SCHEDULING,
     ) -> None:
         self._sim = sim
         self.spec = spec
         self.name = name
         self._on_done = on_request_done
-        cfg = scheduling if scheduling is not None else SchedulingConfig()
         self._qpolicy: QueuePolicy = make_queue_policy(
-            cfg.queue_policy,
-            sjf_aging=cfg.sjf_aging,
-            edf_default_deadline=cfg.edf_default_deadline,
+            scheduling.queue_policy,
+            sjf_aging=scheduling.sjf_aging,
+            edf_default_deadline=scheduling.edf_default_deadline,
             enqueue_stamp="decode_enqueue",
         )
-        self._bpolicy: BatchPolicy = make_batch_policy(cfg.batch_policy)
+        self._bpolicy: BatchPolicy = make_batch_policy(scheduling.batch_policy)
         self._waiting: "Deque[RequestState]" = deque()
         self._kv: KVBlockManager = spec.make_kv_manager()
         self._coeffs = spec.latency_coeffs

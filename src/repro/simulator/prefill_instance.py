@@ -36,7 +36,7 @@ from ..latency.memo import PrefillBatchTimer
 from ..latency.parallel import prefill_times
 from ..latency.prefill import saturation_length
 from ..scheduling.batch import BatchPolicy, PrefillChunk, make_batch_policy
-from ..scheduling.config import SchedulingConfig
+from ..scheduling.config import DEFAULT_SCHEDULING, SchedulingConfig
 from ..scheduling.queue import QueuePolicy, make_queue_policy
 
 __all__ = ["PrefillInstance"]
@@ -51,15 +51,6 @@ class PrefillInstance:
         on_prefill_done: Callback invoked (with the request state) when a
             request's first token is produced; the orchestration layer
             then arranges the KV pull.
-        batch_token_limit: Override for the batch-shaping threshold
-            ``L_m`` (defaults to the profiled saturation length).
-        queue_policy: ``"fcfs"`` (paper default), ``"sjf"``
-            (shortest-prompt-first with aging — the convoy-effect
-            mitigation the paper defers to future work), or ``"edf"``
-            (earliest deadline first).
-        sjf_aging: Seconds of queue wait equivalent to one prompt token
-            when ranking under ``"sjf"``; higher values age waiting
-            requests toward the front faster, bounding starvation.
         name: Identifier for reporting.
         tracer: Optional lifecycle tracer receiving queue/exec spans.
         profiler: Optional critical-path profiler receiving one exec
@@ -67,10 +58,11 @@ class PrefillInstance:
         fast_kernel: Evaluate batch latency through the memoized
             :class:`PrefillBatchTimer` (bit-identical to the reference
             path, validation hoisted out of the scheduling loop).
-        scheduling: Full policy configuration (:mod:`repro.scheduling`);
-            when given, its queue/batch policies and knobs override the
-            legacy ``queue_policy`` / ``sjf_aging`` /
-            ``batch_token_limit`` keywords.
+        scheduling: Policy configuration (:mod:`repro.scheduling`): the
+            queue policy (``fcfs``, the convoy-effect mitigation ``sjf``
+            with its ``sjf_aging``, or ``edf``), the batch policy, and
+            ``batch_token_limit``, which overrides the batch-shaping
+            threshold ``L_m`` (the profiled saturation length).
     """
 
     def __init__(
@@ -78,41 +70,29 @@ class PrefillInstance:
         sim: Simulation,
         spec: InstanceSpec,
         on_prefill_done: Callable[[RequestState], None],
-        batch_token_limit: "int | None" = None,
-        queue_policy: str = "fcfs",
-        sjf_aging: float = 2000.0,
         name: str = "prefill-0",
         tracer: "Tracer | None" = None,
         profiler: "Profiler | None" = None,
         fast_kernel: bool = True,
-        scheduling: "SchedulingConfig | None" = None,
+        scheduling: SchedulingConfig = DEFAULT_SCHEDULING,
     ) -> None:
-        batch_policy = "token_budget"
-        edf_default_deadline = 10.0
-        if scheduling is not None:
-            queue_policy = scheduling.queue_policy
-            batch_policy = scheduling.batch_policy
-            sjf_aging = scheduling.sjf_aging
-            edf_default_deadline = scheduling.edf_default_deadline
-            if scheduling.batch_token_limit is not None:
-                batch_token_limit = scheduling.batch_token_limit
         self._sim = sim
         self.spec = spec
         self.name = name
         self._on_done = on_prefill_done
         self._qpolicy: QueuePolicy = make_queue_policy(
-            queue_policy,
-            sjf_aging=sjf_aging,
-            edf_default_deadline=edf_default_deadline,
+            scheduling.queue_policy,
+            sjf_aging=scheduling.sjf_aging,
+            edf_default_deadline=scheduling.edf_default_deadline,
             enqueue_stamp="prefill_enqueue",
         )
-        self._bpolicy: BatchPolicy = make_batch_policy(batch_policy)
+        self._bpolicy: BatchPolicy = make_batch_policy(scheduling.batch_policy)
         self._queue: "Deque[RequestState]" = deque()
         self._kv: KVBlockManager = spec.make_kv_manager()
         self._coeffs = spec.latency_coeffs
         self._limit = (
-            batch_token_limit
-            if batch_token_limit is not None
+            scheduling.batch_token_limit
+            if scheduling.batch_token_limit is not None
             else saturation_length(spec.model, self._coeffs, tp=spec.config.tp)
         )
         self._jitter = spec.make_jitter(name)

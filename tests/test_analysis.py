@@ -142,50 +142,3 @@ class TestRecordValidation:
     def test_nan_stage_rejected(self):
         with pytest.raises(ValueError):
             make_record(0, 0.1, 0.05, transfer_time=math.nan)
-
-
-class TestFidelity:
-    def _run(self, jitter, seed=3):
-        import numpy as np
-
-        from repro.models import ModelArchitecture
-        from repro.serving import DisaggregatedSystem, simulate_trace
-        from repro.simulator import InstanceSpec, Simulation
-        from repro.workload import fixed_length_dataset, generate_trace
-
-        model = ModelArchitecture("fid-1b", 16, 2048, 16, 8192)
-        spec = InstanceSpec(model=model, jitter_sigma=jitter)
-        trace = generate_trace(
-            fixed_length_dataset(256, 16), rate=8.0, num_requests=100,
-            rng=np.random.default_rng(seed),
-        )
-        sim = Simulation()
-        res = simulate_trace(DisaggregatedSystem(sim, spec, spec), trace)
-        return res.records
-
-    def test_identical_runs_zero_error(self):
-        from repro.analysis import compare_runs
-
-        records = self._run(jitter=0.0)
-        report = compare_runs(records, records, SLO(ttft=0.5, tpot=0.2))
-        assert report.attainment_error == 0.0
-        assert report.ttft_mean_rel_error == 0.0
-        assert report.matched_requests == 100
-
-    def test_jittered_run_small_error(self):
-        from repro.analysis import compare_runs
-
-        clean = self._run(jitter=0.0)
-        noisy = self._run(jitter=0.05)
-        report = compare_runs(noisy, clean, SLO(ttft=0.5, tpot=0.2))
-        assert report.matched_requests == 100
-        assert report.attainment_error < 0.1
-        assert report.ttft_mean_rel_error < 0.25
-
-    def test_disjoint_runs_rejected(self):
-        from repro.analysis import compare_runs
-
-        a = [make_record(1, 0.1, 0.01)]
-        b = [make_record(2, 0.1, 0.01)]
-        with pytest.raises(ValueError):
-            compare_runs(a, b, SLO(1.0, 1.0))

@@ -7,6 +7,7 @@ from repro.hardware import ETHERNET_25G, NVLINK, NetworkLink
 from repro.latency import ParallelismConfig, coefficients_from_roofline
 from repro.hardware import A100_80GB
 from repro.models import ModelArchitecture
+from repro.scheduling import SchedulingConfig
 from repro.serving import ColocatedSystem, DisaggregatedSystem, simulate_trace
 from repro.simulator import (
     InstanceSpec,
@@ -115,7 +116,7 @@ class TestPipelineBubbles:
                 on_prefill_done=lambda s: (
                     done.append(sim.now), inst.release_kv(s.request_id)
                 ),
-                batch_token_limit=1,  # force one request per batch
+                scheduling=SchedulingConfig(batch_token_limit=1),  # one request per batch
             )
             for i, length in enumerate(lens):
                 inst.submit(

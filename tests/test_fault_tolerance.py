@@ -9,6 +9,7 @@ and recovery paths of both instance kinds.
 import numpy as np
 import pytest
 
+from repro.scheduling import SchedulingConfig
 from repro.serving import DisaggregatedSystem, simulate_trace
 from repro.simulator import Simulation
 from repro.workload import SHAREGPT, fixed_length_dataset, generate_trace
@@ -137,8 +138,9 @@ class TestSJFQueuePolicy:
             inst = PrefillInstance(
                 sim, tiny_spec,
                 on_prefill_done=lambda s: done.append(s.request_id),
-                batch_token_limit=256,
-                queue_policy=policy,
+                scheduling=SchedulingConfig(
+                    queue_policy=policy, batch_token_limit=256
+                ),
             )
             # One long convoy-leader, then several short requests.
             lens = [2000, 64, 64, 64]
@@ -166,9 +168,9 @@ class TestSJFQueuePolicy:
         inst = PrefillInstance(
             sim, tiny_spec,
             on_prefill_done=lambda s: done.append(s.request_id),
-            batch_token_limit=128,
-            queue_policy="sjf",
-            sjf_aging=2000.0,
+            scheduling=SchedulingConfig(
+                queue_policy="sjf", sjf_aging=2000.0, batch_token_limit=128
+            ),
         )
         # A long request plus a steady stream of short ones.
         inst.submit(RequestState(request=Request(0, 0.0, 1500, 2)))
@@ -188,5 +190,5 @@ class TestSJFQueuePolicy:
         with pytest.raises(ValueError):
             PrefillInstance(
                 Simulation(), tiny_spec, on_prefill_done=lambda s: None,
-                queue_policy="lifo",
+                scheduling=SchedulingConfig(queue_policy="lifo"),
             )

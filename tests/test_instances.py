@@ -3,6 +3,7 @@
 import pytest
 
 from repro.latency import ParallelismConfig
+from repro.scheduling import SchedulingConfig
 from repro.simulator import (
     ColocatedInstance,
     DecodeInstance,
@@ -62,7 +63,7 @@ class TestPrefillInstance:
         done = []
         inst = PrefillInstance(
             sim, tiny_spec, on_prefill_done=lambda s: done.append(sim.now),
-            batch_token_limit=256,
+            scheduling=SchedulingConfig(batch_token_limit=256),
         )
         # Two short prompts fit one batch; the third must wait.
         for state in make_states([(100, 2), (100, 2), (100, 2)]):
@@ -76,7 +77,7 @@ class TestPrefillInstance:
         done = []
         inst = PrefillInstance(
             sim, tiny_spec, on_prefill_done=lambda s: done.append((s.request_id, sim.now)),
-            batch_token_limit=128,
+            scheduling=SchedulingConfig(batch_token_limit=128),
         )
         for state in make_states([(1000, 2), (50, 2)]):
             inst.submit(state)
@@ -116,7 +117,7 @@ class TestPrefillInstance:
             done = []
             inst = PrefillInstance(
                 sim, spec, on_prefill_done=lambda s: done.append(sim.now),
-                batch_token_limit=600,
+                scheduling=SchedulingConfig(batch_token_limit=600),
             )
             for state in make_states([(600, 2), (600, 2)]):
                 inst.submit(state)

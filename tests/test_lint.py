@@ -29,6 +29,7 @@ from repro.core.placement_low import IntraNodeConfig, _unit_factory
 from repro.core.search import TrialCache, make_joint_task
 from repro.hardware import Cluster, Node
 from repro.models import get_model
+from repro.scheduling import SchedulingConfig
 from repro.serving import DisaggregatedSystem, simulate_trace
 from repro.simulator import Simulation
 from repro.workload import SLO, fixed_length_dataset, generate_trace, get_dataset
@@ -54,7 +55,7 @@ def _randomly_routed(spec, make_rng):
         sim = Simulation()
         system = DisaggregatedSystem(
             sim, spec, spec, num_prefill=2, num_decode=2,
-            dispatch_policy="random", rng=make_rng(sim),
+            scheduling=SchedulingConfig(dispatch_policy="random"), rng=make_rng(sim),
         )
         trace = generate_trace(get_dataset("sharegpt"), rate=4.0,
                                num_requests=40, rng=np.random.default_rng(3))
@@ -257,9 +258,10 @@ class TestDET004:
 
 def _caught_by_sampling_twin(spec, extra):
     """Does reading every metric callback mid-run change the records?"""
-    bare, _ = sampled_mid_run(spec, observed=False, dispatch_policy="round_robin")
+    round_robin = SchedulingConfig(dispatch_policy="round_robin")
+    bare, _ = sampled_mid_run(spec, observed=False, scheduling=round_robin)
     records, _ = sampled_mid_run(spec, observed=True,
-                                 dispatch_policy="round_robin", extra=extra)
+                                 scheduling=round_robin, extra=extra)
     return records != bare
 
 

@@ -14,6 +14,7 @@ from repro.analysis import (
     write_prometheus_text,
 )
 from repro.core import WorkloadProfiler
+from repro.scheduling import DEFAULT_SCHEDULING
 from repro.serving import (
     ColocatedSystem,
     DecodeOnlySystem,
@@ -416,7 +417,7 @@ def _instrumented_disagg_run(tiny_spec, seed=0, num_requests=40):
     return system, registry, monitor, result, slo, trace
 
 
-def sampled_mid_run(spec, observed, dispatch_policy="least_loaded", extra=None):
+def sampled_mid_run(spec, observed, scheduling=DEFAULT_SCHEDULING, extra=None):
     """Records of a short disaggregated run, and its mid-run exports.
 
     When ``observed``, every registered metric callback is read every
@@ -426,8 +427,7 @@ def sampled_mid_run(spec, observed, dispatch_policy="least_loaded", extra=None):
     """
     sim = Simulation()
     system = DisaggregatedSystem(
-        sim, spec, spec, num_prefill=2, num_decode=2,
-        dispatch_policy=dispatch_policy,
+        sim, spec, spec, num_prefill=2, num_decode=2, scheduling=scheduling,
     )
     trace = generate_trace(
         SHAREGPT, rate=4.0, num_requests=40, rng=np.random.default_rng(5)

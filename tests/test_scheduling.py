@@ -13,7 +13,6 @@ from repro.core.simulate import phase_trial_setup
 from repro.latency import ParallelismConfig
 from repro.scheduling import (
     BATCH_POLICIES,
-    DEFAULT_SCHEDULING,
     DISPATCH_POLICIES,
     QUEUE_POLICIES,
     ChunkedBatch,
@@ -55,15 +54,6 @@ def make_states(lens_and_outs, start_id=0, arrival=0.0):
 
 
 class TestSchedulingConfig:
-    def test_default_is_default(self):
-        assert SchedulingConfig().is_default()
-        assert DEFAULT_SCHEDULING.is_default()
-
-    def test_non_default(self):
-        assert not SchedulingConfig(queue_policy="edf").is_default()
-        assert not SchedulingConfig(batch_policy="chunked").is_default()
-        assert not SchedulingConfig(dispatch_policy="random").is_default()
-
     def test_frozen(self):
         cfg = SchedulingConfig()
         with pytest.raises(Exception):
@@ -130,8 +120,9 @@ class TestEDFQueue:
             sim,
             tiny_spec,
             on_prefill_done=lambda s: done.append(s.request_id),
-            scheduling=SchedulingConfig(queue_policy="edf"),
-            batch_token_limit=tiny_spec.model.max_seq_len,
+            scheduling=SchedulingConfig(
+                queue_policy="edf", batch_token_limit=tiny_spec.model.max_seq_len
+            ),
         )
         big = tiny_spec.model.max_seq_len  # one request per batch
         states = make_states([(big, 2), (big, 2), (big, 2)])
@@ -205,8 +196,7 @@ class TestBatchPolicies:
             sim,
             tiny_spec,
             on_prefill_done=lambda s: done.append(s.request_id),
-            scheduling=SchedulingConfig(batch_policy="chunked"),
-            batch_token_limit=256,
+            scheduling=SchedulingConfig(batch_policy="chunked", batch_token_limit=256),
         )
         for s in make_states([(1000, 2), (100, 2), (700, 2)]):
             inst.submit(s)
@@ -304,8 +294,7 @@ class TestFailureReleasesKV:
         sim = Simulation()
         inst = PrefillInstance(
             sim, tiny_spec, on_prefill_done=lambda s: None,
-            scheduling=SchedulingConfig(batch_policy="chunked"),
-            batch_token_limit=128,
+            scheduling=SchedulingConfig(batch_policy="chunked", batch_token_limit=128),
         )
         for s in make_states([(1000, 2), (600, 2)]):
             inst.submit(s)
@@ -378,25 +367,19 @@ class TestSystemsWithPolicies:
         result = simulate_trace(system, trace)
         assert result.completed == len(trace)
 
-    def test_default_config_matches_no_config(self, tiny_spec, rng):
-        """scheduling=default must be byte-identical to scheduling=None."""
-        def run(scheduling):
-            trace = generate_trace(
-                SHAREGPT, rate=5.0, num_requests=50,
-                rng=np.random.default_rng(3),
-            )
-            sim = Simulation()
-            system = DisaggregatedSystem(
-                sim, tiny_spec, tiny_spec, num_prefill=2, num_decode=2,
-                scheduling=scheduling,
-            )
-            result = simulate_trace(system, trace)
-            return [
-                (r.request_id, r.ttft, r.tpot, r.finish_time)
-                for r in result.records
-            ]
 
-        assert run(None) == run(SchedulingConfig())
+    @pytest.mark.parametrize(
+        "cfg, field",
+        [
+            (SchedulingConfig(batch_policy="chunked"), "batch_policy"),
+            (SchedulingConfig(batch_token_limit=256), "batch_token_limit"),
+        ],
+    )
+    def test_colocated_rejects_batch_settings(self, tiny_spec, cfg, field):
+        """Colocated batches follow the iteration policy; a batch setting
+        they would ignore is refused, naming the field."""
+        with pytest.raises(ValueError, match=field):
+            ColocatedSystem(Simulation(), tiny_spec, scheduling=cfg)
 
 
 class TestFingerprintStability:
@@ -405,13 +388,9 @@ class TestFingerprintStability:
 
     def test_default_scheduling_preserves_fingerprint(self, tiny_spec):
         base, _ = phase_trial_setup("prefill", tiny_spec, self._slo())
-        none_cfg, _ = phase_trial_setup(
-            "prefill", tiny_spec, self._slo(), scheduling=None
-        )
         default_cfg, _ = phase_trial_setup(
             "prefill", tiny_spec, self._slo(), scheduling=SchedulingConfig()
         )
-        assert fingerprint(base) == fingerprint(none_cfg)
         assert fingerprint(base) == fingerprint(default_cfg)
 
     def test_non_default_scheduling_changes_fingerprint(self, tiny_spec):
