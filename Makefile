@@ -35,7 +35,7 @@ golden-regen:
 	PYTHONPATH=src python -m tests.test_critpath --regen
 
 bench:
-	pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only
 
 # Search-acceleration benchmark: naive vs cached/pruned/parallel
 # placement search; writes BENCH_search.json at the repo root.
@@ -52,12 +52,12 @@ perf-check:
 	done; exit $$status
 
 examples:
-	python examples/quickstart.py
-	python examples/api_frontend.py
-	python examples/cost_analysis.py
-	python examples/fault_injection.py
-	python examples/burstiness_pull_vs_push.py
-	python examples/queueing_analysis.py
+	PYTHONPATH=src python examples/quickstart.py
+	PYTHONPATH=src python examples/api_frontend.py
+	PYTHONPATH=src python examples/cost_analysis.py
+	PYTHONPATH=src python examples/fault_injection.py
+	PYTHONPATH=src python examples/burstiness_pull_vs_push.py
+	PYTHONPATH=src python examples/queueing_analysis.py
 
 clean:
 	rm -rf build dist *.egg-info .pytest_cache .hypothesis

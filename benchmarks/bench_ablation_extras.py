@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis import format_table, tpot_percentile, ttft_percentile
+from repro.analysis import critical_paths, format_table, tpot_percentile, ttft_percentile
 from repro.hardware import NVLINK
 from repro.latency import ParallelismConfig
 from repro.models import get_model
 from repro.scheduling import SchedulingConfig
 from repro.serving import ColocatedSystem, DisaggregatedSystem, simulate_trace
-from repro.simulator import InstanceSpec, PrefillInstance, RequestState, Simulation
+from repro.simulator import InstanceSpec, PrefillInstance, RequestState, Simulation, Tracer
 from repro.workload import SHAREGPT, generate_trace
 
 MODEL = get_model("opt-13b")
@@ -49,7 +49,7 @@ def run_ablations():
         res = _run(
             lambda sim, m=mode: DisaggregatedSystem(
                 sim, SPEC, SPEC, num_prefill=2, num_decode=1,
-                transfer_link=NVLINK, transfer_mode=m,
+                transfer_link=NVLINK, transfer_mode=m, tracer=Tracer(),
             ),
             bursty,
         )
@@ -84,7 +84,7 @@ def run_ablations():
                 lambda r=req: inst.submit(RequestState(request=r)),
             )
         sim.run(max_events=3_000_000)
-        ttfts = [s.timestamps["prefill_end"] - s.request.arrival_time for s in done]
+        ttfts = [s.token_times[0] - s.request.arrival_time for s in done]
         out[f"shaping_{label}"] = float(np.percentile(ttfts, 90)) if ttfts else float("inf")
 
     # 4. Chunked prefill vs prefill-priority (colocated).
@@ -95,12 +95,16 @@ def run_ablations():
     return out
 
 
+def _mean_decode_queue(res) -> float:
+    return float(np.mean([p.decode_queue for p in critical_paths(res.spans)]))
+
+
 def test_ablation_extras(benchmark):
     out = benchmark.pedantic(run_ablations, rounds=1, iterations=1)
     rows = []
     for mode in ("pull", "push"):
         res = out[f"transfer_{mode}"]
-        dq = float(np.mean([r.decode_queue_time for r in res.records]))
+        dq = _mean_decode_queue(res)
         rows.append([f"KV transfer: {mode}", res.completed, dq, tpot_percentile(res.records)])
     for policy in ("least_loaded", "round_robin", "random", "power_of_two"):
         res = out[f"dispatch_{policy}"]
@@ -133,8 +137,8 @@ def test_ablation_extras(benchmark):
     # Pull keeps decode queuing no worse than push under bursts and both
     # complete the trace.
     assert out["transfer_pull"].unfinished == 0
-    pull_dq = np.mean([r.decode_queue_time for r in out["transfer_pull"].records])
-    push_dq = np.mean([r.decode_queue_time for r in out["transfer_push"].records])
+    pull_dq = _mean_decode_queue(out["transfer_pull"])
+    push_dq = _mean_decode_queue(out["transfer_push"])
     assert pull_dq <= push_dq + 1e-3
     # Least-loaded dispatch beats random on tail TTFT.
     assert ttft_percentile(out["dispatch_least_loaded"].records) <= ttft_percentile(

@@ -48,7 +48,7 @@ def run_convoy():
             )
         sim.run(max_events=3_000_000)
         ttfts = np.array(
-            [s.timestamps["prefill_end"] - s.request.arrival_time for s in done]
+            [s.token_times[0] - s.request.arrival_time for s in done]
         )
         out[policy] = {
             "completed": len(done),

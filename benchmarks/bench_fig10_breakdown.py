@@ -1,8 +1,9 @@
 """Figure 10: latency breakdown and KV-transfer CDF (OPT-175B, ShareGPT).
 
-*(a)* The five lifecycle stages' share of total request time — transfer
-must account for well under 1% despite the 175B KV caches, because the
-low-node-affinity placement pins migrations to NVLink.
+*(a)* The five lifecycle stages' share of total request time, summed
+over the critical paths of a traced run — transfer must account for
+well under 1% despite the 175B KV caches, because the low-node-affinity
+placement pins migrations to NVLink.
 *(b)* The CDF of absolute transfer times — the paper reports >95% of
 requests under 30 ms even on the 25 Gbps-fabric testbed.
 """
@@ -11,10 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from benchmarks.common import distserve_system_factory
-from repro.analysis import cdf_points, format_table, latency_breakdown
+from benchmarks.common import distserve_placement
+from repro.analysis import cdf_points, critical_paths, format_table, latency_breakdown
+from repro.core import build_system
+from repro.hardware import paper_testbed
+from repro.models import get_model
 from repro.serving import simulate_trace
-from repro.simulator import Simulation
+from repro.simulator import Simulation, Tracer
 from repro.workload import generate_trace, get_dataset, get_workload
 
 N = 400
@@ -23,13 +27,16 @@ N = 400
 def run_figure10():
     workload = get_workload("chatbot", "opt-175b")
     dataset = get_dataset(workload.dataset_name)
-    factory, num_gpus, placement = distserve_system_factory("chatbot", "opt-175b")
+    placement = distserve_placement("chatbot", "opt-175b")
     # Operate at a moderate utilization point.
     rate = max(0.05, 0.6 * placement.system_goodput)
     trace = generate_trace(dataset, rate, N, np.random.default_rng(0))
-    sim = Simulation()
-    res = simulate_trace(factory(sim), trace, max_events=8_000_000)
-    breakdown = latency_breakdown(res.records)
+    system = build_system(
+        Simulation(), get_model("opt-175b"), placement, paper_testbed(),
+        tracer=Tracer(),
+    )
+    res = simulate_trace(system, trace, max_events=8_000_000)
+    breakdown = latency_breakdown(critical_paths(res.spans))
     durations = [t.duration for t in res.transfer_records]
     return placement, breakdown, durations
 

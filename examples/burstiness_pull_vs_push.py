@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis import tpot_percentile
+from repro.analysis import critical_paths, tpot_percentile
 from repro.latency import ParallelismConfig
 from repro.models import get_model
 from repro.serving import DisaggregatedSystem, simulate_trace
-from repro.simulator import InstanceSpec, Simulation
+from repro.simulator import InstanceSpec, Simulation, Tracer
 from repro.workload import SHAREGPT, generate_trace
 
 
@@ -37,10 +37,12 @@ def main() -> None:
         for mode in ("pull", "push"):
             sim = Simulation()
             system = DisaggregatedSystem(
-                sim, spec, spec, num_prefill=2, num_decode=1, transfer_mode=mode
+                sim, spec, spec, num_prefill=2, num_decode=1, transfer_mode=mode,
+                tracer=Tracer(),
             )
             res = simulate_trace(system, trace, max_events=5_000_000)
-            queue = float(np.mean([r.decode_queue_time for r in res.records]))
+            paths = critical_paths(res.spans)
+            queue = float(np.mean([p.decode_queue for p in paths]))
             print(f"{cv:8.1f} | {mode:>6} | {queue:18.4f} | "
                   f"{tpot_percentile(res.records):9.4f}")
 

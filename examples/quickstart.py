@@ -2,7 +2,8 @@
 
 Builds a small DistServe-style deployment (one prefill + one decode
 instance of OPT-13B), drives it with a Poisson ShareGPT-like trace, and
-prints latency statistics and SLO attainment.
+prints latency statistics, SLO attainment and the lifecycle breakdown
+that the run's traced critical paths give.
 
 Run:
     python examples/quickstart.py
@@ -12,11 +13,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis import latency_breakdown, latency_summary, slo_attainment
+from repro.analysis import (
+    critical_paths,
+    latency_breakdown,
+    latency_summary,
+    slo_attainment,
+)
 from repro.latency import ParallelismConfig
 from repro.models import get_model
 from repro.serving import DisaggregatedSystem, simulate_trace
-from repro.simulator import InstanceSpec, Simulation
+from repro.simulator import InstanceSpec, Simulation, Tracer
 from repro.workload import SHAREGPT, SLO, generate_trace
 
 
@@ -29,7 +35,8 @@ def main() -> None:
 
     sim = Simulation()
     system = DisaggregatedSystem(
-        sim, prefill_spec, decode_spec, num_prefill=1, num_decode=1
+        sim, prefill_spec, decode_spec, num_prefill=1, num_decode=1,
+        tracer=Tracer(),
     )
 
     trace = generate_trace(
@@ -52,7 +59,7 @@ def main() -> None:
           f"{report.total:.1%} (TTFT-only {report.ttft_only:.1%}, "
           f"TPOT-only {report.tpot_only:.1%})")
 
-    fractions = latency_breakdown(result.records).fractions()
+    fractions = latency_breakdown(critical_paths(result.spans)).fractions()
     print("lifecycle breakdown: " + ", ".join(
         f"{stage} {frac:.1%}" for stage, frac in fractions.items()
     ))

@@ -1,19 +1,17 @@
-"""Analysis: SLO attainment, percentiles, breakdowns, report tables."""
+"""Analysis: SLO attainment, percentiles, critical paths, report tables."""
 
-from .breakdown import (
-    STAGES,
-    LatencyBreakdown,
-    latency_breakdown,
-)
 from .critpath import (
     PHASES,
+    STAGES,
     TTFT_PHASES,
+    LatencyBreakdown,
     RequestCriticalPath,
     build_profile,
     critical_paths,
     diff_profiles,
     format_profile,
     format_profile_diff,
+    latency_breakdown,
     profile_to_html,
     profile_to_json,
 )

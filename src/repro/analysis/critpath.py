@@ -9,14 +9,20 @@ execution — and attributes cluster time per instance to busy / idle /
 blocked-on-transfer, the accounting behind Figure 10 and §3.1's
 interference argument.
 
-Three layers of machinery:
+Four layers of machinery:
 
 * :func:`critical_paths` — per-request decomposition from the span
   stream (plus the profiler's transfer events when available, which
   split the KV-transfer span into link *wait* vs wire *transmit*).
   Decode execution is the residual against end-to-end latency, so the
   ``math.fsum`` of all phases reconciles with ``completion - arrival``
-  to within 1e-9 — a property test enforces this.
+  to within 1e-9 — a property test enforces this. It is the only
+  request decomposition: a
+  :class:`~repro.simulator.request.RequestRecord` carries the path's
+  arrival, TTFT, TPOT and finish time and no phases.
+* :func:`latency_breakdown` — Figure 10a's five lifecycle stages
+  (:data:`STAGES`), a coarser view of the paths: ``dispatch`` folds into
+  prefill queueing and ``kv_wait``/``kv_transmit`` into transfer.
 * :func:`build_profile` — the full deterministic report: aggregate
   phase totals, TTFT/TPOT distributions with per-phase TTFT breakdown,
   per-instance utilization timelines and batch-occupancy histograms
@@ -45,11 +51,14 @@ from ..simulator.tracing import Span, SpanKind, spans_by_request
 
 __all__ = [
     "PHASES",
+    "STAGES",
     "TTFT_PHASES",
     "PROFILE_SCHEMA",
     "PROFILE_DIFF_SCHEMA",
     "RequestCriticalPath",
     "critical_paths",
+    "LatencyBreakdown",
+    "latency_breakdown",
     "build_profile",
     "diff_profiles",
     "profile_to_json",
@@ -66,6 +75,17 @@ PHASES = (
     "prefill_exec",
     "kv_wait",
     "kv_transmit",
+    "decode_queue",
+    "decode_exec",
+)
+
+#: Figure 10a's lifecycle stages (§6.3), each a sum of critical-path
+#: phases: ``prefill_queue`` is ``dispatch + prefill_queue`` and
+#: ``transfer`` is ``kv_wait + kv_transmit``; the rest map one to one.
+STAGES = (
+    "prefill_queue",
+    "prefill_exec",
+    "transfer",
     "decode_queue",
     "decode_exec",
 )
@@ -244,6 +264,50 @@ def critical_paths(
         )
     out.sort(key=lambda path: path.request_id)
     return out
+
+
+@dataclass(frozen=True)
+class LatencyBreakdown:
+    """Seconds all requests spent in each of :data:`STAGES`."""
+
+    prefill_queue: float
+    prefill_exec: float
+    transfer: float
+    decode_queue: float
+    decode_exec: float
+
+    @property
+    def total(self) -> float:
+        return math.fsum(getattr(self, stage) for stage in STAGES)
+
+    def fractions(self) -> "dict[str, float]":
+        """Stage proportions of total lifecycle time (Figure 10a)."""
+        total = self.total
+        return {
+            stage: getattr(self, stage) / total if total else 0.0
+            for stage in STAGES
+        }
+
+
+def latency_breakdown(paths: "list[RequestCriticalPath]") -> LatencyBreakdown:
+    """Sum each stage's time over ``paths`` (the Figure 10a statistic).
+
+    §6.3: "The total time consumed by all requests in each stage is then
+    summed up to determine their respective proportions in the system's
+    total execution time." ``math.fsum`` makes the sums independent of
+    the order of ``paths``.
+    """
+    return LatencyBreakdown(
+        prefill_queue=math.fsum(
+            value for p in paths for value in (p.dispatch, p.prefill_queue)
+        ),
+        prefill_exec=math.fsum(p.prefill_exec for p in paths),
+        transfer=math.fsum(
+            value for p in paths for value in (p.kv_wait, p.kv_transmit)
+        ),
+        decode_queue=math.fsum(p.decode_queue for p in paths),
+        decode_exec=math.fsum(p.decode_exec for p in paths),
+    )
 
 
 # ----------------------------------------------------------------------

@@ -118,10 +118,16 @@ def _cmd_models(_args: argparse.Namespace) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    workload = get_workload(args.application, args.model)
-    model = get_model(args.model)
-    dataset = get_dataset(workload.dataset_name)
-    cluster = paper_testbed()
+    try:
+        workload = get_workload(args.application, args.model)
+        model = get_model(args.model)
+        dataset = get_dataset(workload.dataset_name)
+        cluster = paper_testbed()
+        if not (math.isfinite(args.traffic) and args.traffic >= 0):
+            raise ValueError(f"--traffic must be a finite rate >= 0, "
+                             f"got {args.traffic}")
+    except _BAD_VALUE as exc:
+        return _usage_error(args, exc)
     stats = PlacementSearchStats()
     search = place_high_affinity if args.high_affinity else place_low_affinity
     kwargs = {} if args.high_affinity else {"joint_sim_candidates": args.candidates}

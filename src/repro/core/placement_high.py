@@ -23,6 +23,7 @@ import math
 import time
 
 from .config import PhasePlan, Placement
+from .deploy import instance_spec
 from .goodput import GoodputResult
 from .search import (
     PRUNE_WAVE,
@@ -125,18 +126,9 @@ def place_high_affinity(
         ):
             if not fits_in_memory(model, gpu.memory_bytes, config.tp, config.pp):
                 continue
-            spec = InstanceSpec(
-                model=model,
-                config=config,
-                gpu=gpu,
-                tp_link=cluster.intra_node_link,
-                pp_link=(
-                    cluster.intra_node_link
-                    if config.num_gpus <= cluster.gpus_per_node
-                    else cluster.cross_node_link
-                ),
+            entries.append(
+                (config, instance_spec(model, cluster, config, stage_colocated=False))
             )
-            entries.append((config, spec))
         st.configs_evaluated += len(entries)
 
         # Goodput of each (config, phase); None marks a dominance-pruned

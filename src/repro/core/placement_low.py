@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .config import PhasePlan, Placement
+from .deploy import instance_spec
 from .search import (
     JOINT_PRUNE_WAVE,
     ParallelEvaluator,
@@ -125,6 +126,14 @@ def get_intra_node_configs(
     return configs
 
 
+def _phase_spec(
+    model: ModelArchitecture, cluster: Cluster, tp: int, pp: int
+) -> InstanceSpec:
+    return instance_spec(
+        model, cluster, ParallelismConfig(tp=tp, pp=pp), stage_colocated=True
+    )
+
+
 def _unit_factory(
     model: ModelArchitecture,
     cluster: Cluster,
@@ -133,28 +142,12 @@ def _unit_factory(
     fast_kernel: bool = True,
     scheduling: SchedulingConfig = DEFAULT_SCHEDULING,
 ) -> DisaggregatedSystem:
-    gpu = cluster.gpu
     # Stage k of both phases shares node k, so pipeline activations cross
     # nodes (tiny traffic) while KV migrations stay on NVLink (§4.2).
-    pp_link = cluster.cross_node_link if cand.inter_op > 1 else cluster.intra_node_link
-    prefill_spec = InstanceSpec(
-        model=model,
-        config=ParallelismConfig(tp=cand.prefill_tp, pp=cand.inter_op),
-        gpu=gpu,
-        tp_link=cluster.intra_node_link,
-        pp_link=pp_link,
-    )
-    decode_spec = InstanceSpec(
-        model=model,
-        config=ParallelismConfig(tp=cand.decode_tp, pp=cand.inter_op),
-        gpu=gpu,
-        tp_link=cluster.intra_node_link,
-        pp_link=pp_link,
-    )
     return DisaggregatedSystem(
         sim,
-        prefill_spec,
-        decode_spec,
+        _phase_spec(model, cluster, cand.prefill_tp, cand.inter_op),
+        _phase_spec(model, cluster, cand.decode_tp, cand.inter_op),
         num_prefill=cand.num_prefill,
         num_decode=cand.num_decode,
         # Stage colocation pins KV migration to NVLink, one channel per
@@ -237,17 +230,6 @@ def place_low_affinity(
         if not cand_list:
             raise RuntimeError(f"no feasible configuration for {model.name}")
 
-        def phase_spec(tp: int, pp: int) -> InstanceSpec:
-            return InstanceSpec(
-                model=model,
-                config=ParallelismConfig(tp=tp, pp=pp),
-                gpu=gpu,
-                tp_link=cluster.intra_node_link,
-                pp_link=(
-                    cluster.cross_node_link if pp > 1 else cluster.intra_node_link
-                ),
-            )
-
         best: "tuple[float, IntraNodeConfig, float] | None" = None
         with ParallelEvaluator(workers) as evaluator:
             # Phase-level goodput per unique (kind, tp, pp) — one batch
@@ -256,13 +238,14 @@ def place_low_affinity(
             tasks, slots = [], []
             for key in phase_keys:
                 kind, tp, pp = key
-                if prune and phase_slo_infeasible(kind, phase_spec(tp, pp), dataset, slo):
+                spec = _phase_spec(model, cluster, tp, pp)
+                if prune and phase_slo_infeasible(kind, spec, dataset, slo):
                     phase_goodput[key] = 0.0
                     st.configs_pruned += 1
                     continue
                 tasks.append(
                     make_phase_task(
-                        kind, phase_spec(tp, pp), dataset, slo, attainment_target,
+                        kind, spec, dataset, slo, attainment_target,
                         num_requests, seed, cache, early_abort, fast_kernel,
                         scheduling,
                     )

@@ -15,6 +15,7 @@ cache keys and worker tasks that are guaranteed to agree with what
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import partial
 
 from .goodput import GoodputResult, TrialRunner, max_goodput
@@ -67,7 +68,10 @@ def phase_trial_setup(
     functions, so it can cross a process boundary and be fingerprinted
     deterministically. It binds ``fast_kernel`` and ``scheduling``, so
     both enter the fingerprint and the ``TrialCache`` never conflates
-    trials run under different policies.
+    trials run under different policies. Phase-only systems always
+    route least-loaded, so the bound config carries the default
+    dispatch policy: searches that differ only in dispatch share their
+    phase trials.
 
     Args:
         kind: ``"prefill"`` or ``"decode"``.
@@ -78,6 +82,9 @@ def phase_trial_setup(
             ``--no-fast-kernel`` escape hatch).
         scheduling: Policy configuration the trial systems run.
     """
+    scheduling = replace(
+        scheduling, dispatch_policy=DEFAULT_SCHEDULING.dispatch_policy
+    )
     if kind == "prefill":
         return (
             partial(_prefill_factory, spec, fast_kernel=fast_kernel,

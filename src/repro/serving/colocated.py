@@ -18,7 +18,6 @@ from ..simulator.events import Simulation
 from ..simulator.instance import InstanceSpec
 from ..simulator.metrics import MetricsRegistry
 from ..simulator.profiler import Profiler
-from ..simulator.request import RequestState
 from ..simulator.tracing import Tracer
 from ..workload.trace import Request
 
@@ -143,7 +142,3 @@ class ColocatedSystem(ServingSystem):
         for inst in self.instances:
             inst.instrument(registry)
         self._dispatcher.instrument(registry, pool="replica")
-
-    @property
-    def total_preemptions(self) -> int:
-        return sum(inst.preemptions for inst in self.instances)

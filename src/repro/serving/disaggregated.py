@@ -225,8 +225,8 @@ class DisaggregatedSystem(ServingSystem):
         decode = self._decode_dispatch.choose(self.decode_instances)
         # The kv_transfer span opens as soon as the cache is ready to
         # migrate: under the pull policy it covers any time parked on
-        # prefill memory awaiting a decode-side reservation, matching the
-        # record-level transfer stage (prefill_end .. transfer_end).
+        # prefill memory awaiting a decode-side reservation (Figure 10's
+        # transfer stage, split into kv_wait and kv_transmit by critpath).
         self._trace.begin(
             state.request_id,
             SpanKind.KV_TRANSFER,
@@ -262,10 +262,8 @@ class DisaggregatedSystem(ServingSystem):
         # The migrated cache covers the full current context (prompt plus
         # any tokens already generated before a failure-recompute).
         num_bytes = kv_cache_bytes(self.prefill_spec.model, state.context_len)
-        state.stamp("transfer_start", self.sim.now)
 
         def _done() -> None:
-            state.stamp("transfer_end", self.sim.now)
             self._trace.end(state.request_id, SpanKind.KV_TRANSFER, self.sim.now)
             prefill.release_kv(state.request_id)
             self._home_prefill.pop(state.request_id, None)

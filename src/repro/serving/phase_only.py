@@ -135,9 +135,6 @@ class DecodeOnlySystem(ServingSystem):
             return
         # The KV cache appears for free; the first token is emitted
         # immediately so decode steps generate the remaining tokens.
-        state.stamp("prefill_start", self.sim.now)
-        state.stamp("prefill_end", self.sim.now)
-        state.stamp("transfer_end", self.sim.now)
         state.record_token(self.sim.now)
         self._trace.span(
             state.request_id,

@@ -436,7 +436,6 @@ class ColocatedInstance:
         self.tokens_prefilled += batch_tokens
         for state in batch:
             state.phase = RequestPhase.PREFILLING
-            state.stamp("prefill_start", self._sim.now)
             self._trace.end(state.request_id, SpanKind.PREFILL_QUEUE, self._sim.now)
             self._trace.begin(
                 state.request_id,
@@ -509,7 +508,6 @@ class ColocatedInstance:
             was_preempted = state.request_id in self._recompute_len
             self._recompute_len.pop(state.request_id, None)
             state.recompute_len = None
-            state.stamp("prefill_end", self._sim.now)
             self._trace.end(state.request_id, SpanKind.PREFILL_EXEC, self._sim.now)
             if not was_preempted and state.generated == 0:
                 state.record_token(self._sim.now)
@@ -528,7 +526,6 @@ class ColocatedInstance:
     def _start_decoding(self, state: RequestState) -> None:
         """Move a prefilled request into the running set (or finish it)."""
         state.phase = RequestPhase.DECODING
-        state.stamp("decode_start", self._sim.now)
         if state.is_finished:
             self._finish(state)
         else:
@@ -650,7 +647,6 @@ class ColocatedInstance:
                     break
                 self._kv.allocate(head.request_id, need)
                 head.phase = RequestPhase.PREFILLING
-                head.stamp("prefill_start", self._sim.now)
                 self._trace.end(
                     head.request_id, SpanKind.PREFILL_QUEUE, self._sim.now
                 )
@@ -717,7 +713,6 @@ class ColocatedInstance:
             self._recompute_len.pop(state.request_id, None)
             self._chunk_progress.pop(state.request_id, None)
             state.recompute_len = None
-            state.stamp("prefill_end", self._sim.now)
             self._trace.end(state.request_id, SpanKind.PREFILL_EXEC, self._sim.now)
             if not was_preempted and state.generated == 0:
                 state.record_token(self._sim.now)

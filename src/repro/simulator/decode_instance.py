@@ -256,7 +256,6 @@ class DecodeInstance:
             self._kv.allocate(head.request_id, need)
             self._waiting.popleft()
             head.phase = RequestPhase.DECODING
-            head.stamp("decode_start", self._sim.now)
             self._trace.end(head.request_id, SpanKind.DECODE_QUEUE, self._sim.now)
             kernel.join(head)
 

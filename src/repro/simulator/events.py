@@ -23,6 +23,11 @@ The loop is not re-entrant: :meth:`Simulation.run` raises
 ``RuntimeError`` when an event callback calls it, a check paid once per
 ``run()`` call and never per event. Callbacks schedule follow-up events
 instead.
+
+There is one loop. An event due before ``now`` (reachable only by
+tampering with the clock or the heap, since the schedule methods refuse
+the past) goes to the :meth:`Simulation._time_regression` hook, which
+raises here; the sanitizer's subclass reports it and recovers instead.
 """
 
 from __future__ import annotations
@@ -144,6 +149,8 @@ class Simulation:
         executed = 0
         while heap and not self._stopped:
             time = heap[0][0]
+            if time < self._now:
+                time = self._time_regression(time)
             if until is not None and time > until:
                 self._now = until
                 self._firing = self._counter + 1
@@ -158,6 +165,17 @@ class Simulation:
                 return
         if until is not None and until > self._now:
             self._now = until
+
+    def _time_regression(self, time: float) -> float:
+        """The dispatch time of an event due at ``time``, before now.
+
+        Raises:
+            RuntimeError: always; subclasses may report and recover.
+        """
+        raise RuntimeError(
+            f"next event at t={time!r} precedes now={self._now!r}; "
+            "the clock or heap was tampered with"
+        )
 
     def __len__(self) -> int:
         return len(self._heap)

@@ -287,7 +287,6 @@ class PrefillInstance:
         for entry in batch:
             state = entry.state
             state.phase = RequestPhase.PREFILLING
-            state.stamp("prefill_start", start)
             if entry.first:
                 self._trace.end(state.request_id, SpanKind.PREFILL_QUEUE, start)
                 self._trace.begin(
@@ -317,7 +316,6 @@ class PrefillInstance:
                     # Chunked prefill: the prompt's tail runs in a later
                     # batch; finalization waits for the final chunk.
                     continue
-                state.stamp("prefill_end", self._sim.now)
                 self._trace.end(
                     state.request_id, SpanKind.PREFILL_EXEC, self._sim.now
                 )

@@ -1,15 +1,15 @@
 """Runtime request state and the per-request latency record.
 
-§6.3 divides a request's lifecycle into five stages — prefill queuing,
-prefill execution, transmission, decoding queuing, decoding execution —
-and Figure 10 reports their proportions. :class:`RequestState` stamps
-every transition so the analysis layer can derive TTFT, TPOT, and the
-full breakdown.
+:class:`RequestState` is one request's mutable progress through a
+serving system; :class:`RequestRecord` freezes it at completion into
+what SLO attainment and percentiles read: arrival, TTFT, TPOT and finish
+time. A record is a projection of the request's critical path
+(:class:`repro.analysis.critpath.RequestCriticalPath`), which alone
+splits the latency into phases, Figure 10's five stages among them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -41,7 +41,9 @@ class RequestState:
         phase: Current lifecycle phase.
         generated: Output tokens produced so far (prefill's first token
             counts as 1).
-        timestamps: Transition times, keyed by stage-boundary name.
+        timestamps: Queue-entry times (``prefill_enqueue``,
+            ``decode_enqueue``), read by ``sjf`` aging and the
+            sanitizer's stranded-request audit.
         token_times: Completion time of each output token (first token is
             the prefill completion).
 
@@ -83,7 +85,7 @@ class RequestState:
         return self.recompute_len if self.recompute_len is not None else self.request.input_len
 
     def stamp(self, name: str, time: float) -> None:
-        """Record a lifecycle transition time (first write wins)."""
+        """Record a queue-entry time (first write wins)."""
         self.timestamps.setdefault(name, time)
 
     def record_token(self, time: float) -> None:
@@ -131,12 +133,6 @@ class RequestState:
             )
         else:
             tpot = 0.0
-        ts = self.timestamps
-        prefill_start = ts.get("prefill_start", arrival)
-        prefill_end = ts.get("prefill_end", prefill_start)
-        transfer_end = ts.get("transfer_end", prefill_end)
-        decode_start = ts.get("decode_start", transfer_end)
-        finish = self.token_times[-1]
         return RequestRecord(
             request_id=self.request_id,
             arrival_time=arrival,
@@ -144,12 +140,7 @@ class RequestState:
             output_len=self.request.output_len,
             ttft=ttft,
             tpot=tpot,
-            finish_time=finish,
-            prefill_queue_time=max(0.0, prefill_start - arrival),
-            prefill_exec_time=max(0.0, prefill_end - prefill_start),
-            transfer_time=max(0.0, transfer_end - prefill_end),
-            decode_queue_time=max(0.0, decode_start - transfer_end),
-            decode_exec_time=max(0.0, finish - decode_start),
+            finish_time=self.token_times[-1],
         )
 
 
@@ -157,9 +148,12 @@ class RequestState:
 class RequestRecord:
     """Immutable per-request latency record (the analysis-layer currency).
 
-    ``prefill_queue_time + prefill_exec_time + transfer_time +
-    decode_queue_time + decode_exec_time`` equals the end-to-end latency;
-    these are the five stages of Figure 10's breakdown.
+    A projection of the request's critical path: ``arrival_time``,
+    ``ttft``, ``tpot`` and ``finish_time`` equal the path's bitwise and
+    ``output_len`` its ``num_tokens`` (a property test checks both;
+    ``PrefillOnlySystem`` hands out the tokens after the first without
+    spans, so there the path counts one). Phase durations live on the
+    path only (:func:`repro.analysis.critpath.critical_paths`).
     """
 
     request_id: int
@@ -169,24 +163,10 @@ class RequestRecord:
     ttft: float
     tpot: float
     finish_time: float
-    prefill_queue_time: float
-    prefill_exec_time: float
-    transfer_time: float
-    decode_queue_time: float
-    decode_exec_time: float
 
     def __post_init__(self) -> None:
         if self.ttft < 0 or self.tpot < 0:
             raise ValueError(f"negative latency in record {self.request_id}")
-        for name in (
-            "prefill_queue_time",
-            "prefill_exec_time",
-            "transfer_time",
-            "decode_queue_time",
-            "decode_exec_time",
-        ):
-            if getattr(self, name) < 0 or math.isnan(getattr(self, name)):
-                raise ValueError(f"invalid {name} in record {self.request_id}")
 
     @property
     def end_to_end_latency(self) -> float:

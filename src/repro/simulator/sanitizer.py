@@ -2,15 +2,16 @@
 
 This module checks them in the spirit of ASan/TSan for the event loop.
 A :class:`SimSanitizer` owns a :class:`SanitizedSimulation` — a drop-in
-:class:`~repro.simulator.events.Simulation` whose event loop asserts
-*virtual-time monotonicity* on every dispatch and reports
-past-scheduling attempts with full context — and wraps the mutable
-resources of a serving system to detect:
+:class:`~repro.simulator.events.Simulation` that runs the same event
+loop and reports *virtual-time regressions* and past-scheduling
+attempts with full context — and wraps the mutable resources of a
+serving system to detect:
 
 * **request conservation** — every arrival is accounted for at quiesce:
   ``arrivals == completed + rejected + in-flight`` and, once the event
   queue drains, ``in-flight == 0`` (each stranded request is named with
-  its lifecycle phase and the time of its latest lifecycle stamp);
+  its lifecycle phase and the time of its latest enqueue stamp or
+  output token);
   duplicate completions and completions of never-submitted requests are
   caught immediately;
 * **KV-block leaks** — any :class:`~repro.simulator.kvcache.KVBlockManager`
@@ -40,12 +41,12 @@ or from the CLI: ``repro.cli trace --sanitize`` / ``repro.cli metrics
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional
 
 from .events import Simulation
 from .kvcache import KVBlockManager
+from .request import RequestState
 from .transfer import TransferEngine
 
 __all__ = [
@@ -89,14 +90,15 @@ class SanitizerError(AssertionError):
 
 
 class SanitizedSimulation(Simulation):
-    """A :class:`Simulation` whose loop re-verifies its own invariants.
+    """A :class:`Simulation` that reports its invariant breaches.
 
     The base class already *enforces* non-past scheduling by raising
-    ``ValueError``; the sanitized loop additionally reports the attempt
-    as a violation (so a full audit survives non-strict runs) and
-    asserts that dispatch time never regresses — which would only
-    happen if user code tampered with the clock or heap, exactly the
-    tampering the sanitizer exists to surface.
+    ``ValueError``; the sanitized one additionally reports the attempt
+    as a violation (so a full audit survives non-strict runs). It runs
+    the base class's event loop unchanged, overriding only the hook the
+    loop calls when dispatch time would regress — which only happens if
+    user code tampered with the clock or heap, exactly the tampering the
+    sanitizer exists to surface.
     """
 
     __slots__ = ("_sanitizer",)
@@ -127,39 +129,16 @@ class SanitizedSimulation(Simulation):
             time = self.now
         super().schedule_at(time, callback)
 
-    def _loop(self, until: "float | None", max_events: "int | None") -> None:
-        # Mirrors Simulation._loop exactly, adding the monotonicity check
-        # before each dispatch. Keeping the loop shapes identical is
-        # what makes sanitized runs event-for-event identical; the
-        # re-entrancy guard in Simulation.run covers both loops.
-        heap = self._heap
-        heappop = heapq.heappop
-        executed = 0
-        while heap and not self._stopped:
-            time = heap[0][0]
-            if time < self._now:
-                self._sanitizer.violate(
-                    "time-regression",
-                    f"next event at t={time!r} precedes now={self._now!r}; "
-                    "the clock or heap was tampered with",
-                    self._now,
-                )
-                # Recover deterministically: dispatch at current time so
-                # the clock never moves backwards even in lenient mode.
-                time = self._now
-            if until is not None and time > until:
-                self._now = until
-                return
-            _, seq, callback = heappop(heap)
-            self._now = max(self._now, time)
-            self._firing = seq
-            callback()
-            self._events_processed += 1
-            executed += 1
-            if max_events is not None and executed >= max_events:
-                return
-        if until is not None and until > self._now:
-            self._now = until
+    def _time_regression(self, time: float) -> float:
+        self._sanitizer.violate(
+            "time-regression",
+            f"next event at t={time!r} precedes now={self._now!r}; "
+            "the clock or heap was tampered with",
+            self._now,
+        )
+        # Recover deterministically: dispatch at the current time so the
+        # clock never moves backwards even in lenient mode.
+        return self._now
 
 
 #: Longest id list a quiesce violation message spells out.
@@ -171,6 +150,14 @@ def _listed(items: "list[str]") -> str:
     shown = ", ".join(items[:_MAX_LISTED])
     extra = len(items) - _MAX_LISTED
     return shown + (f" (+{extra} more)" if extra > 0 else "")
+
+
+def _last_seen(state: RequestState) -> float:
+    """A request's latest enqueue stamp or token time, else its arrival."""
+    return max([
+        state.request.arrival_time, *state.timestamps.values(),
+        *state.token_times[-1:],
+    ])
 
 
 class _SystemWatch:
@@ -238,8 +225,7 @@ class _SystemWatch:
         if in_flight > 0:
             stranded = list(self.states.values())
             named = [
-                f"{s.request_id} ({s.phase.value} since t="
-                f"{max([s.request.arrival_time, *s.timestamps.values()]):.6f})"
+                f"{s.request_id} ({s.phase.value} since t={_last_seen(s):.6f})"
                 for s in stranded
             ]
             self.sanitizer.violate(

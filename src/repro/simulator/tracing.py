@@ -2,17 +2,18 @@
 
 §3.1 and Figure 10 argue about *where time goes per request* — prefill
 queueing, prefill execution, KV-cache transfer, decode queueing,
-decoding. The aggregate :class:`~repro.simulator.request.RequestRecord`
-compresses that story into five scalars; this module keeps the full
-timeline. A :class:`Tracer` collects typed :class:`Span` objects emitted
-by the instances and serving systems as the simulation runs, yielding a
-deterministic, replayable artifact:
+decoding. A :class:`~repro.simulator.request.RequestRecord` keeps only
+a request's arrival, TTFT, TPOT and finish time; this module keeps the
+full timeline. A :class:`Tracer` collects typed :class:`Span` objects
+emitted by the instances and serving systems as the simulation runs,
+yielding a deterministic, replayable artifact:
 
 * **Golden traces** — a fixed-seed run serializes to byte-identical
   JSON-lines, so a checked-in fixture pins simulator behavior.
-* **Breakdowns from ground truth** — :mod:`repro.analysis.critpath`
-  derives Figure 10's stage proportions from real spans rather than
-  reconstructed timestamps.
+* **The one request decomposition** — :mod:`repro.analysis.critpath`
+  splits each request's latency into phases from these spans, and
+  Figure 10's stage proportions are a view of that split; a Figure 10
+  number therefore needs a traced run.
 * **Timeline visualisation** — the Chrome ``trace_event`` exporter
   produces files viewable in Perfetto / ``chrome://tracing``, one row
   per request.

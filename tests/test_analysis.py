@@ -1,10 +1,9 @@
 """Tests for SLO attainment, percentiles, breakdowns, and report tables."""
 
-import math
-
 import pytest
 
 from repro.analysis import (
+    RequestCriticalPath,
     cdf_points,
     format_series,
     format_table,
@@ -24,14 +23,30 @@ def make_record(request_id, ttft, tpot, **kw):
         input_len=100,
         output_len=10,
         finish_time=ttft + tpot * 9,
-        prefill_queue_time=0.1 * ttft,
-        prefill_exec_time=0.9 * ttft,
-        transfer_time=0.0,
-        decode_queue_time=0.0,
-        decode_exec_time=tpot * 9,
     )
     defaults.update(kw)
     return RequestRecord(request_id=request_id, ttft=ttft, tpot=tpot, **defaults)
+
+
+def make_path(request_id, ttft, tpot, dispatch=0.0, kv_wait=0.0, kv_transmit=0.0):
+    """A 10-token critical path; 10% of TTFT (less dispatch) queues."""
+    queue = 0.1 * ttft - dispatch
+    transfer = kv_wait + kv_transmit
+    return RequestCriticalPath(
+        request_id=request_id,
+        arrival_time=0.0,
+        first_token_time=ttft,
+        completion_time=ttft + transfer + tpot * 9,
+        dispatch=dispatch,
+        prefill_queue=queue,
+        prefill_exec=0.9 * ttft,
+        kv_wait=kv_wait,
+        kv_transmit=kv_transmit,
+        decode_queue=0.0,
+        decode_exec=tpot * 9,
+        ttft_breakdown=(dispatch, queue, 0.9 * ttft, 0.0),
+        num_tokens=10,
+    )
 
 
 class TestSLOAttainment:
@@ -96,14 +111,28 @@ class TestPercentiles:
 
 class TestBreakdown:
     def test_sums_and_fractions(self):
-        records = [make_record(i, 0.2, 0.05) for i in range(4)]
-        bd = latency_breakdown(records)
+        paths = [make_path(i, 0.2, 0.05) for i in range(4)]
+        bd = latency_breakdown(paths)
         assert bd.total == pytest.approx(
-            sum(r.end_to_end_latency for r in records)
+            sum(p.end_to_end_latency for p in paths)
         )
         fr = bd.fractions()
         assert sum(fr.values()) == pytest.approx(1.0)
         assert fr["decode_exec"] > fr["transfer"] == 0.0
+
+    def test_stages_fold_phases(self):
+        """Dispatch counts as prefill queueing; KV wait and transmit as
+        transfer."""
+        paths = [
+            make_path(0, 0.2, 0.05, dispatch=0.005, kv_wait=0.25, kv_transmit=0.5),
+            make_path(1, 0.2, 0.05),
+        ]
+        bd = latency_breakdown(paths)
+        assert bd.prefill_queue == pytest.approx(2 * 0.1 * 0.2)
+        assert bd.transfer == 0.75
+        assert bd.total == pytest.approx(
+            sum(p.end_to_end_latency for p in paths)
+        )
 
     def test_empty_breakdown(self):
         bd = latency_breakdown([])
@@ -138,7 +167,3 @@ class TestRecordValidation:
     def test_negative_latency_rejected(self):
         with pytest.raises(ValueError):
             make_record(0, -0.1, 0.05)
-
-    def test_nan_stage_rejected(self):
-        with pytest.raises(ValueError):
-            make_record(0, 0.1, 0.05, transfer_time=math.nan)

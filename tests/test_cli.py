@@ -344,6 +344,7 @@ class TestExitCodeSemantics:
         "serve --num-prefill 0", "serve --prefill-tp 3",
         "metrics --ttft -1", "metrics --window 0", "metrics --interval 0",
         "trace --rate nan", "trace --mode colocated --batch-policy chunked",
+        "plan --model nope", "plan --application nope", "plan --traffic -1",
     ], ids=lambda argv: argv.replace(" --", "-").replace(" ", "-"))
     def test_bad_flag_value_is_usage_error(self, argv, capsys, tmp_path):
         """A value the library rejects exits 2 with one line, no traceback."""

@@ -23,6 +23,7 @@ from repro.core import (
 )
 from repro.hardware import Cluster, Node, paper_testbed
 from repro.latency import ParallelismConfig
+from repro.models import get_model
 from repro.scheduling import DEFAULT_SCHEDULING, SchedulingConfig
 from repro.serving import ColocatedSystem, DisaggregatedSystem, simulate_trace
 from repro.simulator import InstanceSpec, Simulation
@@ -251,6 +252,19 @@ class TestDeployment:
         # The trace exercises the policies: the paper's defaults serve it
         # differently, so a deployment that dropped them would not match.
         assert self._records(direct(sjf)) != self._records(direct(DEFAULT_SCHEDULING))
+
+    def test_alg1_instance_spanning_nodes_pipelines_over_the_fabric(self):
+        """An Algorithm 1 instance larger than a node runs its pipeline
+        stages over the cross-node link, the one the search scored it on."""
+        cluster = paper_testbed()
+        placement = Placement(
+            prefill=PhasePlan(ParallelismConfig(4, 4), 1, 1.0),
+            decode=PhasePlan(ParallelismConfig(4, 1), 1, 1.0),
+            kv_transfer_intra_node=False,
+        )
+        system = build_system(Simulation(), get_model("opt-66b"), placement, cluster)
+        assert system.prefill_spec.pp_link == cluster.cross_node_link
+        assert system.decode_spec.pp_link == cluster.intra_node_link
 
     @pytest.mark.parametrize("policy", ["random", "power_of_two"])
     def test_randomized_dispatch_placement_deploys(self, tiny_model, cluster, policy):

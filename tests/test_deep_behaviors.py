@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis import critical_paths
 from repro.hardware import ETHERNET_25G, NVLINK, NetworkLink
 from repro.latency import ParallelismConfig, coefficients_from_roofline
 from repro.hardware import A100_80GB
@@ -14,6 +15,7 @@ from repro.simulator import (
     PrefillInstance,
     RequestState,
     Simulation,
+    Tracer,
 )
 from repro.workload import Request, Trace, fixed_length_dataset, generate_trace
 
@@ -30,12 +32,12 @@ class TestKVBackpressure:
             fixed_length_dataset(128, 64), rate=20.0, num_requests=40, rng=rng
         )
         sim = Simulation()
-        system = DisaggregatedSystem(sim, big, tiny_decode)
+        system = DisaggregatedSystem(sim, big, tiny_decode, tracer=Tracer())
         res = simulate_trace(system, trace, max_events=2_000_000)
         assert res.unfinished == 0
         # With a 2-slot decode instance, later requests must queue:
-        # decode queuing shows up in the records.
-        waits = [r.decode_queue_time for r in res.records]
+        # decode queuing shows up in the critical paths.
+        waits = [p.decode_queue for p in critical_paths(res.spans)]
         assert max(waits) > 0.1
 
     def test_prefill_kv_exhaustion_blocks_admission(self, tiny_model):
@@ -75,7 +77,8 @@ class TestTransferContention:
         slow = NetworkLink("slow", bandwidth=2e9, latency=1e-4)
         sim = Simulation()
         system = DisaggregatedSystem(
-            sim, spec, spec, num_prefill=2, num_decode=2, transfer_link=slow
+            sim, spec, spec, num_prefill=2, num_decode=2, transfer_link=slow,
+            tracer=Tracer(),
         )
         res = simulate_trace(system, trace, max_events=2_000_000)
         durations = sorted(t.duration for t in res.transfer_records)
@@ -83,7 +86,7 @@ class TestTransferContention:
         assert durations[0] == pytest.approx(single, rel=0.01)
         # Queueing means record durations measure only on-link time; the
         # lifecycle transfer stage captures the waiting too.
-        stage_waits = [r.transfer_time for r in res.records]
+        stage_waits = [p.kv_wait + p.kv_transmit for p in critical_paths(res.spans)]
         assert max(stage_waits) > 3 * single
 
     def test_nvlink_keeps_transfer_invisible(self, tiny_model, rng):
@@ -93,10 +96,12 @@ class TestTransferContention:
         )
         sim = Simulation()
         system = DisaggregatedSystem(
-            sim, spec, spec, num_prefill=2, num_decode=2, transfer_link=NVLINK
+            sim, spec, spec, num_prefill=2, num_decode=2, transfer_link=NVLINK,
+            tracer=Tracer(),
         )
         res = simulate_trace(system, trace, max_events=2_000_000)
-        assert max(r.transfer_time for r in res.records) < 0.01
+        paths = critical_paths(res.spans)
+        assert max(p.kv_wait + p.kv_transmit for p in paths) < 0.01
 
 
 class TestPipelineBubbles:

@@ -10,8 +10,8 @@ These tests run the same-seed scenarios again with everything a run must
   ``np.random`` state is reseeded;
 * the interpreter's string-hash seed (``PYTHONHASHSEED``) differs, which
   reorders iteration over sets of strings;
-* the order of the records and spans handed to the reporting functions
-  is shuffled.
+* the order of the records, spans and critical paths handed to the
+  reporting functions is shuffled.
 
 Only :class:`~repro.core.PlacementSearchStats`' wall-time field may
 differ: it measures the search, not the simulation.
@@ -262,7 +262,12 @@ def _spans():
     return tuple(tracer.spans)
 
 
-def _reports(records, spans):
+@functools.lru_cache(maxsize=None)
+def _paths():
+    return tuple(critical_paths(_spans()))
+
+
+def _reports(records, spans, paths):
     slo = SLO(ttft=2.0, tpot=0.06)
     monitor = _EarlyAbortMonitor(Simulation(), slo, allowed_violations=len(records))
     for record in records:
@@ -270,8 +275,8 @@ def _reports(records, spans):
     return repr((
         latency_summary(records),
         ttft_percentile(records, 90.0), tpot_percentile(records, 99.0),
-        latency_breakdown(records),
         critical_paths(spans),
+        latency_breakdown(paths),
         slo_attainment(records, slo, num_expected=len(records) + 3),
         monitor.violations,
     ))
@@ -280,9 +285,10 @@ def _reports(records, spans):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_reports_independent_of_input_order(seed):
-    records, spans = list(_records()), list(_spans())
-    expected = _reports(records, spans)
+    records, spans, paths = list(_records()), list(_spans()), list(_paths())
+    expected = _reports(records, spans, paths)
     shuffle = random.Random(seed).shuffle
     shuffle(records)
     shuffle(spans)
-    assert _reports(records, spans) == expected
+    shuffle(paths)
+    assert _reports(records, spans, paths) == expected

@@ -78,6 +78,17 @@ class TestSimulation:
         with pytest.raises(ValueError):
             sim.schedule_at(0.5, lambda: None)
 
+    def test_time_regression_raises(self):
+        # Only tampering puts an event before now; the plain loop refuses
+        # to run it (the sanitizer's reports and recovers instead).
+        sim = Simulation()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append(sim.now))
+        sim._now = 5.0
+        with pytest.raises(RuntimeError, match="precedes now"):
+            sim.run()
+        assert fired == []
+
     def test_len_and_pending_mark(self):
         sim = Simulation()
         assert len(sim) == 0

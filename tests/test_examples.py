@@ -1,7 +1,8 @@
 """Smoke tests keeping the fast example scripts runnable.
 
 The slow examples (placement search) are exercised by the benchmarks;
-here we import and run the cheap ones so documentation code cannot rot.
+here we import and run the cheap ones, every script ``make examples``
+runs, so documentation code cannot rot.
 """
 
 import importlib.util
@@ -17,6 +18,8 @@ FAST_EXAMPLES = [
     "api_frontend.py",
     "cost_analysis.py",
     "fault_injection.py",
+    "burstiness_pull_vs_push.py",
+    "queueing_analysis.py",
 ]
 
 

@@ -11,6 +11,8 @@ from repro.simulator import (
     PrefillInstance,
     RequestState,
     Simulation,
+    SpanKind,
+    Tracer,
 )
 from repro.workload import Request
 
@@ -88,13 +90,19 @@ class TestPrefillInstance:
     def test_first_token_recorded_at_prefill_end(self, tiny_spec):
         sim = Simulation()
         out = []
-        inst = PrefillInstance(sim, tiny_spec, on_prefill_done=out.append)
+        tracer = Tracer()
+        inst = PrefillInstance(
+            sim, tiny_spec, on_prefill_done=out.append, tracer=tracer
+        )
         inst.submit(make_states([(200, 3)])[0])
         sim.run()
         state = out[0]
+        prefill_end = next(
+            s.end for s in tracer.spans if s.kind == SpanKind.PREFILL_EXEC
+        )
         assert state.generated == 1
-        assert state.token_times[0] == state.timestamps["prefill_end"]
-        assert state.timestamps["prefill_end"] > 0
+        assert state.token_times[0] == prefill_end
+        assert prefill_end > 0
 
     def test_kv_held_until_released(self, tiny_spec):
         sim = Simulation()
@@ -187,10 +195,13 @@ class TestDecodeInstance:
 
 
 class TestColocatedInstance:
-    def _run(self, tiny_spec, policy, reqs=None):
+    def _run(self, tiny_spec, policy, reqs=None, tracer=None):
         sim = Simulation()
         done = []
-        inst = ColocatedInstance(sim, tiny_spec, on_request_done=done.append, policy=policy)
+        inst = ColocatedInstance(
+            sim, tiny_spec, on_request_done=done.append, policy=policy,
+            tracer=tracer,
+        )
         for state in make_states(reqs or [(200, 5), (300, 3)]):
             inst.submit(state)
         sim.run()
@@ -203,12 +214,14 @@ class TestColocatedInstance:
         assert all(s.is_finished for s in done)
 
     def test_records_well_formed(self, tiny_spec):
-        done, _ = self._run(tiny_spec, "prefill_priority")
+        tracer = Tracer()
+        done, _ = self._run(tiny_spec, "prefill_priority", tracer=tracer)
         for state in done:
             rec = state.to_record()
             assert rec.ttft > 0
             assert rec.tpot >= 0
-            assert rec.transfer_time == 0.0  # colocated: no migration
+        # Colocated: no migration, so no transfer time.
+        assert all(s.kind != SpanKind.KV_TRANSFER for s in tracer.spans)
 
     def test_prefill_priority_counts_iterations(self, tiny_spec):
         _, inst = self._run(tiny_spec, "prefill_priority")

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro import quickserve
-from repro.analysis import latency_breakdown, slo_attainment, tpot_percentile, ttft_percentile
+from repro.analysis import (
+    critical_paths,
+    latency_breakdown,
+    slo_attainment,
+    tpot_percentile,
+    ttft_percentile,
+)
 from repro.hardware import NVLINK
 from repro.latency import ParallelismConfig
 from repro.serving import (
@@ -12,7 +18,7 @@ from repro.serving import (
     DisaggregatedSystem,
     simulate_trace,
 )
-from repro.simulator import InstanceSpec, Simulation
+from repro.simulator import InstanceSpec, Simulation, Tracer
 from repro.workload import SHAREGPT, SLO, fixed_length_dataset, generate_trace
 
 
@@ -107,10 +113,10 @@ class TestPaperBehaviors:
         trace = generate_trace(SHAREGPT, rate=5.0, num_requests=200, rng=rng)
         sim = Simulation()
         system = DisaggregatedSystem(
-            sim, tiny_spec, tiny_spec, transfer_link=NVLINK
+            sim, tiny_spec, tiny_spec, transfer_link=NVLINK, tracer=Tracer()
         )
         res = simulate_trace(system, trace)
-        fractions = latency_breakdown(res.records).fractions()
+        fractions = latency_breakdown(critical_paths(res.spans)).fractions()
         assert fractions["transfer"] < 0.05
 
     def test_prefill_tp_reduces_ttft(self, tiny_model, rng):

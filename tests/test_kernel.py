@@ -14,6 +14,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.analysis import critical_paths
 from repro.hardware import A100_80GB, ETHERNET_25G
 from repro.latency import ParallelismConfig, coefficients_from_roofline
 from repro.latency.memo import DecodeStepTimer, PrefillBatchTimer
@@ -444,21 +445,21 @@ class TestColocatedParity:
         first, boundaries = _colocated_alone(tiny_spec)
         second = Request(request_id=1, arrival_time=boundaries[4],
                          input_len=300, output_len=20)
-        results = {}
+        results, paths = {}, {}
         for fast in (True, False):
             sanitizer = SimSanitizer(strict=True)
             sim = sanitizer.simulation() if sanitized else Simulation()
-            system = ColocatedSystem(sim, tiny_spec, fast_kernel=fast)
+            system = ColocatedSystem(sim, tiny_spec, fast_kernel=fast, tracer=Tracer())
             if sanitized:
                 sanitizer.watch_system(system)
-            results[fast] = sorted(
-                simulate_trace(system, [first, second]).records,
-                key=lambda r: r.request_id,
-            )
+            result = simulate_trace(system, [first, second])
+            results[fast] = sorted(result.records, key=lambda r: r.request_id)
+            paths[fast] = critical_paths(result.spans)
             if sanitized:
                 sanitizer.check_quiesce()
         assert results[True] == results[False]
-        assert results[True][1].prefill_queue_time == 0.0  # joined on time
+        assert paths[True] == paths[False]
+        assert paths[True][1].prefill_queue == 0.0  # joined on time
 
     @pytest.mark.parametrize("policy", ["prefill_priority", "decode_priority"])
     def test_fail_mid_run_identical(self, tiny_spec, policy):
@@ -659,13 +660,14 @@ class TestCutoffCounters:
     """Counters read after a ``max_sim_time`` cutoff, a run in flight."""
 
     @staticmethod
-    def _system(mode, spec, fast, profiler=None):
+    def _system(mode, spec, fast, profiler=None, sim=None):
+        sim = sim if sim is not None else Simulation()
         if mode == "disaggregated":
             return DisaggregatedSystem(
-                Simulation(), spec, spec, num_prefill=2, num_decode=2,
+                sim, spec, spec, num_prefill=2, num_decode=2,
                 fast_kernel=fast, profiler=profiler,
             )
-        return ColocatedSystem(Simulation(), spec, num_replicas=2,
+        return ColocatedSystem(sim, spec, num_replicas=2,
                                fast_kernel=fast, profiler=profiler)
 
     @staticmethod
@@ -677,13 +679,17 @@ class TestCutoffCounters:
                 for i in system.instances]
 
     def _check(self, mode, spec, trace, cutoffs):
+        """The fast path, bare and sanitized, reads the reference's
+        counters at every cutoff."""
         for cutoff in cutoffs:
             results = {}
-            for fast in (True, False):
-                system = self._system(mode, spec, fast)
+            for fast, sanitized in ((False, False), (True, False), (True, True)):
+                sim = SimSanitizer().simulation() if sanitized else Simulation()
+                system = self._system(mode, spec, fast, sim=sim)
                 simulate_trace(system, trace, max_sim_time=cutoff)
-                results[fast] = self._counters(system)
-            assert results[True] == results[False], cutoff
+                results[fast, sanitized] = self._counters(system)
+            assert results[True, False] == results[False, False], cutoff
+            assert results[True, True] == results[False, False], cutoff
 
     @pytest.mark.parametrize("mode", ["disaggregated", "colocated"])
     def test_counters_match_reference_at_cutoffs(self, opt13b, mode):

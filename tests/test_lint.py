@@ -22,7 +22,7 @@ from functools import lru_cache, partial
 import numpy as np
 import pytest
 
-import repro.analysis.breakdown as breakdown_module
+import repro.analysis.critpath as critpath_module
 import repro.scheduling.dispatch as dispatch_module
 from repro.analysis import slo_attainment
 from repro.core.placement_low import IntraNodeConfig, _unit_factory
@@ -35,6 +35,7 @@ from repro.simulator import Simulation
 from repro.workload import SLO, fixed_length_dataset, generate_trace, get_dataset
 
 from tests.test_determinism import (
+    _paths,
     _records,
     _reports,
     _spans,
@@ -218,25 +219,27 @@ class TestDET003:
 # ----------------------------------------------------------------------
 
 def _caught_by_shuffle_twin(report):
-    """Does ``report(records, spans)`` change under any of 20 shuffles?"""
-    records, spans = list(_records()), list(_spans())
-    expected = report(records, spans)
+    """Does ``report(records, spans, paths)`` change under any of 20
+    shuffles?"""
+    records, spans, paths = list(_records()), list(_spans()), list(_paths())
+    expected = report(records, spans, paths)
     for seed in range(20):
         shuffle = random.Random(seed).shuffle
         shuffle(records)
         shuffle(spans)
-        if report(records, spans) != expected:
+        shuffle(paths)
+        if report(records, spans, paths) != expected:
             return True
     return False
 
 
 class TestDET004:
     def test_positive_float_genexp(self, monkeypatch):
-        # latency_breakdown with a bare sum() over its record generators.
+        # latency_breakdown with a bare sum() over its path generators.
         def fsum(values):
             return sum(values) if isinstance(values, types.GeneratorType) else math.fsum(values)
 
-        monkeypatch.setattr(breakdown_module, "math",
+        monkeypatch.setattr(critpath_module, "math",
                             types.SimpleNamespace(fsum=fsum))
         assert _caught_by_shuffle_twin(_reports)
 
@@ -247,7 +250,7 @@ class TestDET004:
         # slo_attainment counts with sum(1 for ...): exact in any order.
         slo = SLO(ttft=2.0, tpot=0.06)
         assert not _caught_by_shuffle_twin(
-            lambda records, spans: repr(slo_attainment(records, slo))
+            lambda records, spans, paths: repr(slo_attainment(records, slo))
         )
 
 

@@ -46,11 +46,6 @@ def _record(request_id=0, ttft=0.1, tpot=0.01, arrival=0.0):
         ttft=ttft,
         tpot=tpot,
         finish_time=arrival + ttft + 3 * tpot,
-        prefill_queue_time=0.0,
-        prefill_exec_time=ttft,
-        transfer_time=0.0,
-        decode_queue_time=0.0,
-        decode_exec_time=3 * tpot,
     )
 
 

@@ -145,14 +145,16 @@ class TestConservation:
         assert "arrivals (2)" in san.violations[0].message
 
     def test_stranded_requests_are_named(self):
-        """Each stranded request: id, phase, time of its latest stamp."""
+        """Each stranded request: id, phase, time of its latest enqueue
+        stamp or output token."""
 
         class AcceptsAndForgets(ServingSystem):
             def submit(self, request):
                 state = self._register(request)
                 if request.request_id == 1:
                     state.phase = RequestPhase.DECODING
-                    state.stamp("decode_start", 3.25)
+                    state.stamp("decode_enqueue", 3.0)
+                    state.record_token(3.25)
 
         san = SimSanitizer(strict=False)
         system = AcceptsAndForgets(san.simulation())

@@ -35,6 +35,7 @@ from repro.core import (
 )
 from repro.core.search import (
     TrialEntry,
+    make_phase_task,
     phase_slo_infeasible,
     resolve_trial_cache,
     trial_context_fingerprint,
@@ -43,6 +44,7 @@ from repro.core.simulate import PHASE_TRIAL_MIN_DURATION, phase_trial_setup
 from repro.hardware import Cluster, Node
 from repro.latency import ParallelismConfig
 from repro.models import get_model
+from repro.scheduling import DISPATCH_POLICIES, QUEUE_POLICIES, SchedulingConfig
 from repro.simulator import InstanceSpec, Simulation
 from repro.workload import SLO, get_dataset
 from repro.workload.datasets import SyntheticDataset
@@ -115,6 +117,22 @@ class TestFingerprint:
                 )
             )
         assert len(fps) == 2  # prefill and decode contexts never collide
+
+    @pytest.mark.parametrize("kind", ["prefill", "decode"])
+    def test_phase_fingerprints_ignore_dispatch_policy(self, tiny_spec, kind):
+        """Phase-only systems always route least-loaded: searches that
+        differ only in dispatch share their phase trials, and only
+        those."""
+        def context_fp(**policies):
+            return make_phase_task(
+                kind, tiny_spec, get_dataset("sharegpt"), SLO(ttft=0.25, tpot=0.1),
+                0.9, 100, 0, TrialCache(), scheduling=SchedulingConfig(**policies),
+            ).context_fp
+
+        by_dispatch = {context_fp(dispatch_policy=p) for p in DISPATCH_POLICIES}
+        assert by_dispatch == {context_fp()}
+        by_queue = {context_fp(queue_policy=q) for q in QUEUE_POLICIES}
+        assert len(by_queue) == len(QUEUE_POLICIES)
 
     def test_cross_process_stability(self, tmp_path):
         """The same objects fingerprint identically in fresh interpreters

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis import critical_paths
 from repro.hardware import ETHERNET_25G, NVLINK
 from repro.latency import ParallelismConfig
 from repro.serving import (
@@ -306,11 +307,11 @@ class TestDisaggregatedSystem:
 
     def test_lifecycle_stages_populated(self, tiny_spec, small_trace):
         sim = Simulation()
-        res = simulate_trace(self._build(tiny_spec, sim), small_trace)
-        rec = res.records[0]
-        assert rec.prefill_exec_time > 0
-        assert rec.transfer_time > 0
-        assert rec.decode_exec_time > 0
+        system = self._build(tiny_spec, sim, tracer=Tracer())
+        path = critical_paths(simulate_trace(system, small_trace).spans)[0]
+        assert path.prefill_exec > 0
+        assert path.kv_wait + path.kv_transmit > 0
+        assert path.decode_exec > 0
 
     def test_transfer_records_per_request(self, tiny_spec, small_trace):
         sim = Simulation()
@@ -322,10 +323,10 @@ class TestDisaggregatedSystem:
         for name, link in (("fast", NVLINK), ("slow", ETHERNET_25G)):
             sim = Simulation()
             system = DisaggregatedSystem(
-                sim, tiny_spec, tiny_spec, transfer_link=link
+                sim, tiny_spec, tiny_spec, transfer_link=link, tracer=Tracer()
             )
-            res = simulate_trace(system, small_trace)
-            times[name] = np.mean([r.transfer_time for r in res.records])
+            paths = critical_paths(simulate_trace(system, small_trace).spans)
+            times[name] = np.mean([p.kv_wait + p.kv_transmit for p in paths])
         assert times["slow"] > 10 * times["fast"]
 
     def test_pull_and_push_modes_both_complete(self, tiny_spec, small_trace):
@@ -365,10 +366,11 @@ class TestDisaggregatedSystem:
 
     def test_ttft_excludes_transfer_and_decode(self, tiny_spec, small_trace):
         sim = Simulation()
-        res = simulate_trace(self._build(tiny_spec, sim), small_trace)
-        for rec in res.records:
-            assert rec.ttft == pytest.approx(
-                rec.prefill_queue_time + rec.prefill_exec_time, abs=1e-9
+        res = simulate_trace(self._build(tiny_spec, sim, tracer=Tracer()), small_trace)
+        by_id = {r.request_id: r for r in res.records}
+        for path in critical_paths(res.spans):
+            assert by_id[path.request_id].ttft == pytest.approx(
+                path.dispatch + path.prefill_queue + path.prefill_exec, abs=1e-9
             )
 
 

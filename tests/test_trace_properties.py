@@ -5,9 +5,9 @@ timeline must be well-formed: spans non-negative and inside the request's
 [arrival, completion] window, stage boundaries monotone, exactly one
 prefill execution per completed request and ``decode`` spans whose token
 indices rise strictly from 0 to ``output_len - 1``, TTFT derivable from
-spans equal to what the percentile layer reports, critical-path TPOT
-bitwise equal to the record's, and KV-transfer spans appearing only
-under disaggregation.
+spans equal to what the percentile layer reports, each record a bitwise
+projection of its critical path (also across a decode-instance
+failover), and KV-transfer spans appearing only under disaggregation.
 """
 
 import numpy as np
@@ -24,7 +24,7 @@ from repro.simulator import (
     Tracer,
     spans_by_request,
 )
-from repro.workload import Request, Trace
+from repro.workload import SHAREGPT, Request, Trace, generate_trace
 
 MODEL = ModelArchitecture("prop-trace", 8, 1024, 8, 4096)
 
@@ -60,21 +60,29 @@ def run_traced(system_kind, trace, **kwargs):
     return result, tracer
 
 
+def check_projection(records, paths):
+    """Each record holds its critical path's values, bitwise."""
+    assert [p.request_id for p in paths] == sorted(r.request_id for r in records)
+    by_record = {r.request_id: r for r in records}
+    for path in paths:
+        record = by_record[path.request_id]
+        assert record.arrival_time == path.arrival_time
+        assert record.ttft == path.ttft
+        assert record.tpot == path.tpot
+        assert record.finish_time == path.completion_time
+        assert record.output_len == path.num_tokens
+
+
 def check_common_invariants(trace, result, tracer):
     """Invariants shared by every serving architecture."""
     assert result.unfinished == 0
     assert not tracer.open_spans()
     by_origin = {r.request_id: r for r in trace}
-    by_record = {r.request_id: r for r in result.records}
     grouped = spans_by_request(tracer.spans)
     assert sorted(grouped) == sorted(by_origin)
-    paths = critical_paths(tracer.spans)
-    assert [p.request_id for p in paths] == sorted(by_record)
-    for path in paths:
-        assert path.tpot == by_record[path.request_id].tpot
+    check_projection(result.records, critical_paths(tracer.spans))
     for rid, spans in grouped.items():
         origin = by_origin[rid]
-        record = by_record[rid]
         kinds = [s.kind for s in spans]
         # Exactly one terminal pair, one prefill execution.
         assert kinds.count(SpanKind.ARRIVAL) == 1
@@ -109,10 +117,6 @@ def check_common_invariants(trace, result, tracer):
             )
         ]
         assert boundaries == sorted(boundaries)
-        # TTFT from spans equals the record's TTFT.
-        first_token = steps[0].end
-        assert abs((first_token - arrival) - record.ttft) < 1e-12
-        assert abs(completion - record.finish_time) < 1e-12
 
 
 class TestTraceProperties:
@@ -183,3 +187,24 @@ class TestTraceProperties:
         by_id = {r.request_id: r.end_to_end_latency for r in result.records}
         for path in critical_paths(tracer.spans):
             assert abs(path.phase_sum - by_id[path.request_id]) < 1e-9
+
+    def test_failover_records_project_critical_paths(self):
+        """Victims of a decode failure re-prefill and re-join decoding;
+        their records still equal their critical paths bitwise."""
+        trace = generate_trace(
+            SHAREGPT, rate=8.0, num_requests=120, rng=np.random.default_rng(0)
+        )
+        sim = Simulation()
+        tracer = Tracer()
+        spec = InstanceSpec(model=MODEL)
+        system = DisaggregatedSystem(
+            sim, spec, spec, num_prefill=2, num_decode=2, tracer=tracer
+        )
+        victims = []
+        sim.schedule(
+            trace.duration / 2, lambda: victims.append(system.fail_decode("decode-0"))
+        )
+        result = simulate_trace(system, trace)
+        assert victims[0] > 0
+        assert result.completed == len(trace)
+        check_projection(result.records, critical_paths(tracer.spans))

@@ -321,11 +321,14 @@ class TestSpanBreakdowns:
         tracer = Tracer()
         res = run_disaggregated(small_trace(8), tracer=tracer)
         paths = critical_paths(res.spans)
-        from_records = latency_breakdown(res.records)
+        stages = latency_breakdown(paths)
         total = math.fsum(path.phase_sum for path in paths)
-        assert total == pytest.approx(from_records.total, rel=1e-9)
+        assert total == pytest.approx(stages.total, rel=1e-9)
+        assert stages.total == pytest.approx(
+            math.fsum(r.end_to_end_latency for r in res.records), rel=1e-9
+        )
         prefill_exec = math.fsum(path.prefill_exec for path in paths)
-        assert prefill_exec == pytest.approx(from_records.prefill_exec, rel=1e-9)
+        assert prefill_exec == pytest.approx(stages.prefill_exec, rel=1e-9)
         # Prefill queueing starts at arrival: nothing is dispatch time.
         assert all(path.dispatch == 0.0 for path in paths)
 
