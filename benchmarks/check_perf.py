@@ -12,8 +12,9 @@ any committed value differs at all.
 The comparison is exact, not directional: an improvement that nobody
 records would let a later regression back to the old value pass. A
 change that moves a value on purpose regenerates the workload's entry
-with ``--write`` and says why. Wall time is not gated; one run on a
-shared runner is noise.
+with ``--write``, which prints one ``name: committed X -> measured Y``
+line for each value it changes, and says why. Wall time is not gated;
+one run on a shared runner is noise.
 
 Usage (from the repository root)::
 
@@ -81,13 +82,20 @@ def failed_checks(untraced: dict, traced: dict) -> "list[str]":
     ]
 
 
-def differences(committed: dict, untraced: dict, traced: dict) -> "list[str]":
-    """Why two fresh results fail the gate against ``committed``; empty if they pass."""
-    fresh = pinned(untraced, traced)
-    return failed_checks(untraced, traced) + [
-        f"{name}: committed {committed.get(name)!r}, measured {fresh.get(name)!r}"
+def changed(committed: dict, fresh: dict) -> "list[tuple[str, object, object]]":
+    """``(name, committed value, fresh value)`` for each value that differs."""
+    return [
+        (name, committed.get(name), fresh.get(name))
         for name in sorted(committed.keys() | fresh.keys())
         if committed.get(name) != fresh.get(name)
+    ]
+
+
+def differences(committed: dict, untraced: dict, traced: dict) -> "list[str]":
+    """Why two fresh results fail the gate against ``committed``; empty if they pass."""
+    return failed_checks(untraced, traced) + [
+        f"{name}: committed {old!r}, measured {new!r}"
+        for name, old, new in changed(committed, pinned(untraced, traced))
     ]
 
 
@@ -106,7 +114,10 @@ def main(argv=None) -> int:
     if args.write:
         problems = failed_checks(untraced, traced)
         if not problems:
-            record[args.workload] = pinned(untraced, traced)
+            fresh = pinned(untraced, traced)
+            for name, old, new in changed(record.get(args.workload, {}), fresh):
+                print(f"{args.workload}: {name}: committed {old!r} -> measured {new!r}")
+            record[args.workload] = fresh
             RECORD.write_text(json.dumps(record, indent=2) + "\n")
     elif args.workload not in record:
         problems = [f"{RECORD.name} has no entry; generate it with --write"]

@@ -6,19 +6,27 @@ trials" (§4.1). :func:`max_goodput` implements that search for any
 system factory: double the rate until attainment drops below target,
 then bisect to the requested resolution.
 
+A trial counts SLO verdicts as requests complete: one counter, attached
+to the trial's system as its monitor, judges each completion's TTFT and
+TPOT, and the system builds no :class:`~repro.simulator.request.RequestRecord`
+(DESIGN §4e). The attainment is the one
+:func:`repro.analysis.slo.slo_attainment` computes over the records a
+system keeps outside a trial, bit for bit.
+
 Two acceleration hooks keep the search cheap without changing its
 answers (the search-acceleration layer in :mod:`repro.core.search`
 builds on both):
 
-* **Early abort** — a trial stops as soon as enough requests have
-  violated the SLO that the attainment target is mathematically
-  unreachable. The aborted trial reports an *upper bound* on its true
-  attainment, which is below the target whenever the abort fires, so
-  every pass/fail verdict the bisection takes is identical to the
-  full simulation's. :func:`max_goodput` only allows aborts on probes
-  whose attainment value is compared against the target and discarded;
-  the probes whose value surfaces in :class:`GoodputResult` always run
-  to completion, so results are bit-identical with pruning on or off.
+* **Early abort** — the same counter stops a trial as soon as enough
+  requests have violated the SLO that the attainment target is
+  mathematically unreachable. The aborted trial reports an *upper
+  bound* on its true attainment, which is below the target whenever
+  the abort fires, so every pass/fail verdict the bisection takes is
+  identical to the full simulation's. :func:`max_goodput` only allows
+  aborts on probes whose attainment value is compared against the
+  target and discarded; the probes whose value surfaces in
+  :class:`GoodputResult` always run to completion, so results are
+  bit-identical with pruning on or off.
 * **Pluggable trial runner** — :func:`max_goodput` routes every trial
   through a ``(rate, abort_target) -> TrialOutcome`` callable, letting
   callers interpose a memoizing cache (see
@@ -43,10 +51,8 @@ from typing import Callable
 
 import numpy as np
 
-from ..analysis.slo import slo_attainment
 from ..serving.base import ServingSystem, simulate_trace
 from ..simulator.events import Simulation
-from ..simulator.request import RequestRecord
 from ..workload.datasets import SyntheticDataset, generate_trace
 from ..workload.slos import SLO
 from ..workload.trace import Request
@@ -103,7 +109,7 @@ class TrialOutcome:
         attainment: Total SLO attainment — exact when the trial ran to
             completion, an upper bound strictly below the abort target
             when ``aborted`` is set.
-        aborted: The early-abort monitor stopped the simulation because
+        aborted: The trial's SLO counter stopped the simulation because
             the attainment target had become unreachable.
         truncated: The trial hit :data:`MAX_EVENTS_PER_TRIAL` (or the
             caller's ``max_events``) with events still pending; the
@@ -115,36 +121,43 @@ class TrialOutcome:
     truncated: bool = False
 
 
-class _EarlyAbortMonitor:
-    """Counts SLO violations online and stops the simulation when the
-    attainment target is mathematically out of reach.
+class _TrialCounter:
+    """Judges each completion against the SLO as it happens.
 
-    Quacks like :class:`repro.simulator.metrics.SloMonitor` (the two
-    observe hooks) so :meth:`ServingSystem.attach_monitor` accepts it.
-    Soundness: only *completed* requests are counted, and a completed
-    request's TTFT/TPOT are final, so ``violations`` never overcounts;
-    the trip condition ``violations > allowed`` therefore implies the
-    full trial's attainment would be below the target too.
+    A trial's only output is its attainment, so the trial's system keeps
+    no records: this counter, attached as its monitor, tallies completions
+    that meet both objectives with :func:`repro.analysis.slo.slo_attainment`'s
+    ``<=`` comparisons, and stops the simulation once more than
+    ``allowed_violations`` completions missed (the attainment target is
+    then out of reach). Soundness: only *completed* requests are counted,
+    and a completed request's TTFT/TPOT are final, so ``violations``
+    never overcounts; the trip condition ``violations > allowed``
+    therefore implies the full trial's attainment would be below the
+    target too.
     """
 
-    __slots__ = ("_sim", "_slo", "_allowed", "violations", "tripped")
+    __slots__ = ("_sim", "_ttft", "_tpot", "_allowed", "met", "violations", "tripped")
 
     def __init__(self, sim: Simulation, slo: SLO, allowed_violations: int) -> None:
         self._sim = sim
-        self._slo = slo
+        self._ttft = slo.ttft
+        self._tpot = slo.tpot
         self._allowed = allowed_violations
+        self.met = 0
         self.violations = 0
         self.tripped = False
 
     def observe_arrival(self, request: Request) -> None:  # SloMonitor protocol
         pass
 
-    def observe_completion(self, record: RequestRecord) -> None:
-        if record.ttft > self._slo.ttft or record.tpot > self._slo.tpot:
-            self.violations += 1
-            if self.violations > self._allowed and not self.tripped:
-                self.tripped = True
-                self._sim.stop()
+    def observe_completion(self, ttft: float, tpot: float) -> None:
+        if ttft <= self._ttft and tpot <= self._tpot:
+            self.met += 1
+            return
+        self.violations += 1
+        if self.violations > self._allowed and not self.tripped:
+            self.tripped = True
+            self._sim.stop()
 
 
 def run_attainment_trial(
@@ -165,7 +178,9 @@ def run_attainment_trial(
     lengthened so it spans at least ``min_duration`` seconds of arrivals:
     a short burst at a high rate drains from an empty system without ever
     exposing steady-state queuing, which would make capacity look
-    unbounded.
+    unbounded. Verdicts are counted as requests complete; the attainment
+    equals ``slo_attainment(records, slo, num_expected=len(trace)).total``
+    over the records the same system would keep outside a trial.
 
     Args:
         abort_target: When set, the trial stops as soon as completed-
@@ -176,20 +191,23 @@ def run_attainment_trial(
             outcome ``truncated`` and emits a :class:`RuntimeWarning`.
     """
     rng = np.random.default_rng(seed)
-    n = max(num_requests, int(rate * min_duration))
-    trace = generate_trace(dataset, rate=rate, num_requests=n, rng=rng)
+    trace = generate_trace(
+        dataset, rate=rate, num_requests=max(num_requests, int(rate * min_duration)),
+        rng=rng,
+    )
+    n = len(trace)
+    # attainment >= target needs at least ceil(target * n) requests in
+    # SLO, i.e. tolerates at most n - ceil(target * n) violations; without
+    # a target no count of violations (at most n) trips the counter.
+    allowed = n if abort_target is None else n - math.ceil(abort_target * n)
     sim = Simulation()
     system = system_factory(sim)
-    abort: "_EarlyAbortMonitor | None" = None
-    if abort_target is not None:
-        # attainment >= target needs at least ceil(target * N) requests in
-        # SLO, i.e. tolerates at most N - ceil(target * N) violations.
-        allowed = len(trace) - math.ceil(abort_target * len(trace))
-        abort = _EarlyAbortMonitor(sim, slo, allowed)
-        system.attach_monitor(abort)
+    counter = _TrialCounter(sim, slo, allowed)
+    system.attach_monitor(counter)
+    system._keep_records = False
     result = simulate_trace(system, trace, max_events=max_events)
-    if abort is not None and abort.tripped:
-        upper_bound = (len(trace) - abort.violations) / len(trace)
+    if counter.tripped:
+        upper_bound = (n - counter.violations) / n
         return TrialOutcome(attainment=upper_bound, aborted=True)
     truncated = len(sim) > 0 and sim.events_processed >= max_events
     if truncated:
@@ -201,8 +219,9 @@ def run_attainment_trial(
             RuntimeWarning,
             stacklevel=2,
         )
-    report = slo_attainment(result.records, slo, num_expected=len(trace))
-    return TrialOutcome(attainment=report.total, truncated=truncated)
+    # Unfinished requests count as violating both objectives.
+    attainment = counter.met / n if n else 1.0
+    return TrialOutcome(attainment=attainment, truncated=truncated)
 
 
 def attainment_at_rate(

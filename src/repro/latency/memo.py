@@ -29,7 +29,12 @@ operation order and associativity of :func:`decode_step_latency`,
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
+
+import numpy as np
+
+if TYPE_CHECKING:
+    import numpy.typing as npt
 
 from .coefficients import (
     LatencyCoefficients,
@@ -149,6 +154,59 @@ class DecodeStepTimer:
             return max(request, stage)
 
         return latency
+
+    def step_latency_array_fn(
+        self, batch_size: int
+    ) -> "Callable[[npt.NDArray[np.int64], npt.NDArray[np.float64]], None]":
+        """Array twin of :meth:`step_latency_fn`: ``(contexts, out)``.
+
+        Writes the step latency of each of ``contexts`` into the float64
+        array ``out`` (same length). Each element goes through the scalar
+        closure's operations in the same order, done in place: numpy's
+        elementwise ufuncs round each one as Python's float operators do
+        (``a * b == b * a`` and ``a + b == b + a`` bitwise, so operand
+        order inside one operation does not matter), and integer contexts
+        convert to float64 exactly below 2**53, as ``float()`` does. So
+        ``out[i]`` is bitwise ``step_latency_fn(batch_size)(contexts[i])``.
+        With one pipeline stage, the stage and request expressions are the
+        same operations on the same values (``act`` is 0.0 and
+        ``pp * overhead`` is ``overhead``), so their ``max`` is skipped.
+        """
+        if batch_size == 0:
+            def zeros(
+                contexts: "npt.NDArray[np.int64]", out: "npt.NDArray[np.float64]"
+            ) -> None:
+                out.fill(0.0)
+
+            return zeros
+        gemm, comm, act_stage, act_request = self._batch_constants(batch_size)
+        c3 = self._c3
+        c5 = self._c5
+        three_hidden = self._three_hidden
+        tp = self._tp
+        one_stage = self._pp == 1
+        layers_slowest = self._layers_slowest
+        overhead = self._overhead
+        num_layers = self._num_layers
+        pp_overhead = self._pp_overhead
+
+        def latencies(
+            contexts: "npt.NDArray[np.int64]", out: "npt.NDArray[np.float64]"
+        ) -> None:
+            np.multiply(contexts, three_hidden, out=out)
+            out *= c5
+            out /= tp  # attn
+            out += gemm
+            out += c3
+            out += comm  # per_layer
+            stage = None if one_stage else layers_slowest * out + act_stage + overhead
+            out *= num_layers
+            out += act_request
+            out += pp_overhead  # request
+            if stage is not None:
+                np.maximum(out, stage, out=out)
+
+        return latencies
 
 
 class PrefillBatchTimer:

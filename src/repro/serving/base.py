@@ -1,7 +1,8 @@
 """Serving-system abstraction and the trace runner.
 
 A serving system accepts requests and eventually produces one
-:class:`~repro.simulator.request.RequestRecord` per finished request.
+:class:`~repro.simulator.request.RequestRecord` per finished request
+(a goodput trial, which only counts SLO verdicts, keeps none).
 :func:`simulate_trace` drives any system with a workload trace inside a
 fresh simulation and packages the outcome.
 """
@@ -26,7 +27,8 @@ class ServingSystem(abc.ABC):
     """Base class for simulated serving systems.
 
     Subclasses implement :meth:`submit`; completion flows back through
-    :meth:`_complete`, which freezes the request into a record. An
+    :meth:`_complete`, which freezes the request into a record and hands
+    its TTFT and TPOT to the attached SLO monitor, if any. An
     optional :class:`~repro.simulator.tracing.Tracer` receives per-request
     lifecycle spans (``arrival``/``completion`` from this base; queue,
     exec, transfer, and step spans from the instances the subclass wires
@@ -48,6 +50,11 @@ class ServingSystem(abc.ABC):
         self._trace = tracer if tracer is not None else NULL_TRACER
         self._prof = profiler if profiler is not None else NULL_PROFILER
         self.records: "list[RequestRecord]" = []
+        #: Requests served to completion.
+        self.completed = 0
+        # Cleared by core.goodput.run_attainment_trial: a trial judges each
+        # completion through its monitor and reads no record.
+        self._keep_records = True
         self._submitted = 0
         #: Requests refused admission at :meth:`submit` (see :meth:`_reject`).
         self.rejections = 0
@@ -64,7 +71,7 @@ class ServingSystem(abc.ABC):
     @property
     def unfinished(self) -> int:
         """Requests accepted but neither completed nor rejected."""
-        return self._submitted - len(self.records) - self.rejections
+        return self._submitted - self.completed - self.rejections
 
     @property
     def monitor(self) -> "SloMonitor | None":
@@ -92,7 +99,7 @@ class ServingSystem(abc.ABC):
         )
         registry.counter(
             "repro_requests_completed_total", "Requests fully served",
-            fn=lambda: len(self.records),
+            fn=lambda: self.completed,
         )
         registry.counter(
             "repro_requests_rejected_total", "Requests refused admission",
@@ -120,11 +127,16 @@ class ServingSystem(abc.ABC):
         self._trace.instant(request.request_id, SpanKind.REJECTED, self.sim.now)
 
     def _complete(self, state: RequestState) -> None:
-        record = state.to_record()
-        self.records.append(record)
+        self.completed += 1
+        if self._keep_records:
+            record = state.to_record()
+            self.records.append(record)
+            ttft, tpot = record.ttft, record.tpot
+        else:
+            ttft, tpot = state.latencies()
         self._trace.instant(state.request_id, SpanKind.COMPLETION, self.sim.now)
         if self._monitor is not None:
-            self._monitor.observe_completion(record)
+            self._monitor.observe_completion(ttft, tpot)
 
     def num_gpus(self) -> int:
         """GPUs provisioned by this system (for per-GPU goodput)."""
@@ -138,10 +150,12 @@ class SimulationResult:
     Every submitted request is completed, ``rejected`` or ``unfinished``;
     without a ``max_sim_time`` or ``max_events`` cutoff every request of
     the trace is submitted, so ``completed + rejected + unfinished ==
-    len(trace)``.
+    len(trace)``. ``records`` holds one record per completed request,
+    except in a goodput trial, which keeps none.
     """
 
     records: "list[RequestRecord]"
+    completed: int
     unfinished: int
     #: Requests refused admission (``ServingSystem.rejections``).
     rejected: int
@@ -151,10 +165,6 @@ class SimulationResult:
     num_gpus: int = 0
     #: Lifecycle spans, when the system was built with a tracer.
     spans: "list[Span]" = field(default_factory=list)
-
-    @property
-    def completed(self) -> int:
-        return len(self.records)
 
 
 def simulate_trace(
@@ -188,6 +198,7 @@ def simulate_trace(
     tracer = getattr(system, "tracer", None)
     return SimulationResult(
         records=list(system.records),
+        completed=system.completed,
         unfinished=system.unfinished,
         rejected=system.rejections,
         sim_time=sim.now,

@@ -6,9 +6,9 @@ system serving *only* decoding — its TPOT is unpolluted by prefill.
 These are idealized single-phase engines:
 
 * :class:`PrefillOnlySystem` completes a request when its first token is
-  produced; subsequent output tokens are stamped instantly, without
-  spans, so records stay well-formed (TPOT ~ 0 by construction, only
-  TTFT is meaningful).
+  produced; subsequent output tokens are stamped instantly, with one
+  zero-width ``decode`` span for them, so records stay well-formed
+  (TPOT ~ 0 by construction, only TTFT is meaningful).
 * :class:`DecodeOnlySystem` assumes the KV cache materializes for free
   at arrival (TTFT ~ 0 by construction, only TPOT is meaningful).
 
@@ -84,7 +84,13 @@ class PrefillOnlySystem(ServingSystem):
             inst.release_kv(state.request_id)
         remaining = state.remaining_tokens
         if remaining > 0:
-            state.record_tokens([self.sim.now] * remaining)
+            now = self.sim.now
+            state.record_tokens([now] * remaining)
+            if self._trace.enabled:
+                self._trace.span(
+                    state.request_id, SpanKind.DECODE, now, now,
+                    token_index=state.request.output_len - 1,
+                )
         self._complete(state)
 
     def num_gpus(self) -> int:

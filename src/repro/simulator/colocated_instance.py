@@ -168,7 +168,7 @@ class ColocatedInstance:
         self._kernel = DecodeKernel(
             sim,
             self._kv,
-            step_latency=self._decode_timer.step_latency_fn,
+            timer=self._decode_timer,
             microbatches=1,
             kv_grows=True,
             jitter=spec.make_jitter(name) if spec.jitter_sigma else None,

@@ -113,7 +113,7 @@ class DecodeInstance:
         self._kernel = DecodeKernel(
             sim,
             self._kv,
-            step_latency=self._timer.step_latency_fn,
+            timer=self._timer,
             microbatches=spec.config.pp,
             kv_grows=False,
             jitter=spec.make_jitter(name) if spec.jitter_sigma else None,

@@ -9,8 +9,8 @@ monotonic tiebreaker keeps the heap stable and deterministic).
 Every placement-search trial funnels through :meth:`Simulation.run`,
 so the loop is deliberately lean: ``__slots__`` (no per-instance dict),
 a plain integer tiebreaker, and heap operations bound to locals inside
-the loop. :meth:`Simulation.stop` lets an observer (e.g. the goodput
-search's early-abort monitor) halt the run between events without
+the loop. :meth:`Simulation.stop` lets an observer (e.g. a goodput
+trial's SLO counter, on early abort) halt the run between events without
 unwinding the stack through user callbacks.
 
 :meth:`Simulation.mark` and :meth:`Simulation.was_pending_at` let a

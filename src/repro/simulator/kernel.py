@@ -7,12 +7,22 @@ event. :class:`DecodeKernel` owns one instance's running batch and does
 that planning; the decode instance (disaggregated) and the colocated
 instance (the vLLM baseline) both drive their decoding through it.
 
-The kernel takes three inputs that describe the instance: the
-step-latency closure (batch size -> context -> seconds), the micro-batch
-shape (how many micro-batches the running batch splits into), and
-whether KV grows per step (the colocated instance's optimistic
-admission; the decode instance reserves every request's final context
-up front). It never asks which instance drives it.
+The kernel takes three inputs that describe the instance: the decode
+step timer (batch size, context -> seconds), the micro-batch shape (how
+many micro-batches the running batch splits into), and whether KV grows
+per step (the colocated instance's optimistic admission; the decode
+instance reserves every request's final context up front). It never
+asks which instance drives it.
+
+A run is planned one of two ways. A run shorter than
+:data:`ARRAY_PLAN_MIN_STEPS` steps loops over its steps with the timer's
+scalar closure; a longer one computes every step at once with float64
+array arithmetic: the timer's array twin over the arithmetic sequence of
+step contexts, times the per-step jitter draws, then a sequential
+``np.add.accumulate`` of the durations from the run's start. Elementwise
+IEEE operations round as Python's do, and ``accumulate`` adds left to
+right as ``t = t + duration`` does, so both paths give the same
+boundaries bit for bit.
 
 A run is bounded only by what the instance itself does: the shortest
 remaining request (nobody finishes mid-run) and, when KV grows, KV-growth
@@ -56,13 +66,23 @@ from functools import partial
 from itertools import islice
 from typing import Callable, Deque
 
+import numpy as np
+
+from ..latency.memo import DecodeStepTimer
 from .events import Simulation
 from .kvcache import KVBlockManager
 from .profiler import Profiler
 from .request import RequestState
 from .tracing import SpanKind, Tracer
 
-__all__ = ["DecodeKernel"]
+__all__ = ["ARRAY_PLAN_MIN_STEPS", "DecodeKernel"]
+
+#: Shortest run :meth:`DecodeKernel.plan` computes with array arithmetic.
+#: Timed in place over a ``coloc-sharegpt`` pass on a shared 2-vCPU
+#: x86-64 host, the scalar loop costs about 0.9 µs per step and the array
+#: path about 19 µs per run; they cross between 20 and 28 steps
+#: (DESIGN §4h).
+ARRAY_PLAN_MIN_STEPS = 24
 
 
 class DecodeKernel:
@@ -71,8 +91,9 @@ class DecodeKernel:
     Args:
         sim: Shared simulation loop.
         kv: The instance's KV block manager.
-        step_latency: Batch size -> (micro-batch context -> step seconds),
-            e.g. :meth:`~repro.latency.memo.DecodeStepTimer.step_latency_fn`.
+        timer: The instance's decode step latency (batch size, micro-batch
+            context -> step seconds), read through its scalar closure
+            for short runs and its array twin for long ones.
         microbatches: Micro-batches the running batch splits into; a step
             takes the latency of the first ``ceil(B / microbatches)``
             requests (pipeline steady state).
@@ -100,7 +121,7 @@ class DecodeKernel:
         self,
         sim: Simulation,
         kv: KVBlockManager,
-        step_latency: "Callable[[int], Callable[[int], float]]",
+        timer: DecodeStepTimer,
         microbatches: int,
         kv_grows: bool,
         jitter: "Callable[[], float] | None",
@@ -112,7 +133,8 @@ class DecodeKernel:
     ) -> None:
         self._sim = sim
         self._kv = kv
-        self._step_latency = step_latency
+        self._step_latency = timer.step_latency_fn
+        self._step_latencies = timer.step_latency_array_fn
         self._microbatches = microbatches
         self._kv_grows = kv_grows
         self._jitter = jitter
@@ -267,7 +289,10 @@ class DecodeKernel:
         finish heap, and, when KV grows, at the KV-growth-safe bound.
         Returns False, planning nothing, when the very next step would
         preempt: the owner runs that step per step, which performs the
-        real preemption. Planning costs O(steps + log batch); only a
+        real preemption. A run of at least :data:`ARRAY_PLAN_MIN_STEPS`
+        steps is computed with array operations (:meth:`_plan_arrays`), a
+        shorter one step by step, so planning costs O(log batch) Python
+        operations plus one per step below the crossover; only a
         multi-micro-batch context and the KV bound scan the batch.
         """
         active = self.active
@@ -293,40 +318,72 @@ class DecodeKernel:
             mb_context = 0
             for member, member_mark in islice(active.items(), mb_size):
                 mb_context += member.context_len + steps - member_mark
-        latency = self._step_latency(mb_size)
-        boundaries: "list[float]" = []
-        durations: "list[float]" = []
-        jitters: "list[float]" = []
         t = start = self._sim.now
-        if self._jitter is None:
-            # base * 1.0 is bitwise base; no stream position to advance,
-            # so nothing to refund on truncation either.
-            for _ in range(max_steps):
-                duration = latency(mb_context)
-                assert duration >= 0.0  # latency model is nonnegative
-                t = t + duration
-                boundaries.append(t)
-                durations.append(duration)
-                mb_context += mb_size
+        if max_steps >= ARRAY_PLAN_MIN_STEPS:
+            t = self._plan_arrays(mb_size, mb_context, max_steps, start)
         else:
-            for _ in range(max_steps):
-                noise = self.draw_jitter()
-                duration = latency(mb_context) * noise
-                assert duration >= 0.0  # latency model + jitter nonnegative
-                t = t + duration
-                boundaries.append(t)
-                durations.append(duration)
-                jitters.append(noise)
-                mb_context += mb_size
-        self._boundaries = boundaries
-        self._durations = durations
-        self._jitters = jitters
+            latency = self._step_latency(mb_size)
+            boundaries: "list[float]" = []
+            durations: "list[float]" = []
+            jitters: "list[float]" = []
+            if self._jitter is None:
+                # base * 1.0 is bitwise base; no stream position to advance,
+                # so nothing to refund on truncation either.
+                for _ in range(max_steps):
+                    duration = latency(mb_context)
+                    assert duration >= 0.0  # latency model is nonnegative
+                    t = t + duration
+                    boundaries.append(t)
+                    durations.append(duration)
+                    mb_context += mb_size
+            else:
+                for _ in range(max_steps):
+                    noise = self.draw_jitter()
+                    duration = latency(mb_context) * noise
+                    assert duration >= 0.0  # latency model + jitter nonnegative
+                    t = t + duration
+                    boundaries.append(t)
+                    durations.append(duration)
+                    jitters.append(noise)
+                    mb_context += mb_size
+            self._boundaries = boundaries
+            self._durations = durations
+            self._jitters = jitters
         self._cursor = 0
         self._run_start = start
         self._run_mark = self._sim.mark()
         assert t >= self._sim.now
         self._sim.schedule_at(t, partial(self._on_run_end, self._generation))
         return True
+
+    def _plan_arrays(self, mb_size: int, mb_context: int, steps: int, start: float) -> float:
+        """Plan a long run with float64 array arithmetic; returns its end.
+
+        The scalar loop's operations, elementwise: the step contexts are
+        the sequence ``mb_context + i * mb_size``, each duration is the
+        timer's array twin times the step's draw, and the boundaries are
+        ``np.add.accumulate`` from the run's start, which adds left to
+        right as ``t = t + duration`` does (only ``np.sum`` is pairwise).
+        Draws still come one per step from :meth:`draw_jitter`, so
+        refunds keep their stream positions.
+        """
+        contexts = np.arange(mb_context, mb_context + steps * mb_size, mb_size)
+        times = np.empty(steps + 1)
+        times[0] = start
+        durations = times[1:]
+        self._step_latencies(mb_size)(contexts, durations)
+        jitters: "list[float]" = []
+        if self._jitter is not None:
+            draw = self.draw_jitter
+            jitters = [draw() for _ in range(steps)]
+            durations *= jitters
+        assert durations.min() >= 0.0  # latency model + jitter nonnegative
+        self._durations = durations.tolist()
+        self._jitters = jitters
+        np.add.accumulate(times, out=times)  # durations now hold boundaries
+        boundaries: "list[float]" = durations.tolist()
+        self._boundaries = boundaries
+        return boundaries[-1]
 
     def _steps_done(self) -> int:
         """Run steps the per-step path has completed as this event fires.

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Deque, Iterable
 
 from .events import Simulation
-from .request import RequestRecord
 from ..workload.slos import SLO
 from ..workload.trace import Request
 
@@ -432,10 +431,10 @@ class SloMonitor:
         self._arrivals.append((self._sim.now, request))
         self._evict()
 
-    def observe_completion(self, record: RequestRecord) -> None:
-        """Judge one completed request against the SLOs."""
-        ttft_ok = record.ttft <= self.slo.ttft
-        tpot_ok = record.tpot <= self.slo.tpot
+    def observe_completion(self, ttft: float, tpot: float) -> None:
+        """Judge one completed request's TTFT and TPOT against the SLOs."""
+        ttft_ok = ttft <= self.slo.ttft
+        tpot_ok = tpot <= self.slo.tpot
         self.completed += 1
         self._ok_ttft += ttft_ok
         self._ok_tpot += tpot_ok
@@ -447,9 +446,9 @@ class SloMonitor:
             self.longest_violation_streak = max(
                 self.longest_violation_streak, self.violation_streak
             )
-        if self._ttft_hist is not None:
-            self._ttft_hist.observe(record.ttft)
-            self._tpot_hist.observe(record.tpot)
+        if self._ttft_hist is not None and self._tpot_hist is not None:
+            self._ttft_hist.observe(ttft)
+            self._tpot_hist.observe(tpot)
         self._completions.append((self._sim.now, ttft_ok, tpot_ok))
         self._evict()
 

@@ -117,25 +117,40 @@ class RequestState:
     def is_finished(self) -> bool:
         return self.generated >= self.request.output_len
 
-    def to_record(self) -> "RequestRecord":
-        """Freeze the state into an immutable analysis record.
+    def latencies(self) -> "tuple[float, float]":
+        """``(ttft, tpot)`` of the finished request.
+
+        What SLO observers judge at completion, and the latencies
+        :meth:`to_record` freezes.
 
         Raises:
             RuntimeError: if the request has not finished.
+            ValueError: if either latency is negative.
         """
         if not self.is_finished:
             raise RuntimeError(f"request {self.request_id} not finished")
-        arrival = self.request.arrival_time
-        ttft = self.token_times[0] - arrival
+        ttft = self.token_times[0] - self.request.arrival_time
         if self.request.output_len > 1:
             tpot = (self.token_times[-1] - self.token_times[0]) / (
                 self.request.output_len - 1
             )
         else:
             tpot = 0.0
+        if ttft < 0 or tpot < 0:
+            raise ValueError(f"negative latency in request {self.request_id}")
+        return ttft, tpot
+
+    def to_record(self) -> "RequestRecord":
+        """Freeze the state into an immutable analysis record.
+
+        Raises:
+            RuntimeError: if the request has not finished.
+            ValueError: if either latency is negative.
+        """
+        ttft, tpot = self.latencies()
         return RequestRecord(
             request_id=self.request_id,
-            arrival_time=arrival,
+            arrival_time=self.request.arrival_time,
             input_len=self.request.input_len,
             output_len=self.request.output_len,
             ttft=ttft,
@@ -150,10 +165,9 @@ class RequestRecord:
 
     A projection of the request's critical path: ``arrival_time``,
     ``ttft``, ``tpot`` and ``finish_time`` equal the path's bitwise and
-    ``output_len`` its ``num_tokens`` (a property test checks both;
-    ``PrefillOnlySystem`` hands out the tokens after the first without
-    spans, so there the path counts one). Phase durations live on the
-    path only (:func:`repro.analysis.critpath.critical_paths`).
+    ``output_len`` its ``num_tokens`` (a property test checks both).
+    Phase durations live on the path only
+    (:func:`repro.analysis.critpath.critical_paths`).
     """
 
     request_id: int

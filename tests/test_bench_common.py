@@ -135,6 +135,25 @@ class TestPerfGate:
         assert check_perf.main(argv + ["--write"]) == 1
         assert record.read_text() == before  # a failed run is never written
 
+    def test_write_prints_each_changed_value(self, tmp_path, monkeypatch, capsys):
+        committed = self._committed()
+        record = tmp_path / "BENCH_perf.json"
+        record.write_text(json.dumps({self.WORKLOAD: committed}))
+        moved = dict(committed)
+        moved["decode_instance.events"] += 1
+        monkeypatch.setattr(check_perf, "RECORD", record)
+        monkeypatch.setattr(
+            check_perf, "run_perfbench",
+            lambda workload, trace: self._results(moved)[trace],
+        )
+        assert check_perf.main(["--workload", self.WORKLOAD, "--write"]) == 0
+        old, new = committed["decode_instance.events"], moved["decode_instance.events"]
+        assert capsys.readouterr().out.splitlines() == [
+            f"{self.WORKLOAD}: decode_instance.events: committed {old!r} -> measured {new!r}",
+            f"{self.WORKLOAD}: wrote {len(committed)} values to BENCH_perf.json",
+        ]
+        assert json.loads(record.read_text()) == {self.WORKLOAD: moved}
+
     def test_record_covers_every_workload_and_metric(self):
         record = json.loads(check_perf.RECORD.read_text())
         assert sorted(record) == sorted(w["name"] for w in check_perf.spec()["workloads"])

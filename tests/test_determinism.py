@@ -46,7 +46,7 @@ from repro.analysis import (
     ttft_percentile,
 )
 from repro.core import PlacementSearchStats, place_high_affinity, place_low_affinity
-from repro.core.goodput import _EarlyAbortMonitor
+from repro.core.goodput import _TrialCounter
 from repro.hardware import Cluster, Node
 from repro.serving import ColocatedSystem, DisaggregatedSystem, simulate_trace
 from repro.simulator import InstanceSpec, Simulation, Tracer, to_jsonl
@@ -269,16 +269,16 @@ def _paths():
 
 def _reports(records, spans, paths):
     slo = SLO(ttft=2.0, tpot=0.06)
-    monitor = _EarlyAbortMonitor(Simulation(), slo, allowed_violations=len(records))
+    counter = _TrialCounter(Simulation(), slo, allowed_violations=len(records))
     for record in records:
-        monitor.observe_completion(record)
+        counter.observe_completion(record.ttft, record.tpot)
     return repr((
         latency_summary(records),
         ttft_percentile(records, 90.0), tpot_percentile(records, 99.0),
         critical_paths(spans),
         latency_breakdown(paths),
         slo_attainment(records, slo, num_expected=len(records) + 3),
-        monitor.violations,
+        counter.met, counter.violations,
     ))
 
 

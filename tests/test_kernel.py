@@ -28,6 +28,7 @@ from repro.serving import (
     simulate_trace,
 )
 from repro.simulator import InstanceSpec, SimSanitizer, Simulation
+from repro.simulator import kernel as kernel_module
 from repro.simulator.colocated_instance import POLICIES, ColocatedInstance
 from repro.simulator.decode_instance import DecodeInstance
 from repro.simulator.kernel import DecodeKernel
@@ -65,11 +66,29 @@ class TestMemoTimers:
             for context in (batch, 100, 5000, 123456):
                 assert fn(context) == timer.request_latency(batch, context)
 
+    @pytest.mark.parametrize("tp,pp", [(1, 1), (2, 1), (1, 2), (2, 2)])
+    def test_step_latency_array_fn_bitwise(self, tiny_model, tp, pp):
+        """The array twin equals the scalar closure element by element."""
+        coeffs = coefficients_from_roofline(A100_80GB)
+        timer = DecodeStepTimer(tiny_model, ParallelismConfig(tp, pp), coeffs)
+        rng = np.random.default_rng(10 * tp + pp)
+        for batch in range(1, 257):
+            contexts = np.concatenate(
+                ([batch, 10**6], rng.integers(batch, 10**6, 30))
+            )
+            scalar = timer.step_latency_fn(batch)
+            got = np.empty(len(contexts))
+            timer.step_latency_array_fn(batch)(contexts, got)
+            assert got.tolist() == [scalar(int(c)) for c in contexts]  # bitwise
+
     def test_decode_timer_empty_batch(self, tiny_model):
         coeffs = coefficients_from_roofline(A100_80GB)
         timer = DecodeStepTimer(tiny_model, ParallelismConfig(1, 1), coeffs)
         assert timer.request_latency(0, 0) == 0.0
         assert timer.step_latency_fn(0)(0) == 0.0
+        out = np.ones(3)
+        timer.step_latency_array_fn(0)(np.arange(3), out)
+        assert out.tolist() == [0.0] * 3
 
     @pytest.mark.parametrize("tp,pp", [(1, 1), (2, 2)])
     def test_prefill_timer_bitwise(self, tiny_model, tp, pp):
@@ -312,6 +331,75 @@ class TestDecodeInstanceParity:
         assert results[True] == results[False]
         assert results[True][0] == [1, 0]  # short newcomer finishes first
 
+    def test_runs_around_the_array_crossover(self, monkeypatch, tiny_model):
+        """Runs just below and well above ``ARRAY_PLAN_MIN_STEPS`` match the
+        per-step path bitwise, with jitter on and submits that cut runs.
+
+        ``long`` plans a run alone that ``short``'s submit cuts to one
+        step, refunding its draws; the two then run ``cross - 1`` steps
+        (the scalar loop, taking the refunds); ``long`` alone plans a run
+        of about ``7 * cross`` steps (the array path) that a newcomer's
+        submit cuts, refunding draws again.
+        """
+        cross = kernel_module.ARRAY_PLAN_MIN_STEPS
+        spec = InstanceSpec(
+            model=tiny_model, config=ParallelismConfig(1, 1), jitter_sigma=0.08
+        )
+        # (on the array path, steps, refunds pending) of each planned run.
+        runs, arrays = [], [False]
+        plan, plan_arrays = DecodeKernel.plan, DecodeKernel._plan_arrays
+
+        def logged_plan(kernel):
+            refunds, arrays[0] = len(kernel._refunds), False
+            planned = plan(kernel)
+            runs.append((arrays[0], len(kernel._boundaries), refunds))
+            return planned
+
+        def logged_arrays(kernel, *args):
+            arrays[0] = True
+            return plan_arrays(kernel, *args)
+
+        monkeypatch.setattr(DecodeKernel, "plan", logged_plan)
+        monkeypatch.setattr(DecodeKernel, "_plan_arrays", logged_arrays)
+
+        def state(request_id, output_len):
+            state = RequestState(
+                request=Request(request_id=request_id, arrival_time=0.0,
+                                input_len=100, output_len=output_len),
+                phase=RequestPhase.WAITING_DECODE, generated=1,
+            )
+            state.token_times.append(0.0)
+            return state
+
+        results = {}
+        for fast in (True, False):
+            runs.clear()
+            sim = Simulation()
+            long, short, newcomer = state(0, 8 * cross), state(1, cross), state(2, 5)
+            done = []
+
+            def on_done(finished):
+                done.append(finished.request_id)
+                if finished is short:
+                    sim.schedule(0.2, lambda: inst.submit(newcomer))
+
+            inst = DecodeInstance(sim, spec, on_done, fast_kernel=fast)
+            inst.submit(long)
+            inst.submit(short)
+            sim.run()
+            results[fast] = (
+                done,
+                [(s.generated, tuple(s.token_times)) for s in (long, short, newcomer)],
+                (inst.steps_executed, inst.tokens_generated, inst.busy_time),
+            )
+            if fast:
+                assert (False, cross - 1, cross * 8 - 2) in runs
+                assert any(arrays and steps >= 4 * cross for arrays, steps, _ in runs)
+                # Both cuts refunded draws that later runs took.
+                assert sum(refunds > 0 for _, _, refunds in runs) >= 2
+        assert results[True] == results[False]
+        assert results[True][0] == [1, 2, 0]
+
     @pytest.mark.parametrize("sanitized", [False, True])
     def test_arrival_exactly_on_step_boundary(self, tiny_spec, sanitized):
         """A pre-scheduled arrival on a step boundary joins at it.
@@ -543,7 +631,8 @@ class TestRunLength:
     def test_planning_reads_no_request_context(self, monkeypatch, tiny_spec):
         """A one-micro-batch run is planned from the kernel's running
         context total, so planning cost does not grow with the batch:
-        ``plan()`` reads no request's context (DESIGN §4i)."""
+        ``plan()`` reads no request's context (DESIGN §4i), on either
+        planning path."""
         planning, plans, reads = [False], [], []
         context_len, plan = RequestState.context_len.fget, DecodeKernel.plan
 
@@ -562,11 +651,15 @@ class TestRunLength:
 
         monkeypatch.setattr(RequestState, "context_len", property(counted))
         monkeypatch.setattr(DecodeKernel, "plan", tracked)
-        system = DecodeOnlySystem(Simulation(), tiny_spec)
-        trace = [Request(request_id=i, arrival_time=0.0, input_len=64,
-                         output_len=8 + i) for i in range(32)]
-        assert simulate_trace(system, trace).completed == len(trace)
-        assert max(plans) > 1 and reads == []
+        # Every run on the array path, then every run on the scalar loop.
+        for array_min_steps in (1, 10**9):
+            monkeypatch.setattr(kernel_module, "ARRAY_PLAN_MIN_STEPS", array_min_steps)
+            plans.clear()
+            system = DecodeOnlySystem(Simulation(), tiny_spec)
+            trace = [Request(request_id=i, arrival_time=0.0, input_len=64,
+                             output_len=8 + i) for i in range(32)]
+            assert simulate_trace(system, trace).completed == len(trace)
+            assert max(plans) > 1 and reads == []
 
 
 # ----------------------------------------------------------------------

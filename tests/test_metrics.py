@@ -246,7 +246,7 @@ class TestSloMonitor:
             _record(3, ttft=1.0, tpot=0.1),    # boundary: <= attains
         ]
         for r in records:
-            mon.observe_completion(r)
+            mon.observe_completion(r.ttft, r.tpot)
         offline = slo_attainment(records, mon.slo)
         cum = mon.cumulative_attainment()
         assert cum.total == offline.total
@@ -256,9 +256,9 @@ class TestSloMonitor:
 
     def test_window_evicts_old_completions(self):
         sim, mon = self._monitor(window=10.0)
-        mon.observe_completion(_record(0, ttft=5.0))  # violation at t=0
+        mon.observe_completion(ttft=5.0, tpot=0.01)  # violation at t=0
         sim._now = 20.0  # jump past the window
-        mon.observe_completion(_record(1, ttft=0.5))
+        mon.observe_completion(ttft=0.5, tpot=0.01)
         win = mon.windowed_attainment()
         assert win.num_requests == 1
         assert win.total == 1.0
@@ -274,15 +274,15 @@ class TestSloMonitor:
     def test_violation_streaks(self):
         _sim, mon = self._monitor()
         for ttft in (5.0, 5.0, 0.5, 5.0, 5.0, 5.0):
-            mon.observe_completion(_record(ttft=ttft))
+            mon.observe_completion(ttft=ttft, tpot=0.01)
         assert mon.violation_streak == 3
         assert mon.longest_violation_streak == 3
 
     def test_windowed_goodput_keys_and_span(self):
         sim, mon = self._monitor(window=10.0)
         sim._now = 5.0
-        mon.observe_completion(_record(ttft=0.5))
-        mon.observe_completion(_record(ttft=5.0))  # ttft miss, tpot ok
+        mon.observe_completion(ttft=0.5, tpot=0.01)
+        mon.observe_completion(ttft=5.0, tpot=0.01)  # ttft miss, tpot ok
         gp = mon.windowed_goodput()
         assert gp["total"] == pytest.approx(1 / 5.0)
         assert gp["ttft"] == pytest.approx(1 / 5.0)
@@ -315,7 +315,7 @@ class TestSloMonitor:
             "repro_tpot_seconds",
         ):
             assert name in reg
-        mon.observe_completion(_record(ttft=5.0))
+        mon.observe_completion(ttft=5.0, tpot=0.01)
         violations = reg.get("repro_slo_violations_total", {"objective": "total"})
         assert violations.value == 1
         assert reg.get("repro_ttft_seconds").count == 1

@@ -45,6 +45,24 @@ class TestRequestState:
         with pytest.raises(RuntimeError):
             state.to_record()
 
+    def test_latencies_keep_the_record_checks(self):
+        """The trial path judges ``latencies()`` without a record, so it
+        raises what ``to_record`` raises."""
+        state = make_state(output_len=2, arrival=1.0)
+        state.record_token(1.5)
+        with pytest.raises(RuntimeError):
+            state.latencies()
+        state.record_token(2.5)
+        assert state.latencies() == (0.5, 1.0)
+        early = make_state(output_len=1, arrival=1.0)
+        early.record_token(0.5)  # first token before arrival
+        with pytest.raises(ValueError):
+            early.latencies()
+        backwards = make_state(output_len=2, arrival=1.0)
+        backwards.record_tokens([2.0, 1.5])  # last token before the first
+        with pytest.raises(ValueError):
+            backwards.latencies()
+
 
 class TestRequestRecord:
     def test_ttft_and_tpot(self):

@@ -9,11 +9,14 @@ Covers the three pillars the layer must uphold:
   change a goodput verdict.
 * **Soundness** — cache entries are only reused where provably valid,
   SLO-infeasibility pruning only fires on provably-zero configurations,
-  and truncated trials are reported distinctly.
+  and truncated trials are reported distinctly. A trial counts its SLO
+  verdicts at completion, builds no record, and still scores exactly
+  what ``slo_attainment`` scores over the same system's records.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -22,6 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.analysis import slo_attainment
 from repro.core import (
     GLOBAL_TRIAL_CACHE,
     PlacementSearchStats,
@@ -45,8 +49,16 @@ from repro.hardware import Cluster, Node
 from repro.latency import ParallelismConfig
 from repro.models import get_model
 from repro.scheduling import DISPATCH_POLICIES, QUEUE_POLICIES, SchedulingConfig
+from repro.serving import (
+    ColocatedSystem,
+    DecodeOnlySystem,
+    DisaggregatedSystem,
+    PrefillOnlySystem,
+    simulate_trace,
+)
 from repro.simulator import InstanceSpec, Simulation
-from repro.workload import SLO, get_dataset
+from repro.simulator.request import RequestRecord, RequestState
+from repro.workload import SLO, fixed_length_dataset, generate_trace, get_dataset
 from repro.workload.datasets import SyntheticDataset
 from repro.workload.distributions import (
     EmpiricalLength,
@@ -277,6 +289,99 @@ class TestStopAndTruncation:
         )
         assert result.goodput == 0.0
         assert result.trials == 1 and result.truncated_trials == 1
+
+
+# ----------------------------------------------------------------------
+# Trials count SLO verdicts at completion, without records
+# ----------------------------------------------------------------------
+
+_TRIAL_SYSTEMS = {
+    "prefill_only": lambda spec: lambda sim: PrefillOnlySystem(sim, spec),
+    "decode_only": lambda spec: lambda sim: DecodeOnlySystem(sim, spec),
+    "disaggregated": lambda spec: lambda sim: DisaggregatedSystem(sim, spec, spec),
+    "colocated": lambda spec: lambda sim: ColocatedSystem(sim, spec),
+}
+
+
+def _trial_trace(dataset, rate, num_requests, seed, min_duration):
+    """The trace :func:`run_attainment_trial` builds for these arguments."""
+    return generate_trace(
+        dataset, rate=rate, num_requests=max(num_requests, int(rate * min_duration)),
+        rng=np.random.default_rng(seed),
+    )
+
+
+class TestTrialCounting:
+    RATE, REQUESTS, SEED, MIN_DURATION = 30.0, 60, 3, 1.0
+
+    def _trial(self, factory, dataset, slo, **kwargs):
+        return run_attainment_trial(
+            factory, dataset, self.RATE, slo, num_requests=self.REQUESTS,
+            seed=self.SEED, min_duration=self.MIN_DURATION, **kwargs,
+        )
+
+    @pytest.mark.parametrize("system", sorted(_TRIAL_SYSTEMS))
+    def test_attainment_equals_offline_records(self, tiny_spec, fast_dataset, system):
+        factory = _TRIAL_SYSTEMS[system](tiny_spec)
+        trace = _trial_trace(
+            fast_dataset, self.RATE, self.REQUESTS, self.SEED, self.MIN_DURATION
+        )
+        records = simulate_trace(factory(Simulation()), trace).records
+        # An SLO that about half the requests meet, so the count matters
+        # (a phase-only system's other latency is 0 for every request).
+        slo = SLO(
+            ttft=max(float(np.median([r.ttft for r in records])), 1e-9),
+            tpot=max(float(np.percentile([r.tpot for r in records], 75)), 1e-9),
+        )
+        expected = slo_attainment(records, slo, num_expected=len(trace)).total
+        assert 0.0 < expected < 1.0
+        outcome = self._trial(factory, fast_dataset, slo)
+        assert outcome.attainment == expected  # bitwise
+        assert not outcome.aborted and not outcome.truncated
+
+    @pytest.mark.parametrize("system", sorted(_TRIAL_SYSTEMS))
+    def test_trial_builds_no_record(self, monkeypatch, tiny_spec, fast_dataset, system):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a goodput trial built a RequestRecord")
+
+        monkeypatch.setattr(RequestState, "to_record", refuse)
+        monkeypatch.setattr(RequestRecord, "__post_init__", refuse)
+        outcome = self._trial(
+            _TRIAL_SYSTEMS[system](tiny_spec), fast_dataset, SLO(ttft=0.05, tpot=0.02)
+        )
+        assert 0.0 <= outcome.attainment <= 1.0
+
+    def test_abort_reports_the_tripping_count(self, tiny_spec):
+        """Requests prefill one at a time, so the trial stops on the
+        violation that exceeds the allowance, ``allowed + 1``."""
+        factory = _TRIAL_SYSTEMS["prefill_only"](tiny_spec)
+        dataset = fixed_length_dataset(32, 4)
+        slo = SLO(ttft=1e-9, tpot=1.0)  # every request misses TTFT
+        outcome = run_attainment_trial(
+            factory, dataset, 1.0, slo, num_requests=40, seed=0,
+            min_duration=1.0, abort_target=0.9,
+        )
+        n = 40
+        allowed = n - math.ceil(0.9 * n)
+        assert outcome.aborted and not outcome.truncated
+        assert outcome.attainment == (n - allowed - 1) / n
+
+    def test_truncated_trial_scores_unfinished_as_violations(
+        self, tiny_spec, fast_dataset
+    ):
+        factory = _TRIAL_SYSTEMS["disaggregated"](tiny_spec)
+        trace = _trial_trace(
+            fast_dataset, self.RATE, self.REQUESTS, self.SEED, self.MIN_DURATION
+        )
+        slo = SLO(ttft=10.0, tpot=10.0)
+        partial_run = simulate_trace(factory(Simulation()), trace, max_events=300)
+        assert 0 < partial_run.completed < len(trace)
+        expected = slo_attainment(
+            partial_run.records, slo, num_expected=len(trace)
+        ).total
+        with pytest.warns(RuntimeWarning, match="event ceiling"):
+            outcome = self._trial(factory, fast_dataset, slo, max_events=300)
+        assert outcome.truncated and outcome.attainment == expected
 
 
 # ----------------------------------------------------------------------

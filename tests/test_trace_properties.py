@@ -7,16 +7,24 @@ prefill execution per completed request and ``decode`` spans whose token
 indices rise strictly from 0 to ``output_len - 1``, TTFT derivable from
 spans equal to what the percentile layer reports, each record a bitwise
 projection of its critical path (also across a decode-instance
-failover), and KV-transfer spans appearing only under disaggregation.
+failover, and for the phase-only systems), and KV-transfer spans
+appearing only under disaggregation.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import critical_paths, ttft_percentile
 from repro.models import ModelArchitecture
-from repro.serving import ColocatedSystem, DisaggregatedSystem, simulate_trace
+from repro.serving import (
+    ColocatedSystem,
+    DecodeOnlySystem,
+    DisaggregatedSystem,
+    PrefillOnlySystem,
+    simulate_trace,
+)
 from repro.simulator import (
     InstanceSpec,
     Simulation,
@@ -187,6 +195,19 @@ class TestTraceProperties:
         by_id = {r.request_id: r.end_to_end_latency for r in result.records}
         for path in critical_paths(tracer.spans):
             assert abs(path.phase_sum - by_id[path.request_id]) < 1e-9
+
+    @pytest.mark.parametrize("system_cls", [PrefillOnlySystem, DecodeOnlySystem])
+    @given(raw=requests_strategy)
+    @settings(max_examples=25, deadline=None)
+    def test_phase_only_records_project_critical_paths(self, system_cls, raw):
+        """The prefill-only system stamps tokens after the first for free,
+        and the decode-only one skips prefill; both records still equal
+        their critical paths, token count included."""
+        tracer = Tracer()
+        system = system_cls(Simulation(), InstanceSpec(model=MODEL), tracer=tracer)
+        result = simulate_trace(system, make_trace(raw))
+        assert result.unfinished == 0
+        check_projection(result.records, critical_paths(tracer.spans))
 
     def test_failover_records_project_critical_paths(self):
         """Victims of a decode failure re-prefill and re-join decoding;

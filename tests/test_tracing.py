@@ -269,9 +269,9 @@ class TestSystemIntegration:
         assert all(s.kind != SpanKind.DECODE_QUEUE for s in res.spans)
 
     def test_phase_only_systems_trace(self):
-        # The prefill-only system stamps tokens >= 1 for free, without
-        # spans; the decode-only one decodes them in one stay.
-        for cls, indices in ((PrefillOnlySystem, [0]), (DecodeOnlySystem, [0, 3])):
+        # The prefill-only system stamps tokens >= 1 for free under one
+        # zero-width span; the decode-only one decodes them in one stay.
+        for cls, indices in ((PrefillOnlySystem, [0, 3]), (DecodeOnlySystem, [0, 3])):
             sim = Simulation()
             tracer = Tracer()
             system = cls(sim, InstanceSpec(model=MODEL), tracer=tracer)
