@@ -40,12 +40,16 @@ the same order as the per-step path, so results are bit-identical.
 
 A run's cost does not grow with the batch. The running batch maps each
 request to the fast-step count up to which its token fields are written
-(its *mark*); finishers come off a heap keyed by finish step; and the
-one-micro-batch context is the incrementally kept running total. A
-batched request's ``generated`` and ``token_times`` therefore lag: they
-are written back once per stay, from a per-kernel step-time history,
-when the request leaves the batch or the instance fails, and before any
-per-step step reads them.
+(its *mark*); finishers come off a heap keyed by finish step; the step
+context is the incrementally kept running total with one micro-batch,
+and with several one built-in sum over the first micro-batch's
+join-ordered context offsets, which reads no request. When KV grows the
+batch is the KV manager's growth group (:mod:`repro.simulator.kvcache`),
+so the KV-safe bound is one query and a run's KV growth one update,
+each O(block_size). A batched request's ``generated`` and
+``token_times`` therefore lag: they are written back once per stay,
+from a per-kernel step-time history, when the request leaves the batch
+or the instance fails, and before any per-step step reads them.
 
 Observers see the same events on either path, because the kernel emits
 them for both. A tracer gets one ``decode`` span per request per stay in
@@ -78,10 +82,10 @@ from .tracing import SpanKind, Tracer
 __all__ = ["ARRAY_PLAN_MIN_STEPS", "DecodeKernel"]
 
 #: Shortest run :meth:`DecodeKernel.plan` computes with array arithmetic.
-#: Timed in place over a ``coloc-sharegpt`` pass on a shared 2-vCPU
-#: x86-64 host, the scalar loop costs about 0.9 µs per step and the array
-#: path about 19 µs per run; they cross between 20 and 28 steps
-#: (DESIGN §4h).
+#: Timed in place over ``coloc-sharegpt`` passes on a shared 2-vCPU
+#: x86-64 host, the scalar loop costs about 6–10 µs plus 0.6–1.0 µs per
+#: step and the array path about 20–33 µs per run; they cross at about 24
+#: steps (DESIGN §4h).
 ARRAY_PLAN_MIN_STEPS = 24
 
 
@@ -98,8 +102,9 @@ class DecodeKernel:
             takes the latency of the first ``ceil(B / microbatches)``
             requests (pipeline steady state).
         kv_grows: Each step appends one KV slot per request (optimistic
-            admission); runs then stop at the KV-growth-safe bound, and
-            :meth:`plan` declines a run whose first step would preempt.
+            admission). The batch is then ``kv``'s growth group, runs
+            stop at the KV-growth-safe bound, and :meth:`plan` declines a
+            run whose first step would preempt.
         jitter: The instance's noise source, or ``None`` for the constant
             1.0 (planning then skips the draws; ``x * 1.0`` is bitwise x).
         on_run_end: Called with the run's generation when a run's last
@@ -179,6 +184,12 @@ class DecodeKernel:
         # Join time and token count of each batched request's stay, kept
         # while a tracer is attached (the start of its decode span).
         self._stays: "dict[RequestState, tuple[float, int]]" = {}
+        # context_len - mark of each batched request in join order, kept
+        # while runs are planned over several micro-batches. Write-backs
+        # move both terms by the same steps, so only a per-step step
+        # changes it (rekey), and the first micro-batch's context needs
+        # no request reads.
+        self._offsets: "dict[RequestState, int]" = {}
 
     # ------------------------------------------------------------------
     # Batch membership and per-step bookkeeping
@@ -195,6 +206,8 @@ class DecodeKernel:
         """Add ``state`` (token fields current) to the running batch."""
         self.active[state] = self._steps
         self.context_tokens += state.context_len
+        if self._kv_grows:
+            self._kv.join_group(state.request_id)
         if self._trace.enabled:
             self._stays[state] = (self._sim.now, state.generated)
         if self.enabled:
@@ -202,11 +215,16 @@ class DecodeKernel:
             heapq.heappush(
                 self._heap, (self._steps + state.remaining_tokens, self._joins, state)
             )
+            if self._microbatches > 1:
+                self._offsets[state] = state.context_len - self._steps
 
     def leave(self, state: RequestState) -> None:
         """Remove ``state`` from the batch, its token fields written back."""
         self._write_back(state, self.active.pop(state))
         self.context_tokens -= state.context_len
+        if self._kv_grows:
+            self._kv.leave_group(state.request_id)
+        self._offsets.pop(state, None)
         if self._trace.enabled:
             self._end_stay(state)
 
@@ -230,15 +248,21 @@ class DecodeKernel:
             active[state] = steps
 
     def rekey(self) -> None:
-        """Re-key the finish heap after a per-step step moved tokens on."""
+        """Re-key the finish heap and the micro-batch offsets after a
+        per-step step moved tokens on."""
         if not self.enabled:
             return
+        active = self.active
         heap: "list[tuple[int, int, RequestState]]" = []
-        for state, mark in self.active.items():
+        for state, mark in active.items():
             self._joins += 1
             heap.append((mark + state.remaining_tokens, self._joins, state))
         heapq.heapify(heap)
         self._heap = heap
+        if self._microbatches > 1:
+            offsets = self._offsets
+            for state, mark in active.items():
+                offsets[state] = state.context_len - mark
 
     def _write_back(self, state: RequestState, mark: int) -> None:
         """Record the fast steps ``state`` has taken since step ``mark``."""
@@ -250,50 +274,22 @@ class DecodeKernel:
     # ------------------------------------------------------------------
     # Macro runs
     # ------------------------------------------------------------------
-    def _kv_safe_steps(self, limit: int) -> int:
-        """Longest run with guaranteed KV growth.
-
-        Largest ``j <= limit`` such that growing every batched request by
-        ``j`` tokens fits the free block budget; through step ``j`` the
-        per-step path performs the exact same appends (cumulative need is
-        monotone and no blocks free mid-run), so it preempts nobody.
-        """
-        kv = self._kv
-        block_size = kv.block_size
-        free = kv.free_blocks
-        held = [kv.tokens_of(s.request_id) for s in self.active]
-
-        def extra_blocks(growth: int) -> int:
-            total = 0
-            for tokens in held:
-                total += (
-                    -(-(tokens + growth) // block_size) - (-(-tokens // block_size))
-                )
-            return total
-
-        if extra_blocks(limit) <= free:
-            return limit
-        lo, hi = 0, limit  # extra_blocks(0) == 0 <= free
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if extra_blocks(mid) <= free:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
-
     def plan(self) -> bool:
         """Plan and schedule one macro run of the (non-empty) batch.
 
         The run ends at the shortest remaining request, read off the
-        finish heap, and, when KV grows, at the KV-growth-safe bound.
-        Returns False, planning nothing, when the very next step would
-        preempt: the owner runs that step per step, which performs the
-        real preemption. A run of at least :data:`ARRAY_PLAN_MIN_STEPS`
-        steps is computed with array operations (:meth:`_plan_arrays`), a
-        shorter one step by step, so planning costs O(log batch) Python
-        operations plus one per step below the crossover; only a
-        multi-micro-batch context and the KV bound scan the batch.
+        finish heap, and, when KV grows, at the KV-growth-safe bound: the
+        largest growth of the batch, the KV manager's growth group, that
+        the free pool holds (``max_group_growth``). Returns False,
+        planning nothing, when the very next step would preempt: the
+        owner runs that step per step, which performs the real
+        preemption. A run of at least :data:`ARRAY_PLAN_MIN_STEPS` steps
+        is computed with array operations (:meth:`_plan_arrays`), a
+        shorter one step by step, so planning costs O(log batch +
+        block_size) Python operations plus one per step below the
+        crossover. It reads no request's context or KV: a
+        multi-micro-batch context is one built-in sum over the kept
+        context offsets.
         """
         active = self.active
         heap = self._heap
@@ -306,7 +302,11 @@ class DecodeKernel:
         steps = self._steps
         max_steps = finish - steps
         if self._kv_grows:
-            max_steps = self._kv_safe_steps(max_steps)
+            # The batch is the KV manager's growth group. Through step j
+            # of a run the per-step path makes the same appends, and the
+            # blocks they need grow with j while none are freed, so a run
+            # the free pool holds preempts nobody.
+            max_steps = self._kv.max_group_growth(max_steps)
             if max_steps < 1:
                 return False
         self._trim_history()
@@ -315,9 +315,9 @@ class DecodeKernel:
         if microbatches == 1:
             mb_context = self.context_tokens
         else:
-            mb_context = 0
-            for member, member_mark in islice(active.items(), mb_size):
-                mb_context += member.context_len + steps - member_mark
+            mb_context = (
+                sum(islice(self._offsets.values(), mb_size)) + mb_size * steps
+            )
         t = start = self._sim.now
         if max_steps >= ARRAY_PLAN_MIN_STEPS:
             t = self._plan_arrays(mb_size, mb_context, max_steps, start)
@@ -429,8 +429,9 @@ class DecodeKernel:
         Counters accumulate per step in boundary order (preserving the
         per-step path's float-addition sequence); the step times join
         the history the batch's token fields are written back from, and
-        KV growth is one bulk append per request. A profiler gets the
-        exec event the per-step path records at each step's end.
+        KV grows by one update of the KV manager's growth group. A
+        profiler gets the exec event the per-step path records at each
+        step's end.
         """
         cursor = self._cursor
         if upto <= cursor:
@@ -444,9 +445,7 @@ class DecodeKernel:
         boundaries = self._boundaries
         self._history.extend(boundaries[cursor:upto])
         if self._kv_grows:
-            kv = self._kv
-            for state in self.active:
-                kv.append(state.request_id, count)
+            self._kv.grow_group(count)
         batch = len(self.active)
         if self._prof.enabled:
             record_exec = self._prof.record_exec
@@ -554,8 +553,12 @@ class DecodeKernel:
         if self._trace.enabled:
             for state in self.active:
                 self._end_stay(state)
+        if self._kv_grows:
+            for state in self.active:
+                self._kv.leave_group(state.request_id)
         self.active.clear()
         self._heap.clear()
+        self._offsets.clear()
         self._history.clear()
         self._history_base = self._steps
         self.context_tokens = 0

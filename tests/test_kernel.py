@@ -10,6 +10,7 @@ records, token timestamps, and instance counters. No tolerances.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from repro.simulator import kernel as kernel_module
 from repro.simulator.colocated_instance import POLICIES, ColocatedInstance
 from repro.simulator.decode_instance import DecodeInstance
 from repro.simulator.kernel import DecodeKernel
+from repro.simulator.kvcache import KVBlockManager
 from repro.simulator.metrics import MetricsRegistry
 from repro.simulator.profiler import Profiler
 from repro.simulator.request import Request, RequestPhase, RequestState
@@ -628,11 +630,11 @@ class TestRunLength:
         assert results[True].completed == len(trace)
         assert 4 * results[True].events_processed <= results[False].events_processed
 
-    def test_planning_reads_no_request_context(self, monkeypatch, tiny_spec):
-        """A one-micro-batch run is planned from the kernel's running
-        context total, so planning cost does not grow with the batch:
-        ``plan()`` reads no request's context (DESIGN §4i), on either
-        planning path."""
+    def test_planning_reads_no_request_context(self, monkeypatch, tiny_model):
+        """A run is planned from the kernel's running context total (one
+        micro-batch) or its join-ordered context offsets (pp 2 and 4), so
+        planning cost does not grow with the batch: ``plan()`` reads no
+        request's context (DESIGN §4i), on either planning path."""
         planning, plans, reads = [False], [], []
         context_len, plan = RequestState.context_len.fget, DecodeKernel.plan
 
@@ -652,14 +654,60 @@ class TestRunLength:
         monkeypatch.setattr(RequestState, "context_len", property(counted))
         monkeypatch.setattr(DecodeKernel, "plan", tracked)
         # Every run on the array path, then every run on the scalar loop.
-        for array_min_steps in (1, 10**9):
+        for pp, array_min_steps in itertools.product((1, 2, 4), (1, 10**9)):
             monkeypatch.setattr(kernel_module, "ARRAY_PLAN_MIN_STEPS", array_min_steps)
             plans.clear()
-            system = DecodeOnlySystem(Simulation(), tiny_spec)
+            spec = InstanceSpec(model=tiny_model, config=ParallelismConfig(1, pp))
+            system = DecodeOnlySystem(Simulation(), spec)
             trace = [Request(request_id=i, arrival_time=0.0, input_len=64,
                              output_len=8 + i) for i in range(32)]
             assert simulate_trace(system, trace).completed == len(trace)
-            assert max(plans) > 1 and reads == []
+            assert max(plans) > 1 and reads == [], (pp, array_min_steps)
+
+    def test_colocated_planning_makes_no_per_request_kv_calls(
+        self, monkeypatch, tiny_spec
+    ):
+        """A colocated run's KV growth goes through the KV manager's
+        growth group, so its cost does not grow with the batch: while
+        ``plan()`` and ``_materialize()`` run, no per-request KV method
+        is called, on either planning path."""
+        inside, calls, batches = [False], [], []
+
+        def watch(name):
+            method = getattr(KVBlockManager, name)
+
+            def counted(kv, *args):
+                if inside[0]:
+                    calls.append(name)
+                return method(kv, *args)
+
+            monkeypatch.setattr(KVBlockManager, name, counted)
+
+        def track(name):
+            method = getattr(DecodeKernel, name)
+
+            def tracked(kernel, *args):
+                inside[0] = True
+                batches.append(len(kernel.active))
+                try:
+                    return method(kernel, *args)
+                finally:
+                    inside[0] = False
+
+            monkeypatch.setattr(DecodeKernel, name, tracked)
+
+        for name in ("tokens_of", "append", "can_append"):
+            watch(name)
+        for name in ("plan", "_materialize"):
+            track(name)
+        for array_min_steps in (1, 10**9):
+            monkeypatch.setattr(kernel_module, "ARRAY_PLAN_MIN_STEPS", array_min_steps)
+            batches.clear()
+            system = ColocatedSystem(Simulation(), tiny_spec)
+            trace = [Request(request_id=i, arrival_time=0.0, input_len=64,
+                             output_len=8 + i) for i in range(32)]
+            assert simulate_trace(system, trace).completed == len(trace)
+            assert max(batches) > 1 and calls == []
 
 
 # ----------------------------------------------------------------------
