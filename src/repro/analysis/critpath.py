@@ -35,7 +35,10 @@ Four layers of machinery:
 
 Everything is computed with sorted iteration orders and ``fsum``
 accumulation, so a fixed-seed run renders byte-identical reports —
-pinned by a golden fixture and a CI double-run diff.
+pinned by a golden fixture and a CI double-run diff. The passes over the
+span and exec-event streams unpack their tuples rather than reading
+attributes, and every running float sum adds in stream order; a
+:class:`RequestCriticalPath` is an immutable tuple too.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import json
 import math
 from dataclasses import dataclass
 from html import escape
-from typing import Any
+from typing import Any, NamedTuple
 
 from ..simulator.profiler import Profiler
 from ..simulator.tracing import Span, SpanKind, spans_by_request
@@ -97,17 +100,15 @@ TTFT_PHASES = ("dispatch", "prefill_queue", "prefill_exec", "ttft_other")
 PROFILE_SCHEMA = "repro-profile/2"
 PROFILE_DIFF_SCHEMA = "repro-profile-diff/1"
 
-_TTFT_WINDOW_KINDS = (SpanKind.PREFILL_QUEUE, SpanKind.PREFILL_EXEC)
-
-
-@dataclass(frozen=True)
-class RequestCriticalPath:
+class RequestCriticalPath(NamedTuple):
     """One completed request's critical-path decomposition.
 
     ``fsum(phases aligned with PHASES)`` equals
     ``completion_time - arrival_time`` to within 1e-9 by construction:
     ``decode_exec`` absorbs the residual (and the tracked phases never
-    overlap, so the residual is nonnegative up to float rounding).
+    overlap, so the residual is nonnegative up to float rounding). An
+    immutable tuple, like a :class:`~repro.simulator.tracing.Span`: a
+    profiled pass builds one per completed request.
     """
 
     request_id: int
@@ -192,29 +193,29 @@ def critical_paths(
         queue_total = exec_total = kv_total = dq_total = 0.0
         decode_ends: "list[tuple[int, float]]" = []
         window_spans: "list[tuple[str, float, float]]" = []
-        for span in request_spans:
-            if span.kind == SpanKind.ARRIVAL:
-                arrival = span.start
+        for _rid, kind, start, end, _instance, _batch, token_index in request_spans:
+            if kind == SpanKind.ARRIVAL:
+                arrival = start
                 continue
-            if span.kind == SpanKind.COMPLETION:
-                completion = span.end
+            if kind == SpanKind.COMPLETION:
+                completion = end
                 continue
-            if span.kind in SpanKind.INSTANT:
+            if kind in SpanKind.INSTANT:
                 continue
-            if first_start is None or span.start < first_start:
-                first_start = span.start
-            if span.kind == SpanKind.PREFILL_QUEUE:
-                queue_total += span.duration
-            elif span.kind == SpanKind.PREFILL_EXEC:
-                exec_total += span.duration
-            elif span.kind == SpanKind.KV_TRANSFER:
-                kv_total += span.duration
-            elif span.kind == SpanKind.DECODE_QUEUE:
-                dq_total += span.duration
-            elif span.kind == SpanKind.DECODE:
-                decode_ends.append((span.token_index, span.end))
-            if span.kind in _TTFT_WINDOW_KINDS:
-                window_spans.append((span.kind, span.start, span.end))
+            if first_start is None or start < first_start:
+                first_start = start
+            if kind == SpanKind.PREFILL_QUEUE:
+                queue_total += end - start
+                window_spans.append((kind, start, end))
+            elif kind == SpanKind.PREFILL_EXEC:
+                exec_total += end - start
+                window_spans.append((kind, start, end))
+            elif kind == SpanKind.KV_TRANSFER:
+                kv_total += end - start
+            elif kind == SpanKind.DECODE_QUEUE:
+                dq_total += end - start
+            elif kind == SpanKind.DECODE:
+                decode_ends.append((token_index, end))
         if arrival is None or completion is None or not decode_ends:
             continue
         first_token = min(decode_ends)[1]
@@ -314,16 +315,26 @@ def latency_breakdown(paths: "list[RequestCriticalPath]") -> LatencyBreakdown:
 # Interval arithmetic (for utilization unions and interference overlap).
 # ----------------------------------------------------------------------
 def _merge(intervals: "list[tuple[float, float]]") -> "list[tuple[float, float]]":
-    """Merge possibly-overlapping intervals into a disjoint sorted union."""
+    """Merge possibly-overlapping intervals into a disjoint sorted union.
+
+    The interval being grown stays in ``lo, hi`` until a gap closes it;
+    a decode instance's consecutive steps touch end to start, so most
+    intervals only extend it. Kept intervals are never empty, so
+    ``hi > lo`` means one is open.
+    """
     merged: "list[tuple[float, float]]" = []
+    lo = hi = -math.inf
     for start, end in sorted(intervals):
         if end <= start:
             continue
-        if merged and start <= merged[-1][1]:
-            if end > merged[-1][1]:
-                merged[-1] = (merged[-1][0], end)
-        else:
-            merged.append((start, end))
+        if start > hi:
+            if hi > lo:
+                merged.append((lo, hi))
+            lo, hi = start, end
+        elif end > hi:
+            hi = end
+    if hi > lo:
+        merged.append((lo, hi))
     return merged
 
 
@@ -376,26 +387,33 @@ def _dist(values: "list[float]") -> "dict[str, float]":
 def _utilization(
     profiler: Profiler, sim_time: float
 ) -> "dict[str, dict[str, Any]]":
-    """Per-instance busy/idle/blocked fractions and occupancy histograms."""
-    exec_by_inst: "dict[str, list[tuple[float, float]]]" = {}
-    phase_seconds: "dict[str, dict[str, float]]" = {}
-    occupancy: "dict[str, dict[str, float]]" = {}
-    tokens: "dict[str, int]" = {}
-    for instance, phase, start, end, batch_size, ntokens in profiler.exec_events:
-        exec_by_inst.setdefault(instance, []).append((start, end))
-        inst_phases = phase_seconds.setdefault(instance, {})
-        inst_phases[phase] = inst_phases.get(phase, 0.0) + (end - start)
-        inst_occ = occupancy.setdefault(instance, {})
-        key = str(batch_size)
-        inst_occ[key] = inst_occ.get(key, 0.0) + (end - start)
-        tokens[instance] = tokens.get(instance, 0) + ntokens
+    """Per-instance busy/idle/blocked fractions and occupancy histograms.
+
+    One pass groups the exec events by instance; each instance's phase
+    seconds and batch occupancy then accumulate in event order, the
+    occupancy under int batch sizes until it is rendered.
+    """
+    exec_by_inst: "dict[str, list[tuple[str, str, float, float, int, int]]]" = {}
+    for event in profiler.exec_events:
+        exec_by_inst.setdefault(event[0], []).append(event)
     pending_by_inst: "dict[str, list[tuple[float, float]]]" = {}
     for instance, start, end in profiler.pending_events:
         pending_by_inst.setdefault(instance, []).append((start, end))
 
     out: "dict[str, dict[str, Any]]" = {}
-    for instance in profiler.instances():
-        busy_union = _merge(exec_by_inst.get(instance, []))
+    for instance in sorted(exec_by_inst.keys() | pending_by_inst.keys()):
+        intervals: "list[tuple[float, float]]" = []
+        phase_seconds: "dict[str, float]" = {}
+        occupancy: "dict[int, float]" = {}
+        tokens = 0
+        for _inst, phase, start, end, batch_size, ntokens in exec_by_inst.get(
+            instance, []
+        ):
+            intervals.append((start, end))
+            phase_seconds[phase] = phase_seconds.get(phase, 0.0) + (end - start)
+            occupancy[batch_size] = occupancy.get(batch_size, 0.0) + (end - start)
+            tokens += ntokens
+        busy_union = _merge(intervals)
         busy = _measure(busy_union)
         pending_union = _merge(pending_by_inst.get(instance, []))
         # Blocked-on-transfer counts only where the instance was not
@@ -404,20 +422,17 @@ def _utilization(
         denom = sim_time if sim_time > 0 else 1.0
         busy_frac = min(1.0, busy / denom)
         blocked_frac = max(0.0, min(1.0 - busy_frac, blocked / denom))
+        phases = sorted(phase_seconds.items())
         out[instance] = {
             "busy_frac": busy_frac,
             "blocked_on_transfer_frac": blocked_frac,
             "idle_frac": max(0.0, 1.0 - busy_frac - blocked_frac),
-            "exec_seconds": math.fsum(
-                seconds for _phase, seconds in sorted(
-                    phase_seconds.get(instance, {}).items()
-                )
-            ),
-            "phase_seconds": dict(sorted(phase_seconds.get(instance, {}).items())),
-            "batch_occupancy": dict(
-                sorted(occupancy.get(instance, {}).items(), key=lambda kv: int(kv[0]))
-            ),
-            "tokens": tokens.get(instance, 0),
+            "exec_seconds": math.fsum(seconds for _phase, seconds in phases),
+            "phase_seconds": dict(phases),
+            "batch_occupancy": {
+                str(size): seconds for size, seconds in sorted(occupancy.items())
+            },
+            "tokens": tokens,
         }
     return out
 
@@ -436,22 +451,18 @@ def _interference(spans: "list[Span]", sim_time: float) -> "dict[str, dict[str, 
     """
     prefill_by_inst: "dict[str, list[tuple[float, float]]]" = {}
     decode_window: "dict[str, dict[int, tuple[float, float]]]" = {}
-    for span in spans:
-        if span.instance is None:
+    for request_id, kind, start, end, instance, _batch, _token in spans:
+        if instance is None:
             continue
-        if span.kind == SpanKind.PREFILL_EXEC:
-            prefill_by_inst.setdefault(span.instance, []).append(
-                (span.start, span.end)
-            )
-        elif span.kind == SpanKind.DECODE:
-            windows = decode_window.setdefault(span.instance, {})
-            known = windows.get(span.request_id)
+        if kind == SpanKind.PREFILL_EXEC:
+            prefill_by_inst.setdefault(instance, []).append((start, end))
+        elif kind == SpanKind.DECODE:
+            windows = decode_window.setdefault(instance, {})
+            known = windows.get(request_id)
             if known is None:
-                windows[span.request_id] = (span.start, span.end)
+                windows[request_id] = (start, end)
             else:
-                windows[span.request_id] = (
-                    min(known[0], span.start), max(known[1], span.end)
-                )
+                windows[request_id] = (min(known[0], start), max(known[1], end))
     out: "dict[str, dict[str, float]]" = {}
     for instance in sorted(set(prefill_by_inst) | set(decode_window)):
         prefill_union = _merge(prefill_by_inst.get(instance, []))
@@ -510,24 +521,22 @@ def build_profile(
             phase_totals[name] += value
         for i, value in enumerate(path.ttft_breakdown):
             ttft_bd_totals[i] += value
-        ttfts.append(path.ttft)
-        tpots.append(path.tpot)
-        e2es.append(path.end_to_end_latency)
+        ttft, tpot, e2e = path.ttft, path.tpot, path.end_to_end_latency
+        ttfts.append(ttft)
+        tpots.append(tpot)
+        e2es.append(e2e)
         per_request.append(
             {
                 "id": path.request_id,
                 "arrival": path.arrival_time,
                 "first_token": path.first_token_time,
                 "completion": path.completion_time,
-                "e2e": path.end_to_end_latency,
-                "ttft": path.ttft,
-                "tpot": path.tpot,
+                "e2e": e2e,
+                "ttft": ttft,
+                "tpot": tpot,
                 "tokens": path.num_tokens,
-                "phases": {name: value for name, value in zip(PHASES, values)},
-                "ttft_breakdown": {
-                    name: value
-                    for name, value in zip(TTFT_PHASES, path.ttft_breakdown)
-                },
+                "phases": dict(zip(PHASES, values)),
+                "ttft_breakdown": dict(zip(TTFT_PHASES, path.ttft_breakdown)),
             }
         )
 

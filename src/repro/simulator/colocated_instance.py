@@ -411,7 +411,13 @@ class ColocatedInstance:
             self._iterating = False
 
     def _start_prefill(self) -> bool:
-        """Start a prefill iteration; False when no waiting prompt fits."""
+        """Start a prefill iteration; False when no waiting prompt fits.
+
+        With nobody waiting there is no admission pass: every queue
+        policy returns an empty queue unchanged, so it would admit nothing.
+        """
+        if not self._waiting:
+            return False
         batch, batch_tokens, squared = self._try_admit_prefill(
             self._max_prefill_tokens
         )

@@ -55,10 +55,10 @@ Observers see the same events on either path, because the kernel emits
 them for both. A tracer gets one ``decode`` span per request per stay in
 the batch, from the join to the stay's last token, when the request
 leaves it (:meth:`leave`, :meth:`clear`); a profiler gets one exec event
-per decode step, recorded as run steps materialize. Counter reads go
-through :meth:`counters`, which materializes completed steps and charges
-the step in flight, so gauges sampled mid-run read what the per-step
-path would show.
+per decode step, handed over in one call per materialized run segment.
+Counter reads go through :meth:`counters`, which materializes completed
+steps and charges the step in flight, so gauges sampled mid-run read
+what the per-step path would show.
 """
 
 from __future__ import annotations
@@ -114,7 +114,8 @@ class DecodeKernel:
             owner only uses the per-step bookkeeping.
         name: The owning instance's name, for spans and exec events.
         tracer: Receives one ``decode`` span per stay in the batch.
-        profiler: Receives one exec event per materialized run step.
+        profiler: Receives one exec event per materialized run step,
+            in one call per materialized run segment.
 
     The owner updates the public counters from its per-step path and
     reads them through :meth:`counters`; ``busy_time`` is the instance's
@@ -430,8 +431,10 @@ class DecodeKernel:
         per-step path's float-addition sequence); the step times join
         the history the batch's token fields are written back from, and
         KV grows by one update of the KV manager's growth group. A
-        profiler gets the exec event the per-step path records at each
-        step's end.
+        profiler gets the segment's step ends in one
+        :meth:`~repro.simulator.profiler.Profiler.record_decode_steps`
+        call, which appends the exec events the per-step path records at
+        each step's end.
         """
         cursor = self._cursor
         if upto <= cursor:
@@ -443,16 +446,14 @@ class DecodeKernel:
         self.busy_time = busy
         self.steps_executed += count
         boundaries = self._boundaries
-        self._history.extend(boundaries[cursor:upto])
+        ends = boundaries[cursor:upto]
+        self._history.extend(ends)
         if self._kv_grows:
             self._kv.grow_group(count)
         batch = len(self.active)
         if self._prof.enabled:
-            record_exec = self._prof.record_exec
             start = boundaries[cursor - 1] if cursor else self._run_start
-            for end in boundaries[cursor:upto]:
-                record_exec(self._name, "decode", start, end, batch, batch)
-                start = end
+            self._prof.record_decode_steps(self._name, start, ends, batch)
         self.tokens_generated += count * batch
         self.context_tokens += count * batch
         self._steps += count

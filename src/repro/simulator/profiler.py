@@ -18,7 +18,11 @@ workload times them against its ``norm_wall_s`` bound).
 Collected streams (virtual-time seconds throughout):
 
 * **exec events** ``(instance, phase, start, end, batch_size, tokens)``
-  — one per executed prefill batch, decode step, or colocated iteration;
+  — one per executed prefill batch, decode step, or colocated iteration.
+  The decode kernel hands each materialized run segment over in one
+  :meth:`Profiler.record_decode_steps` call, which appends the same
+  per-step events the per-step path records one :meth:`~Profiler.record_exec`
+  call at a time;
 * **transfer events** ``(request_id, submitted, start, end)`` — the
   submit→wire-start gap is link queueing, start→end is wire time, which
   lets the analysis layer split the KV span into *wait* vs *transmit*;
@@ -78,6 +82,21 @@ class Profiler:
     ) -> None:
         """Record one executed batch/step/iteration on ``instance``."""
         self.exec_events.append((instance, phase, start, end, batch_size, tokens))
+
+    def record_decode_steps(
+        self, instance: str, start: float, ends: "list[float]", batch_size: int
+    ) -> None:
+        """Record consecutive decode steps of one batch on ``instance``.
+
+        Step ``i`` ends at ``ends[i]`` and starts where step ``i - 1``
+        ended (``start`` for the first). Appends, in order, the events
+        one :meth:`record_exec` call per step would: a decode step's
+        token count is its batch size.
+        """
+        append = self.exec_events.append
+        for end in ends:
+            append((instance, "decode", start, end, batch_size, batch_size))
+            start = end
 
     def record_transfer(
         self, request_id: int, submitted: float, start: float, end: float
@@ -141,6 +160,9 @@ class NullProfiler(Profiler):
     enabled = False
 
     def record_exec(self, *args: Any, **kwargs: Any) -> None:  # noqa: D102
+        pass
+
+    def record_decode_steps(self, *args: Any, **kwargs: Any) -> None:  # noqa: D102
         pass
 
     def record_transfer(self, *args: Any, **kwargs: Any) -> None:  # noqa: D102

@@ -28,14 +28,17 @@ per-step path alike. The prefill-produced token 0 is a zero-width
 Tracing is opt-in and zero-cost when disabled: components hold the
 shared :data:`NULL_TRACER` singleton (every method a no-op) unless an
 enabled tracer is injected, and hot paths guard on ``tracer.enabled``.
-Attaching one does not change which code runs.
+Attaching one does not change which code runs. When enabled it stays
+cheap per span: a :class:`Span` is an immutable tuple built
+positionally, and the analysis layer unpacks spans rather than reading
+their attributes.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any
+from collections import defaultdict
+from typing import Any, Iterable, NamedTuple
 
 __all__ = [
     "Span",
@@ -83,22 +86,7 @@ class SpanKind:
     INSTANT = frozenset({ARRIVAL, COMPLETION, PREEMPTED, REJECTED})
 
 
-@dataclass(frozen=True)
-class Span:
-    """One typed interval (or instant) in a request's lifecycle.
-
-    Attributes:
-        request_id: The request this span belongs to.
-        kind: One of :class:`SpanKind`.
-        start: Virtual-time start, seconds.
-        end: Virtual-time end (== ``start`` for instants).
-        instance: Name of the instance (or link endpoints) involved.
-        batch_size: Size of the batch this work ran in (0 if N/A).
-        token_index: For ``decode`` spans, the ordinal of the last output
-            token the span covers (0 is the prefill-produced first
-            token); -1 otherwise.
-    """
-
+class _SpanFields(NamedTuple):
     request_id: int
     kind: str
     start: float
@@ -106,15 +94,6 @@ class Span:
     instance: str = ""
     batch_size: int = 0
     token_index: int = -1
-
-    def __post_init__(self) -> None:
-        if self.kind not in SpanKind.ALL:
-            raise ValueError(f"unknown span kind {self.kind!r}")
-        if self.end < self.start:
-            raise ValueError(
-                f"span {self.kind!r} of request {self.request_id} ends "
-                f"({self.end}) before it starts ({self.start})"
-            )
 
     @property
     def duration(self) -> float:
@@ -132,6 +111,54 @@ class Span:
         }
 
 
+class Span(_SpanFields):
+    """One typed interval (or instant) in a request's lifecycle.
+
+    An immutable tuple of its seven fields, so building one costs a
+    tuple allocation and the two checks below (a traced pass builds tens
+    of thousands). Construction validates by position and by keyword
+    alike; :meth:`_make` and ``_replace`` go through it too.
+
+    Attributes:
+        request_id: The request this span belongs to.
+        kind: One of :class:`SpanKind`.
+        start: Virtual-time start, seconds.
+        end: Virtual-time end (== ``start`` for instants).
+        instance: Name of the instance (or link endpoints) involved.
+        batch_size: Size of the batch this work ran in (0 if N/A).
+        token_index: For ``decode`` spans, the ordinal of the last output
+            token the span covers (0 is the prefill-produced first
+            token); -1 otherwise.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        request_id: int,
+        kind: str,
+        start: float,
+        end: float,
+        instance: str = "",
+        batch_size: int = 0,
+        token_index: int = -1,
+    ) -> "Span":
+        if kind not in SpanKind.ALL:
+            raise ValueError(f"unknown span kind {kind!r}")
+        if end < start:
+            raise ValueError(
+                f"span {kind!r} of request {request_id} ends "
+                f"({end}) before it starts ({start})"
+            )
+        return tuple.__new__(
+            cls, (request_id, kind, start, end, instance, batch_size, token_index)
+        )
+
+    @classmethod
+    def _make(cls, iterable: "Iterable[Any]") -> "Span":
+        return cls(*iterable)
+
+
 class Tracer:
     """Collects spans in emission order (deterministic under a fixed seed).
 
@@ -141,13 +168,18 @@ class Tracer:
     well-formed across failure re-routing, where a request re-enters a
     queue it never formally left). Fully-known intervals can be appended
     directly with :meth:`span`; lifecycle points with :meth:`instant`.
+    Open intervals live in one map per kind, keyed by request id, so a
+    call builds no key; every method builds its span positionally.
     """
 
     enabled = True
 
     def __init__(self) -> None:
         self.spans: "list[Span]" = []
-        self._open: "dict[tuple[int, str], tuple[float, str, int]]" = {}
+        #: kind -> request id -> (start, instance, batch size).
+        self._open: "defaultdict[str, dict[int, tuple[float, str, int]]]" = (
+            defaultdict(dict)
+        )
 
     def __len__(self) -> int:
         return len(self.spans)
@@ -162,10 +194,10 @@ class Tracer:
         batch_size: int = 0,
     ) -> None:
         """Open an interval span; closes any dangling span of same key."""
-        key = (request_id, kind)
-        if key in self._open:
+        open_of_kind = self._open[kind]
+        if request_id in open_of_kind:
             self.end(request_id, kind, time)
-        self._open[key] = (time, instance, batch_size)
+        open_of_kind[request_id] = (time, instance, batch_size)
 
     def end(self, request_id: int, kind: str, time: float) -> None:
         """Close an open interval span.
@@ -173,17 +205,8 @@ class Tracer:
         Raises:
             KeyError: if no span of this (request, kind) is open.
         """
-        start, instance, batch_size = self._open.pop((request_id, kind))
-        self.spans.append(
-            Span(
-                request_id=request_id,
-                kind=kind,
-                start=start,
-                end=time,
-                instance=instance,
-                batch_size=batch_size,
-            )
-        )
+        start, instance, batch_size = self._open[kind].pop(request_id)
+        self.spans.append(Span(request_id, kind, start, time, instance, batch_size))
 
     def span(
         self,
@@ -197,37 +220,23 @@ class Tracer:
     ) -> None:
         """Append a fully-known interval span."""
         self.spans.append(
-            Span(
-                request_id=request_id,
-                kind=kind,
-                start=start,
-                end=end,
-                instance=instance,
-                batch_size=batch_size,
-                token_index=token_index,
-            )
+            Span(request_id, kind, start, end, instance, batch_size, token_index)
         )
 
     def instant(
         self, request_id: int, kind: str, time: float, instance: str = ""
     ) -> None:
         """Append a zero-width lifecycle event."""
-        self.spans.append(
-            Span(
-                request_id=request_id,
-                kind=kind,
-                start=time,
-                end=time,
-                instance=instance,
-            )
-        )
+        self.spans.append(Span(request_id, kind, time, time, instance))
 
     # ------------------------------------------------------------------
     def open_spans(self) -> "list[tuple[int, str, float]]":
         """Still-open intervals as (request_id, kind, start) — requests
         in flight when the simulation stopped."""
         return sorted(
-            (rid, kind, entry[0]) for (rid, kind), entry in self._open.items()
+            (rid, kind, entry[0])
+            for kind, open_of_kind in self._open.items()
+            for rid, entry in open_of_kind.items()
         )
 
     def spans_for(self, request_id: int) -> "list[Span]":

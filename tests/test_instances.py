@@ -240,6 +240,36 @@ class TestColocatedInstance:
         assert state.generated == 4
         assert len(state.token_times) == 4
 
+    @pytest.mark.parametrize("queue_policy", ["fcfs", "sjf", "edf"])
+    @pytest.mark.parametrize("fast_kernel", [True, False])
+    def test_no_admission_pass_over_an_empty_queue(
+        self, tiny_spec, queue_policy, fast_kernel
+    ):
+        """Under ``prefill_priority`` every iteration tries a prefill
+        first; with nobody waiting it must not run the admission pass,
+        which reorders the queue through its policy and admits nothing."""
+        sim = Simulation()
+        done = []
+        inst = ColocatedInstance(
+            sim, tiny_spec, on_request_done=done.append,
+            fast_kernel=fast_kernel,
+            scheduling=SchedulingConfig(queue_policy=queue_policy),
+        )
+        queue_lens = []
+        admit = inst._try_admit_prefill
+
+        def counting_admit(token_budget):
+            queue_lens.append(len(inst._waiting))
+            return admit(token_budget)
+
+        inst._try_admit_prefill = counting_admit
+        for i, state in enumerate(make_states([(200, 30), (300, 20), (100, 25)])):
+            sim.schedule_at(0.02 * i, lambda s=state: inst.submit(s))
+        sim.run()
+        assert len(done) == 3
+        assert queue_lens
+        assert 0 not in queue_lens
+
     def test_unknown_policy_rejected(self, tiny_spec):
         sim = Simulation()
         with pytest.raises(ValueError):

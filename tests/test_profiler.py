@@ -8,6 +8,7 @@ the three event streams.
 
 from __future__ import annotations
 
+import gc
 import sys
 import tracemalloc
 
@@ -112,6 +113,44 @@ class TestProfilerUnit:
         assert prof.instances() == ["a", "b"]
 
 
+def _worst_temporaries(calls, rounds=1000):
+    """Per hook name, the most memory one call allocated and did not keep.
+
+    ``calls`` are ``(name, call)`` pairs; each round calls every one with
+    the round's time. A call's temporary memory is tracemalloc's peak
+    during it less the larger of the traced memory before and after it.
+
+    An active trace or profile function (coverage's tracer, a debugger)
+    makes CPython 3.11+ build a frame object for every Python call, and
+    a garbage collection that a hook's allocations set off runs other
+    objects' finalizers inside the call, so tracing, profiling and the
+    cyclic collector are all switched off for the measured loop."""
+    worst = dict.fromkeys((name for name, _ in calls), 0)
+    trace, profile = sys.gettrace(), sys.getprofile()
+    collecting = gc.isenabled()
+    sys.settrace(None)
+    sys.setprofile(None)
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        for i in range(rounds):
+            t = float(i)
+            for name, call in calls:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                call(t)
+                current, peak = tracemalloc.get_traced_memory()
+                worst[name] = max(worst[name], peak - max(before, current))
+    finally:
+        tracemalloc.stop()
+        if collecting:
+            gc.enable()
+        sys.settrace(trace)
+        sys.setprofile(profile)
+    return worst
+
+
 class TestHookAllocation:
     def test_hooks_allocate_nothing_temporary(self):
         """Each per-event hook keeps what it appends and allocates nothing
@@ -119,11 +158,7 @@ class TestHookAllocation:
         memory before or after it. A list comprehension seeded into
         ``record_exec`` allocates a few hundred bytes a call; it cost
         perfbench's ``observed-disagg`` about 5% wall time, which the
-        benchmark's 0.25 bound lets through.
-
-        An active trace or profile function (coverage's tracer, a debugger)
-        makes CPython 3.11+ build a frame object for every Python call, so
-        both are switched off for the measured loop."""
+        benchmark's 0.25 bound lets through."""
         prof = Profiler()
         calls = (
             ("record_exec", lambda t: prof.record_exec("d0", "decode", t, t + 0.5, 8, 512)),
@@ -134,26 +169,41 @@ class TestHookAllocation:
             ("note_pending", lambda t: prof.note_pending("d0", True, t)),
             ("note_pending", lambda t: prof.note_pending("d0", False, t + 0.5)),
         )
-        worst = dict.fromkeys((name for name, _ in calls), 0)
-        trace, profile = sys.gettrace(), sys.getprofile()
-        sys.settrace(None)
-        sys.setprofile(None)
-        tracemalloc.start()
-        try:
-            for i in range(1000):
-                t = float(i)
-                for name, call in calls:
-                    before = tracemalloc.get_traced_memory()[0]
-                    tracemalloc.reset_peak()
-                    call(t)
-                    current, peak = tracemalloc.get_traced_memory()
-                    worst[name] = max(worst[name], peak - max(before, current))
-        finally:
-            tracemalloc.stop()
-            sys.settrace(trace)
-            sys.setprofile(profile)
+        worst = _worst_temporaries(calls)
         assert worst == dict.fromkeys(worst, 0)
         assert len(prof.exec_events) == len(prof.pending_events) / 2 == 1000
+
+    @pytest.mark.parametrize("steps", [1, 64])
+    def test_decode_steps_hook_appends_the_per_step_events(self, steps):
+        """One ``record_decode_steps`` call holds exactly the events that
+        one ``record_exec`` call per step appends, in step order."""
+        ends = [0.125 * (i + 1) for i in range(steps)]
+        bulk, per_step = Profiler(), Profiler()
+        for prof in (bulk, per_step):
+            prof.record_exec("p0", "prefill", 0.0, 0.5, 2, 300)
+        bulk.record_decode_steps("d0", 0.0, ends, 8)
+        start = 0.0
+        for end in ends:
+            per_step.record_exec("d0", "decode", start, end, 8, 8)
+            start = end
+        assert bulk.exec_events == per_step.exec_events
+        assert len(bulk.exec_events) == steps + 1
+
+    def test_decode_steps_hook_temporaries_do_not_grow_with_steps(self):
+        """The bulk hook keeps its tuples and allocates only a constant
+        amount beside them (its loop's iterator and bound ``append``):
+        the same worst temporary at 1 step as at 64. A comprehension or a
+        slice would grow with the run."""
+        worst = {}
+        for steps in (1, 64):
+            prof = Profiler()
+            ends = [0.125 * (i + 1) for i in range(steps)]
+            worst[steps] = _worst_temporaries(
+                (("steps", lambda t: prof.record_decode_steps("d0", t, ends, 8)),),
+                rounds=200,
+            )["steps"]
+            assert len(prof.exec_events) == 200 * steps
+        assert worst[1] == worst[64]
 
 
 class TestNullProfiler:
@@ -161,6 +211,7 @@ class TestNullProfiler:
         null = NullProfiler()
         assert null.enabled is False
         null.record_exec("x", "prefill", 0.0, 1.0, 1, 1)
+        null.record_decode_steps("x", 0.0, [1.0, 2.0], 1)
         null.record_transfer(1, 0.0, 0.0, 1.0)
         null.begin_pending("x", 0.0)
         null.note_pending("x", True, 0.0)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 
 import pytest
 
@@ -67,6 +68,51 @@ class TestSpan:
         assert d["kind"] == "decode"
         assert d["token_index"] == 2
         assert d["batch_size"] == 3
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda kind, start, end: Span(4, kind, start, end),
+            lambda kind, start, end: Span(request_id=4, kind=kind, start=start, end=end),
+            lambda kind, start, end: Span._make((4, kind, start, end, "", 0, -1)),
+            lambda kind, start, end: Span(
+                4, SpanKind.PREFILL_EXEC, 0.0, 1.0
+            )._replace(kind=kind, start=start, end=end),
+        ],
+        ids=["positional", "keyword", "make", "replace"],
+    )
+    def test_every_construction_validates(self, build):
+        span = build(SpanKind.PREFILL_EXEC, 1.0, 2.0)
+        assert span == Span(4, SpanKind.PREFILL_EXEC, 1.0, 2.0, "", 0, -1)
+        assert type(span) is Span
+        with pytest.raises(ValueError, match="unknown span kind"):
+            build("nonsense", 1.0, 2.0)
+        with pytest.raises(ValueError, match="ends"):
+            build(SpanKind.PREFILL_EXEC, 2.0, 1.0)
+
+    def test_immutable(self):
+        span = Span(1, SpanKind.DECODE, 1.0, 1.5, "decode-0", token_index=2)
+        with pytest.raises(AttributeError):
+            span.end = 0.5
+        with pytest.raises(AttributeError):
+            span.note = "extra"
+        assert span.end == 1.5
+
+    def test_equal_spans_compare_and_hash_equal(self):
+        a = Span(1, SpanKind.DECODE, 1.0, 1.5, "decode-0", 3, 2)
+        b = Span(request_id=1, kind=SpanKind.DECODE, start=1.0, end=1.5,
+                 instance="decode-0", batch_size=3, token_index=2)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != Span(1, SpanKind.DECODE, 1.0, 1.5, "decode-0", 3, 3)
+
+    def test_pickle_round_trip(self):
+        span = Span(7, SpanKind.KV_TRANSFER, 0.25, 0.75, "prefill-0->decode-1", 2)
+        copy = pickle.loads(pickle.dumps(span))
+        assert copy == span
+        assert type(copy) is Span
+        assert copy.to_dict() == span.to_dict()
 
 
 class TestTracer:
