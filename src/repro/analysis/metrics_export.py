@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+from typing import Mapping
 
 from ..simulator.metrics import Histogram, MetricFamily, MetricsRegistry
 
@@ -137,13 +138,19 @@ def write_metrics_json(path: str, registry: MetricsRegistry) -> None:
         fh.write("\n")
 
 
-def phase_utilization(registry: MetricsRegistry) -> "dict[str, float]":
+def phase_utilization(
+    registry: MetricsRegistry,
+    readings: "Mapping[tuple[str, ...], float] | None" = None,
+) -> "dict[str, float]":
     """Mean busy fraction per phase from the ``repro_utilization`` gauges.
 
     Keys are the ``phase`` label values present (``prefill``, ``decode``,
     ``colocated``); an uninstrumented registry yields ``{}``. Benchmarks
     report this next to goodput so over- and under-provisioned phases
-    are visible at a glance.
+    are visible at a glance. ``readings`` maps each gauge's label values
+    to a past value of it (one reading of a
+    :class:`~repro.simulator.metrics.MetricSamples`); without it every
+    gauge is read now.
     """
     if "repro_utilization" not in registry:
         return {}
@@ -153,7 +160,8 @@ def phase_utilization(registry: MetricsRegistry) -> "dict[str, float]":
             continue
         phase_idx = family.labelnames.index("phase")
         for labelvalues, metric in family.children.items():
-            sums.setdefault(labelvalues[phase_idx], []).append(metric.value)
+            value = metric.value if readings is None else readings[labelvalues]
+            sums.setdefault(labelvalues[phase_idx], []).append(value)
     return {
         phase: sum(values) / len(values)
         for phase, values in sorted(sums.items())

@@ -78,7 +78,6 @@ from .simulator import (
     SimSanitizer,
     Simulation,
     SloMonitor,
-    TelemetryRecorder,
     Tracer,
     write_chrome_trace,
     write_jsonl,
@@ -313,35 +312,37 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         registry = MetricsRegistry()
         monitor = SloMonitor(sim, slo, window=args.window, registry=registry)
         trace = _trace_from_args(args)
-        # Time-series view: sample the windowed gauges on a fixed cadence
-        # for the whole arrival span plus drain slack.
-        recorder = TelemetryRecorder(sim, interval=args.interval)
+        if sanitizer is not None:
+            sanitizer.watch_system(system)
+        system.attach_monitor(monitor)
+        system.instrument(registry)
+        # Time-series view: sample every counter and gauge on a fixed
+        # cadence for the whole arrival span plus drain slack.
+        samples = registry.sample(
+            sim, args.interval, until=trace.duration + 2.0 * args.window
+        )
     except _BAD_VALUE as exc:
         return _usage_error(args, exc)
-    if sanitizer is not None:
-        sanitizer.watch_system(system)
-    system.attach_monitor(monitor)
-    system.instrument(registry)
-    recorder.register("attain_total", lambda: monitor.windowed_attainment().total)
-    recorder.register("attain_ttft", lambda: monitor.windowed_attainment().ttft_only)
-    recorder.register("attain_tpot", lambda: monitor.windowed_attainment().tpot_only)
-    recorder.register("goodput_rps", lambda: monitor.windowed_goodput()["total"])
-    recorder.register("in_flight", lambda: float(system.unfinished))
-    recorder.register(
-        "utilization",
-        lambda: sum(phase_utilization(registry).values())
-        / max(1, len(phase_utilization(registry))),
-    )
-    recorder.start(until=trace.duration + 2.0 * args.window)
     result = simulate_trace(system, trace)
 
-    times = recorder.series("attain_total").times
+    busy = samples.series["repro_utilization"]
+    utilization = []
+    for i in range(len(samples.times)):
+        phases = phase_utilization(registry, {k: v[i] for k, v in busy.items()})
+        utilization.append(sum(phases.values()) / max(1, len(phases)))
+    window = "repro_slo_attainment_window"
     print(format_series(
-        "t(s)", [f"{t:.0f}" for t in times],
-        {name: recorder.series(name).values for name in (
-            "attain_total", "attain_ttft", "attain_tpot",
-            "goodput_rps", "in_flight", "utilization",
-        )},
+        "t(s)", [f"{t:.0f}" for t in samples.times],
+        {
+            "attain_total": samples.get(window, {"objective": "total"}),
+            "attain_ttft": samples.get(window, {"objective": "ttft"}),
+            "attain_tpot": samples.get(window, {"objective": "tpot"}),
+            "goodput_rps": samples.get(
+                "repro_goodput_window_rps", {"objective": "total"}
+            ),
+            "in_flight": samples.get("repro_requests_in_flight"),
+            "utilization": utilization,
+        },
         title=f"windowed SLO attainment & utilization "
               f"(window={args.window:g}s, interval={args.interval:g}s)",
     ))

@@ -7,30 +7,19 @@ drifts beyond tolerance from the pattern the current placement was
 planned for, :meth:`ReplanController.maybe_replan` re-runs the
 placement algorithm on a workload fitted to the recent history — cheap
 (seconds, §6.5) compared to the hourly timescale of real drift.
-
-The profiler has two modes:
-
-* **standalone** — callers feed it requests via :meth:`observe` into a
-  private count-bounded deque (the original behaviour), or
-* **monitor-backed** (:meth:`WorkloadProfiler.from_monitor`) — it reads
-  the arrival window that a
-  :class:`~repro.simulator.metrics.SloMonitor` already maintains, so
-  replanning and live SLO monitoring share one source of truth instead
-  of each keeping a private copy of recent traffic.
+Callers feed the profiler requests via :meth:`WorkloadProfiler.observe`
+into a count-bounded deque.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Deque
+from typing import Callable, Deque
 
 from .config import Placement
 from ..workload.fitting import fit_trace
 from ..workload.trace import Request, Trace, TraceStats
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from ..simulator.metrics import SloMonitor
 
 __all__ = ["WorkloadProfiler", "DriftThresholds", "ReplanController"]
 
@@ -39,52 +28,25 @@ class WorkloadProfiler:
     """Sliding-window summary of recent traffic.
 
     Args:
-        window_size: Maximum requests summarized. In monitor-backed mode
-            this caps how much of the monitor's (time-bounded) arrival
-            window is read — the most recent ``window_size`` requests.
-        monitor: Optional :class:`~repro.simulator.metrics.SloMonitor`
-            to read arrivals from. When set, :meth:`observe` is disabled
-            — arrivals flow in through the serving system's attached
-            monitor automatically.
+        window_size: Maximum requests summarized: the most recent
+            ``window_size`` observed.
     """
 
-    def __init__(
-        self, window_size: int = 1000, monitor: "SloMonitor | None" = None
-    ) -> None:
+    def __init__(self, window_size: int = 1000) -> None:
         if window_size < 2:
             raise ValueError(f"window_size must be >= 2, got {window_size}")
-        self._window_size = window_size
         self._window: "Deque[Request]" = deque(maxlen=window_size)
-        self._monitor = monitor
-
-    @classmethod
-    def from_monitor(
-        cls, monitor: "SloMonitor", window_size: int = 1000
-    ) -> "WorkloadProfiler":
-        """A profiler reading the monitor's shared arrival window."""
-        return cls(window_size=window_size, monitor=monitor)
 
     def observe(self, request: Request) -> None:
-        """Record one served request (standalone mode only)."""
-        if self._monitor is not None:
-            raise RuntimeError(
-                "profiler is monitor-backed; arrivals are observed by the "
-                "attached SloMonitor, not via observe()"
-            )
+        """Record one served request."""
         self._window.append(request)
 
-    def _requests(self) -> "list[Request]":
-        if self._monitor is not None:
-            recent = self._monitor.arrival_window()
-            return recent[-self._window_size:]
-        return list(self._window)
-
     def __len__(self) -> int:
-        return len(self._requests())
+        return len(self._window)
 
     def snapshot(self) -> Trace:
         """The current window as a trace (arrival-ordered)."""
-        return Trace(requests=self._requests())
+        return Trace(requests=list(self._window))
 
     def stats(self) -> TraceStats:
         return self.snapshot().stats()

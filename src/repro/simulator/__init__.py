@@ -13,6 +13,7 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricFamily,
+    MetricSamples,
     MetricsRegistry,
     SloMonitor,
     exponential_buckets,
@@ -26,7 +27,6 @@ from .sanitizer import (
     SimSanitizer,
     Violation,
 )
-from .telemetry import GaugeSeries, GaugeSummary, TelemetryRecorder
 from .tracing import (
     NULL_TRACER,
     NullTracer,
@@ -68,12 +68,10 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricFamily",
+    "MetricSamples",
     "MetricsRegistry",
     "SloMonitor",
     "exponential_buckets",
-    "GaugeSeries",
-    "GaugeSummary",
-    "TelemetryRecorder",
     "NULL_TRACER",
     "NullTracer",
     "Span",

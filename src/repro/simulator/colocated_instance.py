@@ -151,8 +151,6 @@ class ColocatedInstance:
         self._chunk_progress: "dict[int, int]" = {}
         # The waiting request whose prompt is partly prefilled, if any.
         self._chunking: "RequestState | None" = None
-        # Recompute lengths for preempted requests: request_id -> context.
-        self._recompute_len: "dict[int, int]" = {}
         self._trace = tracer if tracer is not None else NULL_TRACER
         self._prof = profiler if profiler is not None else NULL_PROFILER
         self._iterating = False
@@ -289,18 +287,6 @@ class ColocatedInstance:
         self._kick()
 
     # ------------------------------------------------------------------
-    def _prompt_len(self, state: RequestState) -> int:
-        """Tokens to prefill: the prompt, or full context after preemption.
-
-        Preemptions on *this* instance are tracked in the local map; a
-        request re-routed here after another replica failed carries its
-        recompute length on the state itself (``state.prefill_len``).
-        """
-        local = self._recompute_len.get(state.request_id)
-        if local is not None:
-            return local
-        return state.prefill_len
-
     def _try_admit_prefill(
         self, token_budget: int
     ) -> "tuple[list[RequestState], int, int]":
@@ -315,7 +301,7 @@ class ColocatedInstance:
         squared = 0
         while self._waiting and running + len(batch) < self.spec.max_batch_size:
             head = self._waiting[0]
-            need = self._prompt_len(head)
+            need = head.prefill_len
             if batch and total + need > token_budget:
                 break
             if not self._kv.can_allocate(need):
@@ -365,10 +351,7 @@ class ColocatedInstance:
                 continue
             seen.add(state.request_id)
             victims.append(state)
-            local = self._recompute_len.get(state.request_id)
-            if local is not None:
-                state.recompute_len = local
-            elif (
+            if (
                 state.generated > 0
                 or self._chunk_progress.get(state.request_id, 0) > 0
             ):
@@ -378,7 +361,6 @@ class ColocatedInstance:
         self._inflight_prefills = []
         self._chunk_progress.clear()
         self._chunking = None
-        self._recompute_len.clear()
         for request_id in self._kv.holders():
             self._kv.free(request_id)
         return victims
@@ -430,7 +412,7 @@ class ColocatedInstance:
                 self.spec.model,
                 self.spec.config,
                 self._coeffs,
-                [self._prompt_len(s) for s in batch],
+                [s.prefill_len for s in batch],
                 tp_link=self.spec.tp_link,
                 pp_link=self.spec.pp_link,
             ).request_latency
@@ -511,26 +493,30 @@ class ColocatedInstance:
                 len(batch), batch_tokens,
             )
         for state in batch:
-            was_preempted = state.request_id in self._recompute_len
-            self._recompute_len.pop(state.request_id, None)
-            state.recompute_len = None
-            self._trace.end(state.request_id, SpanKind.PREFILL_EXEC, self._sim.now)
-            if not was_preempted and state.generated == 0:
-                state.record_token(self._sim.now)
-                self._trace.span(
-                    state.request_id,
-                    SpanKind.DECODE,
-                    self._sim.now,
-                    self._sim.now,
-                    self.name,
-                    batch_size=len(batch),
-                    token_index=0,
-                )
-            self._start_decoding(state)
+            self._prefilled(state, batch_size=len(batch))
         self._run_iteration()
 
-    def _start_decoding(self, state: RequestState) -> None:
-        """Move a prefilled request into the running set (or finish it)."""
+    def _prefilled(self, state: RequestState, batch_size: int) -> None:
+        """Complete ``state``'s prefill and move it into the running set.
+
+        A request with no token yet gets token 0 and its zero-width
+        ``decode`` span (of ``batch_size``); recomputing a context that
+        holds generated tokens (after a preemption or a failover) stamps
+        nothing.
+        """
+        state.recompute_len = None
+        self._trace.end(state.request_id, SpanKind.PREFILL_EXEC, self._sim.now)
+        if state.generated == 0:
+            state.record_token(self._sim.now)
+            self._trace.span(
+                state.request_id,
+                SpanKind.DECODE,
+                self._sim.now,
+                self._sim.now,
+                self.name,
+                batch_size=batch_size,
+                token_index=0,
+            )
         state.phase = RequestPhase.DECODING
         if state.is_finished:
             self._finish(state)
@@ -609,7 +595,7 @@ class ColocatedInstance:
             return
         self._kernel.leave(victim)
         self._kv.free(victim.request_id)
-        self._recompute_len[victim.request_id] = victim.context_len
+        victim.recompute_len = victim.context_len
         victim.phase = RequestPhase.WAITING_PREFILL
         self._trace.instant(
             victim.request_id, SpanKind.PREEMPTED, self._sim.now, self.name
@@ -638,13 +624,12 @@ class ColocatedInstance:
         kernel = self._kernel
         running = kernel.active
         contexts = [s.context_len for s in running]
-        budget = token_budget if not combined else self._max_prefill_tokens
         chunk_lens: "list[int]" = []
         chunk_owners: "list[RequestState]" = []
         spent = 0
-        while self._waiting and spent < budget:
+        while self._waiting and spent < token_budget:
             head = self._waiting[0]
-            need = self._prompt_len(head)
+            need = head.prefill_len
             done = self._chunk_progress.get(head.request_id, 0)
             if done == 0:
                 if len(running) + len(chunk_owners) >= self.spec.max_batch_size:
@@ -660,7 +645,7 @@ class ColocatedInstance:
                     head.request_id, SpanKind.PREFILL_EXEC, self._sim.now, self.name
                 )
             remaining = need - done
-            take = remaining if combined else min(remaining, budget - spent)
+            take = remaining if combined else min(remaining, token_budget - spent)
             if take <= 0:
                 break
             chunk_lens.append(take)
@@ -691,7 +676,7 @@ class ColocatedInstance:
         completed = [
             s
             for s in chunk_owners
-            if self._chunk_progress.get(s.request_id, 0) >= self._prompt_len(s)
+            if self._chunk_progress.get(s.request_id, 0) >= s.prefill_len
         ]
         step_start = self._sim.now
         mixed_batch_size = len(decode_snapshot) + len(chunk_lens)
@@ -715,22 +700,8 @@ class ColocatedInstance:
             return  # the replica died mid-iteration; victims re-routed
         self._inflight_prefills = []
         for state in prefilled:
-            was_preempted = state.request_id in self._recompute_len
-            self._recompute_len.pop(state.request_id, None)
             self._chunk_progress.pop(state.request_id, None)
-            state.recompute_len = None
-            self._trace.end(state.request_id, SpanKind.PREFILL_EXEC, self._sim.now)
-            if not was_preempted and state.generated == 0:
-                state.record_token(self._sim.now)
-                self._trace.span(
-                    state.request_id,
-                    SpanKind.DECODE,
-                    self._sim.now,
-                    self._sim.now,
-                    self.name,
-                    token_index=0,
-                )
-            self._start_decoding(state)
+            self._prefilled(state, batch_size=0)
         step_tokens = self._advance_decodes(decode_batch)
         if self._prof.enabled:
             self._prof.record_exec(

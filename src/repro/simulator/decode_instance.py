@@ -159,9 +159,6 @@ class DecodeInstance:
     def kv_capacity_tokens(self) -> int:
         return self._kv.total_blocks * self._kv.block_size
 
-    def kv_free_tokens(self) -> int:
-        return self._kv.free_blocks * self._kv.block_size
-
     def instrument(self, registry: MetricsRegistry) -> None:
         """Register this instance's gauges/counters (callback-backed).
 

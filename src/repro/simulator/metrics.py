@@ -7,7 +7,9 @@ offline after a run. This module provides the live counterpart:
 * a typed metrics registry (:class:`Counter`, :class:`Gauge`,
   :class:`Histogram` with fixed exponential buckets, grouped into
   labelled families by :class:`MetricsRegistry`) that the whole stack
-  instruments itself against, and
+  instruments itself against, whose counters and gauges
+  :meth:`MetricsRegistry.sample` reads on a virtual-time cadence into
+  :class:`MetricSamples` — the registry's time axis — and
 * :class:`SloMonitor`, which maintains sliding-window TTFT/TPOT
   attainment, per-objective goodput, and violation streaks in *virtual*
   time as requests complete.
@@ -41,6 +43,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricFamily",
+    "MetricSamples",
     "MetricsRegistry",
     "exponential_buckets",
     "DEFAULT_LATENCY_BUCKETS",
@@ -168,6 +171,14 @@ class Histogram:
         return out
 
 
+def _label_values(
+    labelnames: "tuple[str, ...]", labels: "dict[str, str] | None"
+) -> "tuple[str, ...]":
+    """A child's key in its family: its label values in name order."""
+    labels = labels or {}
+    return tuple(str(labels[k]) for k in labelnames)
+
+
 @dataclass
 class MetricFamily:
     """All children of one metric name, keyed by label values."""
@@ -238,7 +249,7 @@ class MetricsRegistry:
             if not _LABEL_RE.match(key):
                 raise ValueError(f"invalid label name {key!r}")
         labelnames = tuple(sorted(labels))
-        labelvalues = tuple(str(labels[k]) for k in labelnames)
+        labelvalues = _label_values(labelnames, labels)
         family = self._families.get(name)
         if family is None:
             family = MetricFamily(name, kind, help, labelnames, {})
@@ -270,15 +281,79 @@ class MetricsRegistry:
     ) -> "Counter | Gauge | Histogram":
         """Look up an existing metric; raises ``KeyError`` if absent."""
         family = self._families[name]
-        labels = labels or {}
-        key = tuple(str(labels[k]) for k in family.labelnames)
-        return family.children[key]
+        return family.children[_label_values(family.labelnames, labels)]
+
+    def sample(
+        self, sim: Simulation, interval: float, until: float
+    ) -> "MetricSamples":
+        """Read every counter and gauge now, then every ``interval``
+        virtual seconds while the next reading falls at or before
+        ``until``.
+
+        Only children registered before this call are read. Every
+        reading after the first is a scheduled event and counts against
+        a ``Simulation.run(max_events=...)`` budget: sampling alone can
+        exhaust a tight one. Prefer ``run(until=...)`` when sampling, or
+        widen the budget by the number of readings
+        (``len(samples.times) - 1``).
+        """
+        return MetricSamples(sim, self, interval, until)
 
     def __contains__(self, name: str) -> bool:
         return name in self._families
 
     def __len__(self) -> int:
         return len(self._families)
+
+
+class MetricSamples:
+    """Readings of a registry's counters and gauges on a fixed cadence.
+
+    Built by :meth:`MetricsRegistry.sample`. Every reading reads all
+    sampled children at one virtual instant: ``times[i]`` is that
+    instant and ``series[name][labelvalues][i]`` a child's value then.
+    Histograms are not sampled.
+    """
+
+    def __init__(
+        self,
+        sim: Simulation,
+        registry: MetricsRegistry,
+        interval: float,
+        until: float,
+    ) -> None:
+        if interval <= 0:
+            raise ValueError(f"interval must be positive, got {interval}")
+        self._sim = sim
+        self._interval = interval
+        self._until = until
+        self.times: "list[float]" = []
+        self.series: "dict[str, dict[tuple[str, ...], list[float]]]" = {}
+        self._labelnames: "dict[str, tuple[str, ...]]" = {}
+        self._reads: "list[tuple[list[float], Counter | Gauge]]" = []
+        for family in registry.families():
+            for labelvalues, child in family.children.items():
+                if isinstance(child, Histogram):
+                    continue
+                values: "list[float]" = []
+                self.series.setdefault(family.name, {})[labelvalues] = values
+                self._labelnames[family.name] = family.labelnames
+                self._reads.append((values, child))
+        self._sample()
+
+    def _sample(self) -> None:
+        now = self._sim.now
+        self.times.append(now)
+        for values, child in self._reads:
+            values.append(child.value)
+        if now + self._interval <= self._until:
+            self._sim.schedule(self._interval, self._sample)
+
+    def get(
+        self, name: str, labels: "dict[str, str] | None" = None
+    ) -> "list[float]":
+        """One child's readings; raises ``KeyError`` if it was not sampled."""
+        return self.series[name][_label_values(self._labelnames[name], labels)]
 
 
 # ----------------------------------------------------------------------
@@ -312,11 +387,7 @@ class SloMonitor:
       meeting both SLOs (total), the TTFT SLO (prefill-phase health) or
       the TPOT SLO (decode-phase health);
     * **violation streaks** — current and longest runs of consecutive
-      completions missing at least one SLO;
-    * a trailing **arrival window** of :class:`Request` objects, shared
-      with the §4.3 replanning profiler
-      (:class:`repro.core.replan.WorkloadProfiler`) so replanning and
-      monitoring read one source of truth.
+      completions missing at least one SLO.
 
     When given a ``registry``, the monitor registers callback-backed
     gauges/counters plus TTFT/TPOT histograms under the ``repro_slo_*``
@@ -342,8 +413,7 @@ class SloMonitor:
         self._sim = sim
         self.slo = slo
         self.window = window
-        # (observation time, request) / (time, ttft_ok, tpot_ok).
-        self._arrivals: "Deque[tuple[float, Request]]" = deque()
+        # (completion time, ttft_ok, tpot_ok) over the trailing window.
         self._completions: "Deque[tuple[float, bool, bool]]" = deque()
         # Cumulative tallies (never evicted).
         self.arrived = 0
@@ -426,10 +496,8 @@ class SloMonitor:
 
     # ------------------------------------------------------------------
     def observe_arrival(self, request: Request) -> None:
-        """Record one arriving request (feeds the profiler window)."""
+        """Count one arriving request."""
         self.arrived += 1
-        self._arrivals.append((self._sim.now, request))
-        self._evict()
 
     def observe_completion(self, ttft: float, tpot: float) -> None:
         """Judge one completed request's TTFT and TPOT against the SLOs."""
@@ -454,8 +522,6 @@ class SloMonitor:
 
     def _evict(self) -> None:
         cutoff = self._sim.now - self.window
-        while self._arrivals and self._arrivals[0][0] <= cutoff:
-            self._arrivals.popleft()
         while self._completions and self._completions[0][0] <= cutoff:
             self._completions.popleft()
 
@@ -505,21 +571,6 @@ class SloMonitor:
         tpot = sum(1 for _, _t, p in self._completions if p)
         both = sum(1 for _, t, p in self._completions if t and p)
         return {"total": both / span, "ttft": ttft / span, "tpot": tpot / span}
-
-    def windowed_arrival_rate(self) -> float:
-        """Arrivals/second over the trailing window."""
-        self._evict()
-        span = min(self.window, self._sim.now)
-        return len(self._arrivals) / span if span > 0 else 0.0
-
-    def arrival_window(self) -> "list[Request]":
-        """Requests that arrived within the trailing window.
-
-        This is the shared traffic window the replanning profiler reads
-        (instead of keeping its own private deque).
-        """
-        self._evict()
-        return [request for _, request in self._arrivals]
 
     # ------------------------------------------------------------------
     def describe(self) -> str:

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import pathlib
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.cli import (
 from repro.simulator import SimSanitizer
 from repro.workload import Request, Trace
 
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 _MODEL = [("--model", "opt-13b"), ("--dataset", "sharegpt")]
 _MODE = [("--mode", "disaggregated")]
@@ -211,6 +213,24 @@ class TestCommands:
         ) == 0
         out = capsys.readouterr().out
         assert "colocated=" in out
+
+    @pytest.mark.parametrize("mode", ["disaggregated", "colocated"])
+    def test_metrics_table_pinned(self, mode, capsys, tmp_path):
+        """The printed table and summary lines, byte for byte.
+
+        SLOs tight enough that every column moves; the two lines naming
+        the export paths are left out of the comparison.
+        """
+        assert main(
+            ["metrics", "--mode", mode, "--model", "opt-1.3b",
+             "--rate", "8.0", "--requests", "40", "--window", "4",
+             "--interval", "2", "--ttft", "0.015", "--tpot", "0.0105",
+             "--prom-out", str(tmp_path / "m.prom"),
+             "--json-out", str(tmp_path / "m.json")]
+        ) == 0
+        lines = capsys.readouterr().out.splitlines(keepends=True)
+        printed = "".join(l for l in lines if " written to " not in l)
+        assert printed == (GOLDEN_DIR / f"metrics_{mode}.txt").read_text()
 
     def test_trace_colocated_mode(self, tmp_path):
         out = tmp_path / "coloc.json"

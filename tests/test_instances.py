@@ -15,6 +15,7 @@ from repro.simulator import (
     Tracer,
 )
 from repro.workload import Request
+from tests.test_kernel import _small_gpu
 
 
 def make_states(lens_and_outs, start_id=0):
@@ -269,6 +270,48 @@ class TestColocatedInstance:
         assert len(done) == 3
         assert queue_lens
         assert 0 not in queue_lens
+
+    @pytest.mark.parametrize("fast_kernel", [True, False])
+    def test_sjf_ranks_a_preempted_request_by_its_context(
+        self, tiny_model, fast_kernel
+    ):
+        """A preempted request recomputes its whole context, so SJF must
+        rank it by that, not by its prompt: it waits behind a request
+        whose prompt is longer than its prompt but shorter than its
+        context."""
+        spec = InstanceSpec(
+            model=tiny_model, config=ParallelismConfig(1, 1),
+            gpu=_small_gpu(tiny_model, 480),
+        )
+        sim = Simulation()
+        tracer = Tracer()
+        inst = ColocatedInstance(
+            sim, spec, on_request_done=lambda s: None, tracer=tracer,
+            fast_kernel=fast_kernel,
+            scheduling=SchedulingConfig(queue_policy="sjf", sjf_aging=0.0),
+        )
+        first, victim = make_states([(160, 300), (96, 300)])
+        waiter = make_states([(150, 5)], start_id=2)[0]
+        inst.submit(first)
+        inst.submit(victim)
+        sim.schedule_at(0.5, lambda: inst.submit(waiter))
+        sim.run()
+        assert inst.preemptions == 1
+        preempted_at = next(
+            s.start for s in tracer.spans if s.kind == SpanKind.PREEMPTED
+        )
+        last_token = max(
+            s.token_index for s in tracer.spans_for(victim.request_id)
+            if s.kind == SpanKind.DECODE and s.end <= preempted_at
+        )
+        context = victim.request.input_len + last_token + 1
+        assert victim.request.input_len < waiter.request.input_len < context
+        exec_starts = {
+            rid: [s.start for s in tracer.spans_for(rid)
+                  if s.kind == SpanKind.PREFILL_EXEC]
+            for rid in (victim.request_id, waiter.request_id)
+        }
+        assert exec_starts[waiter.request_id][0] < exec_starts[victim.request_id][-1]
 
     def test_unknown_policy_rejected(self, tiny_spec):
         sim = Simulation()

@@ -14,11 +14,11 @@ every iteration policy, and one or two replicas with an optional mid-run
 ``fail_replica()`` for the colocated one. The randomized dispatch
 policies draw from separate generators seeded alike in the two runs.
 
-With ``observed`` set, both runs also carry a tracer, a profiler,
-``instrument(registry)`` and a :class:`TelemetryRecorder` sampling every
-non-histogram metric; they must then agree bitwise on the span stream,
-each instance's exec-event sequence and every sampled series as well
-(and, for the serving systems, on the ``build_profile`` JSON).
+With ``observed`` set, both runs also carry a tracer, a profiler, and
+``instrument(registry)`` with the registry's counters and gauges sampled
+(``MetricsRegistry.sample``); they must then agree bitwise on the span
+stream, each instance's exec-event sequence and every sampled series as
+well (and, for the serving systems, on the ``build_profile`` JSON).
 """
 
 from __future__ import annotations
@@ -45,12 +45,11 @@ from repro.simulator import (
     MetricsRegistry,
     Profiler,
     SimSanitizer,
-    TelemetryRecorder,
     Tracer,
 )
 from repro.simulator.colocated_instance import POLICIES, ColocatedInstance
 from repro.simulator.decode_instance import DecodeInstance
-from repro.simulator.metrics import Histogram
+from repro.simulator.metrics import MetricSamples
 from repro.simulator.request import Request, RequestPhase, RequestState
 from tests.test_kernel import _small_gpu
 
@@ -127,7 +126,7 @@ def _counters(inst: DecodeInstance) -> tuple:
     return (inst.steps_executed, inst.tokens_generated, inst.busy_time)
 
 
-#: Telemetry cadence of observed runs, well below one decode step.
+#: Metrics sampling cadence of observed runs, well below one decode step.
 SAMPLE_INTERVAL = 0.003
 
 
@@ -136,32 +135,23 @@ def _observers(observed: bool) -> "dict":
     return {"tracer": Tracer(), "profiler": Profiler()} if observed else {}
 
 
-def _record_metrics(sim, target, trace) -> TelemetryRecorder:
-    """``target.instrument()`` and sample every non-histogram metric."""
+def _record_metrics(sim, target, trace) -> MetricSamples:
+    """``target.instrument()`` and sample every counter and gauge."""
     registry = MetricsRegistry()
     target.instrument(registry)
-    recorder = TelemetryRecorder(sim, interval=SAMPLE_INTERVAL)
-    for family in registry.families():
-        for labels, child in family.children.items():
-            if not isinstance(child, Histogram):
-                recorder.register(f"{family.name}{labels}",
-                                  lambda child=child: child.value)
-    recorder.start(until=trace[-1].arrival_time + 0.5)
-    return recorder
+    return registry.sample(
+        sim, SAMPLE_INTERVAL, until=trace[-1].arrival_time + 0.5
+    )
 
 
-def _observations(observers, recorder) -> tuple:
+def _observations(observers, samples) -> tuple:
     """Spans, per-instance exec events and every sampled series."""
     if not observers:
         return ()
     exec_events: "dict[str, list[tuple]]" = {}
     for event in observers["profiler"].exec_events:
         exec_events.setdefault(event[0], []).append(event)
-    series = {}
-    for name in recorder.names():
-        sampled = recorder.series(name)
-        series[name] = (sampled.times, sampled.values)
-    return observers["tracer"].spans, exec_events, series
+    return observers["tracer"].spans, exec_events, samples.times, samples.series
 
 
 def _profile(observers, result) -> str:
@@ -183,7 +173,7 @@ def _drive_decode(trace, spec, policy, fail_at, fast, observed=False):
         sim, spec, lambda s: done.append(s.request_id), fast_kernel=fast,
         scheduling=SchedulingConfig(queue_policy=policy), **observers,
     )
-    recorder = _record_metrics(sim, inst, trace) if observed else None
+    samples = _record_metrics(sim, inst, trace) if observed else None
     sanitizer.watch_kv(inst._kv, owner=inst.name)
     states = []
     for request in trace:
@@ -205,7 +195,7 @@ def _drive_decode(trace, spec, policy, fail_at, fast, observed=False):
     sim.run()
     sanitizer.check_quiesce()
     return (done, _timeline(states), _counters(inst),
-            _observations(observers, recorder))
+            _observations(observers, samples))
 
 
 class _Recording:
@@ -253,7 +243,7 @@ def _run_disaggregated(trace, num_prefill, mode, jitter, scheduling, seed,
         rng=np.random.default_rng(seed), **observers,
     )
     sanitizer.watch_system(system)
-    recorder = _record_metrics(sim, system, trace) if observed else None
+    samples = _record_metrics(sim, system, trace) if observed else None
     result = simulate_trace(system, trace)
     sanitizer.check_quiesce()
     return (
@@ -261,7 +251,7 @@ def _run_disaggregated(trace, num_prefill, mode, jitter, scheduling, seed,
         system.rejections,
         _timeline(system.states),
         [_counters(inst) for inst in system.decode_instances],
-        _observations(observers, recorder),
+        _observations(observers, samples),
         _profile(observers, result),
     )
 
@@ -320,7 +310,7 @@ def _run_colocated(trace, spec, replicas, policy, scheduling, seed, fail_at,
         scheduling=scheduling, rng=np.random.default_rng(seed), **observers,
     )
     sanitizer.watch_system(system)
-    recorder = _record_metrics(sim, system, trace) if observed else None
+    samples = _record_metrics(sim, system, trace) if observed else None
     instances = list(system.instances)
     if fail_at is not None:
         sim.schedule_at(fail_at, lambda: system.fail_replica(instances[0].name))
@@ -331,7 +321,7 @@ def _run_colocated(trace, spec, replicas, policy, scheduling, seed, fail_at,
         system.rejections,
         _timeline(system.states),
         [_colocated_counters(inst) for inst in instances],
-        _observations(observers, recorder),
+        _observations(observers, samples),
         _profile(observers, result),
     )
 

@@ -277,19 +277,20 @@ def _peek_next(system, pool):
 
 class TestSIM002:
     def test_positive_mutating_metric_callback(self, tiny_spec):
-        def extra(sim, system, registry, recorder):
+        def extra(sim, system, registry):
             registry.gauge("next_prefill_target", "Next prefill instance",
                            fn=lambda: _peek_next(system, "prefill"))
 
         assert _caught_by_sampling_twin(tiny_spec, extra)
 
-    def test_positive_mutating_recorder_callback(self, tiny_spec):
-        def extra(sim, system, registry, recorder):
+    def test_positive_scheduling_metric_callback(self, tiny_spec):
+        def extra(sim, system, registry):
             def peek_later():
                 sim.schedule(0.0, lambda: _peek_next(system, "decode"))
                 return 0.0
 
-            recorder.register("decode_peek", peek_later)
+            registry.gauge("decode_peek", "Next decode instance, read later",
+                           fn=peek_later)
 
         assert _caught_by_sampling_twin(tiny_spec, extra)
 
@@ -306,10 +307,11 @@ class TestSIM002:
             run()
 
     def test_negative_pure_callbacks(self, tiny_spec):
-        def extra(sim, system, registry, recorder):
+        def extra(sim, system, registry):
             registry.gauge("unfinished", "Requests in flight",
                            fn=lambda: system.unfinished)
-            recorder.register("records", lambda: len(system.records))
+            registry.gauge("records", "Records kept",
+                           fn=lambda: len(system.records))
 
         assert not _caught_by_sampling_twin(tiny_spec, extra)
 

@@ -13,7 +13,6 @@ from repro.analysis import (
     write_metrics_json,
     write_prometheus_text,
 )
-from repro.core import WorkloadProfiler
 from repro.scheduling import DEFAULT_SCHEDULING
 from repro.serving import (
     ColocatedSystem,
@@ -31,10 +30,9 @@ from repro.simulator import (
     RequestRecord,
     Simulation,
     SloMonitor,
-    TelemetryRecorder,
     exponential_buckets,
 )
-from repro.workload import SHAREGPT, SLO, Request, generate_trace
+from repro.workload import SHAREGPT, SLO, generate_trace
 
 
 def _record(request_id=0, ttft=0.1, tpot=0.01, arrival=0.0):
@@ -288,18 +286,6 @@ class TestSloMonitor:
         assert gp["ttft"] == pytest.approx(1 / 5.0)
         assert gp["tpot"] == pytest.approx(2 / 5.0)
 
-    def test_arrival_window_and_rate(self):
-        sim, mon = self._monitor(window=10.0)
-        for i in range(3):
-            sim._now = float(i)
-            mon.observe_arrival(
-                Request(request_id=i, arrival_time=sim.now, input_len=8, output_len=2)
-            )
-        assert [r.request_id for r in mon.arrival_window()] == [0, 1, 2]
-        sim._now = 11.5  # arrivals at t=0,1 age out
-        assert [r.request_id for r in mon.arrival_window()] == [2]
-        assert mon.windowed_arrival_rate() == pytest.approx(1 / 10.0)
-
     def test_registry_self_registration(self):
         reg = MetricsRegistry()
         _sim, mon = self._monitor(registry=reg)
@@ -415,10 +401,10 @@ def _instrumented_disagg_run(tiny_spec, seed=0, num_requests=40):
 def sampled_mid_run(spec, observed, scheduling=DEFAULT_SCHEDULING, extra=None):
     """Records of a short disaggregated run, and its mid-run exports.
 
-    When ``observed``, every registered metric callback is read every
-    0.25 s of the run and a Prometheus export is taken halfway through;
-    ``extra(sim, system, registry, recorder)``, if given, registers more
-    callbacks first.
+    When ``observed``, every counter and gauge is sampled every 0.25 s
+    of the run and a Prometheus export is taken halfway through;
+    ``extra(sim, system, registry)``, if given, registers more metrics
+    first.
     """
     sim = Simulation()
     system = DisaggregatedSystem(
@@ -434,15 +420,9 @@ def sampled_mid_run(spec, observed, scheduling=DEFAULT_SCHEDULING, extra=None):
             sim, SLO(ttft=1.0, tpot=0.1), window=20.0, registry=registry
         ))
         system.instrument(registry)
-        recorder = TelemetryRecorder(sim, interval=0.25)
         if extra is not None:
-            extra(sim, system, registry, recorder)
-        for family in registry.families():
-            for labels, child in family.children.items():
-                if not isinstance(child, Histogram):
-                    recorder.register(f"{family.name}{labels}",
-                                      lambda child=child: child.value)
-        recorder.start(until=trace.duration)
+            extra(sim, system, registry)
+        registry.sample(sim, 0.25, until=trace.duration)
         sim.schedule_at(trace.duration / 2, lambda: exports.append(
             to_prometheus_text(registry)
         ))
@@ -559,34 +539,3 @@ class TestSystemInstrumentation:
         assert reg.get("repro_kv_transfer_bytes_total").value == sum(
             r.num_bytes for r in result.transfer_records
         )
-
-
-class TestProfilerFromMonitor:
-    def test_monitor_backed_profiler_shares_window(self, tiny_spec):
-        _sys, _reg, mon, _res, _slo, trace = _instrumented_disagg_run(tiny_spec)
-        prof = WorkloadProfiler.from_monitor(mon, window_size=100)
-        assert len(prof) == len(mon.arrival_window())
-        stats = prof.stats()
-        assert stats.mean_input_len > 0
-        with pytest.raises(RuntimeError):
-            prof.observe(trace.requests[0])
-
-    def test_standalone_mode_unchanged(self):
-        prof = WorkloadProfiler(window_size=10)
-        for i in range(3):
-            prof.observe(
-                Request(request_id=i, arrival_time=float(i), input_len=8,
-                        output_len=2)
-            )
-        assert len(prof) == 3
-
-    def test_window_size_caps_monitor_reads(self):
-        sim = Simulation()
-        mon = SloMonitor(sim, SLO(ttft=1.0, tpot=0.1), window=1000.0)
-        for i in range(10):
-            mon.observe_arrival(
-                Request(request_id=i, arrival_time=0.0, input_len=8, output_len=2)
-            )
-        prof = WorkloadProfiler.from_monitor(mon, window_size=4)
-        assert len(prof) == 4
-        assert [r.request_id for r in prof.snapshot().requests] == [6, 7, 8, 9]

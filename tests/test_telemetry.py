@@ -1,163 +1,126 @@
-"""Tests for the telemetry recorder and its use on live instances."""
-
-import math
+"""Tests for metric time series: ``MetricsRegistry.sample`` on its own and
+on a live instance."""
 
 import pytest
 
 from repro.simulator import (
     DecodeInstance,
+    MetricsRegistry,
     RequestState,
     Simulation,
-    TelemetryRecorder,
 )
 from repro.workload import Request
+
+
+def _clock_registry(sim):
+    """A registry with one gauge that counts ticks at t = 0.5, 1.5, ..."""
+    registry = MetricsRegistry()
+    clock = registry.gauge("clock")
+
+    def tick():
+        clock.inc()
+        sim.schedule(1.0, tick)
+
+    sim.schedule(0.5, tick)
+    return registry
 
 
 class TestGaugeSampling:
     def test_samples_on_cadence(self):
         sim = Simulation()
-        rec = TelemetryRecorder(sim, interval=1.0)
-        clock = {"v": 0.0}
-        rec.register("clock", lambda: clock["v"])
-
-        def tick():
-            clock["v"] += 1.0
-            sim.schedule(1.0, tick)
-
-        sim.schedule(0.5, tick)
-        rec.start(until=5.0)
+        samples = _clock_registry(sim).sample(sim, 1.0, until=5.0)
         sim.run(until=5.0)
-        series = rec.series("clock")
-        assert len(series) == 6  # t = 0..5
-        assert series.times == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
-        assert series.values[0] == 0.0
-        assert series.values[-1] == 5.0
+        assert samples.times == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        assert samples.get("clock") == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
 
-    def test_summary_statistics(self):
+    def test_cadence_endpoints(self):
+        """The first reading is taken at the call, and the last one is
+        the last on the cadence at or before ``until``."""
+        for until, times in (
+            (4.0, [0.0, 2.0, 4.0]),   # on the cadence: included
+            (5.0, [0.0, 2.0, 4.0]),   # between readings
+            (1.0, [0.0]),             # shorter than one interval
+        ):
+            sim = Simulation()
+            samples = MetricsRegistry().sample(sim, 2.0, until=until)
+            sim.run()
+            assert samples.times == times
         sim = Simulation()
-        rec = TelemetryRecorder(sim, interval=1.0)
-        values = iter([1.0, 5.0, 3.0, 100.0])
-        rec.register("g", lambda: next(values))
-        rec.start(until=3.0)
-        sim.run(until=3.0)
-        series = rec.series("g")
-        assert series.max() == 100.0
-        assert series.mean() == pytest.approx((1 + 5 + 3 + 100) / 4)
-
-    def test_value_at_step_interpolation(self):
-        sim = Simulation()
-        rec = TelemetryRecorder(sim, interval=2.0)
-        values = iter([10.0, 20.0, 30.0])
-        rec.register("g", lambda: next(values))
-        rec.start(until=4.0)
-        sim.run(until=4.0)
-        series = rec.series("g")
-        assert series.value_at(0.0) == 10.0
-        assert series.value_at(1.9) == 10.0
-        assert series.value_at(2.0) == 20.0
-        with pytest.raises(ValueError):
-            series.value_at(-1.0)
+        sim.schedule_at(1.5, lambda: None)
+        sim.run()
+        samples = MetricsRegistry().sample(sim, 2.0, until=6.0)
+        sim.run()
+        assert samples.times == [1.5, 3.5, 5.5]
 
     def test_lifecycle_guards(self):
+        """Only counters and gauges registered before sampling starts
+        are read; looking up anything else raises ``KeyError``."""
         sim = Simulation()
-        rec = TelemetryRecorder(sim)
-        with pytest.raises(RuntimeError):
-            rec.start(until=1.0)  # no gauges
-        rec.register("g", lambda: 0.0)
-        with pytest.raises(ValueError):
-            rec.register("g", lambda: 1.0)
-        rec.start(until=1.0)
-        with pytest.raises(RuntimeError):
-            rec.register("late", lambda: 0.0)
-        with pytest.raises(RuntimeError):
-            rec.start(until=2.0)
-        with pytest.raises(KeyError):
-            rec.series("missing")
+        registry = MetricsRegistry()
+        registry.counter("served", labels={"pool": "a"}).inc(3)
+        registry.histogram("latency").observe(0.1)
+        samples = registry.sample(sim, 1.0, until=2.0)
+        late = registry.gauge("late")
+        late.set(7.0)
+        sim.run()
+        assert samples.get("served", {"pool": "a"}) == [3.0, 3.0, 3.0]
+        assert list(samples.series) == ["served"]
+        for name, labels in (
+            ("served", {"pool": "b"}), ("latency", None), ("late", None),
+            ("missing", None),
+        ):
+            with pytest.raises(KeyError):
+                samples.get(name, labels)
 
     def test_invalid_interval(self):
-        with pytest.raises(ValueError):
-            TelemetryRecorder(Simulation(), interval=0.0)
-
-    def test_empty_series_summary_is_nan_safe(self):
-        sim = Simulation()
-        rec = TelemetryRecorder(sim, interval=1.0)
-        rec.register("g", lambda: 1.0)
-        # Never started: the series exists but has no samples.
-        series = rec.series("g")
-        summary = series.summary()
-        assert summary.count == 0
-        for field in ("mean", "minimum", "maximum", "p50", "p90", "p99"):
-            assert math.isnan(getattr(summary, field))
-        assert math.isnan(series.mean())
-        assert math.isnan(series.max())
-        assert math.isnan(series.percentile(50))
-        # value_at stays strict: "value at t" has no NaN-safe answer.
-        with pytest.raises(ValueError):
-            series.value_at(0.0)
-
-    def test_summary_matches_samples(self):
-        sim = Simulation()
-        rec = TelemetryRecorder(sim, interval=1.0)
-        values = iter([2.0, 4.0, 6.0])
-        rec.register("g", lambda: next(values))
-        rec.start(until=2.0)
-        sim.run(until=2.0)
-        summary = rec.series("g").summary()
-        assert summary.count == 3
-        assert summary.mean == pytest.approx(4.0)
-        assert summary.minimum == 2.0
-        assert summary.maximum == 6.0
-        assert summary.p50 == pytest.approx(4.0)
+        for interval in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                MetricsRegistry().sample(Simulation(), interval, until=1.0)
 
 
 class TestMaxEventsInteraction:
-    """Recorder ticks are simulation events and consume max_events budgets.
+    """Readings are simulation events and consume max_events budgets.
 
-    Documents the interaction ISSUE'd as satellite 3: every sample after
-    the first (which runs inline in ``start()``) is one scheduled event,
-    so ``run(max_events=N)`` can be exhausted by sampling alone.
+    Every reading after the first (which runs inline in ``sample()``) is
+    one scheduled event, so ``run(max_events=N)`` can be exhausted by
+    sampling alone.
     """
 
     def test_sampling_consumes_event_budget(self):
         sim = Simulation()
-        rec = TelemetryRecorder(sim, interval=1.0)
-        rec.register("g", lambda: 0.0)
-        rec.start(until=100.0)
+        samples = MetricsRegistry().sample(sim, 1.0, until=100.0)
         sim.run(max_events=5)
-        # Only the budgeted samples ran: 1 inline + 5 scheduled.
-        assert rec.samples_taken == 6
+        # Only the budgeted readings ran: 1 inline + 5 scheduled.
+        assert len(samples.times) == 6
         assert sim.now == 5.0
 
     def test_until_bound_is_not_budget_limited(self):
         sim = Simulation()
-        rec = TelemetryRecorder(sim, interval=1.0)
-        rec.register("g", lambda: 0.0)
-        rec.start(until=10.0)
+        samples = MetricsRegistry().sample(sim, 1.0, until=10.0)
         sim.run(until=10.0)
-        assert rec.samples_taken == 11  # t = 0..10 inclusive
+        assert len(samples.times) == 11  # t = 0..10 inclusive
 
     def test_budget_shared_with_workload_events(self):
         sim = Simulation()
-        fired = []
-        rec = TelemetryRecorder(sim, interval=1.0)
-        rec.register("g", lambda: float(len(fired)))
+        registry = MetricsRegistry()
+        fired = registry.counter("fired")
         for t in (0.5, 1.5, 2.5):
-            sim.schedule_at(t, lambda t=t: fired.append(t))
-        rec.start(until=100.0)
-        # 4 events total: samples at t=1,2 interleave with work at 0.5, 1.5.
+            sim.schedule_at(t, fired.inc)
+        samples = registry.sample(sim, 1.0, until=100.0)
+        # 4 events total: readings at t=1,2 interleave with work at 0.5, 1.5.
         sim.run(max_events=4)
-        assert fired == [0.5, 1.5]
-        assert rec.samples_taken == 3  # inline t=0 plus t=1, t=2
+        assert fired.value == 2.0
+        assert samples.times == [0.0, 1.0, 2.0]
+        assert samples.get("fired") == [0.0, 1.0, 2.0]
 
 
 class TestInstanceTelemetry:
     def test_decode_batch_size_dynamics(self, tiny_spec):
         sim = Simulation()
         inst = DecodeInstance(sim, tiny_spec, on_request_done=lambda s: None)
-        rec = TelemetryRecorder(sim, interval=0.05)
-        rec.register("batch", lambda: inst.active_batch_size)
-        rec.register("kv_free", lambda: inst.kv_free_tokens())
-        rec.start(until=3.0)
+        registry = MetricsRegistry()
+        inst.instrument(registry)
+        samples = registry.sample(sim, 0.25, until=3.0)
         # A burst of work arrives at t=1.
         for i in range(8):
             state = RequestState(
@@ -168,8 +131,10 @@ class TestInstanceTelemetry:
             state.record_token(1.0)
             sim.schedule_at(1.0, lambda s=state: inst.submit(s))
         sim.run(until=3.0)
-        batch = rec.series("batch")
-        kv = rec.series("kv_free")
-        assert batch.value_at(0.5) == 0.0
-        assert batch.value_at(1.5) == 8.0
-        assert kv.value_at(1.5) < kv.value_at(0.5)  # KV consumed by burst
+        labels = {"phase": "decode", "instance": inst.name}
+        batch = samples.get("repro_batch_size", labels)
+        kv_free = samples.get("repro_kv_blocks_free", labels)
+        before, after = samples.times.index(0.5), samples.times.index(1.5)
+        assert batch[before] == 0.0
+        assert batch[after] == 8.0
+        assert kv_free[after] < kv_free[before]  # KV consumed by burst
