@@ -219,7 +219,8 @@ class TestCommands:
         """The printed table and summary lines, byte for byte.
 
         SLOs tight enough that every column moves; the two lines naming
-        the export paths are left out of the comparison.
+        the export paths are left out of the comparison. A fixture is
+        this command's stdout without those two lines.
         """
         assert main(
             ["metrics", "--mode", mode, "--model", "opt-1.3b",
