@@ -10,11 +10,11 @@ touching every engine:
 * :class:`DispatchPolicy` — cross-instance routing (``least_loaded``,
   ``round_robin``, ``random``, ``power_of_two``)
 
-A single frozen :class:`SchedulingConfig` names the triple plus its
-knobs and is the one way a policy choice travels: through the simulator
-engines, the serving modes, the placement search (where it enters every
-trial fingerprint) and the :class:`~repro.core.config.Placement` a
-search returns, which ``repro.core.build_system`` deploys.
+A single frozen :class:`SchedulingConfig` names the triple plus the
+batch budget and is the one way a policy choice travels: through the
+instance engines, the serving modes, the placement search (where it
+enters every trial fingerprint) and the Placement a search returns
+(:class:`~repro.core.config.Placement`), which ``build_system`` deploys.
 :data:`DEFAULT_SCHEDULING` is the paper's recipe.
 """
 

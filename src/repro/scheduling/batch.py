@@ -9,10 +9,6 @@ variant can describe partial prompts; under the default
 ``token_budget`` policy every chunk is whole (``first and final``) and
 the formation loop is operation-for-operation identical to the
 pre-refactor ``PrefillInstance._form_batch``.
-
-On the decode side the policy only gates admission count
-(``max_batch_size`` capping), which :meth:`BatchPolicy.admit_decode`
-expresses as a predicate.
 """
 
 from __future__ import annotations
@@ -52,7 +48,7 @@ class PrefillChunk:
 
 
 class BatchPolicy:
-    """Forms prefill batches and caps decode admission."""
+    """Forms prefill batches."""
 
     name = ""
 
@@ -69,9 +65,10 @@ class BatchPolicy:
         """
         raise NotImplementedError
 
-    def admit_decode(self, active: int, cap: int) -> bool:
-        """Whether the decode loop may admit one more active request."""
-        return active < cap
+    @property
+    def partial(self) -> "RequestState | None":
+        """The request whose prompt is partly issued; it keeps the head."""
+        return None
 
     def reset(self) -> None:
         """Drop partial-progress state (instance failure/teardown)."""
@@ -117,14 +114,20 @@ class ChunkedBatch(BatchPolicy):
     until its final chunk is issued. KV for the *full* prompt is
     allocated at the first chunk (the cache grows monotonically during
     prefill, so reserving up front keeps admission decisions identical
-    to whole-prompt shaping).
+    to whole-prompt shaping). With the head pinned, at most one prompt
+    is partly issued at a time.
     """
 
     name = "chunked"
 
     def __init__(self) -> None:
-        #: request_id -> prompt tokens already issued in earlier chunks.
-        self._progress: "dict[int, int]" = {}
+        self._partial: "RequestState | None" = None
+        #: Prompt tokens of ``_partial`` issued in earlier chunks.
+        self._issued = 0
+
+    @property
+    def partial(self) -> "RequestState | None":
+        return self._partial
 
     def form_prefill(
         self,
@@ -137,28 +140,29 @@ class ChunkedBatch(BatchPolicy):
         while queue and total < limit:
             head = queue[0]
             need = head.prefill_len
-            done = self._progress.get(head.request_id, 0)
-            if done == 0:
+            first = head is not self._partial
+            done = 0 if first else self._issued
+            if first:
                 if not kv.can_allocate(need):
                     break
                 kv.allocate(head.request_id, need)
             take = min(need - done, limit - total)
-            first = done == 0
             final = done + take >= need
             batch.append(
                 PrefillChunk(state=head, tokens=take, first=first, final=final)
             )
             total += take
             if final:
-                self._progress.pop(head.request_id, None)
+                self._partial = None
                 queue.popleft()
             else:
-                self._progress[head.request_id] = done + take
+                self._partial = head
+                self._issued = done + take
                 break  # partially prefilled prompt keeps the queue head
         return batch
 
     def reset(self) -> None:
-        self._progress.clear()
+        self._partial = None
 
 
 def make_batch_policy(policy: str) -> BatchPolicy:

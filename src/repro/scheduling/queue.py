@@ -9,7 +9,7 @@ zero extra work and stays bitwise-identical to the pre-refactor code).
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Deque
+from typing import TYPE_CHECKING, Callable, Deque
 
 from .config import QUEUE_POLICIES
 
@@ -17,6 +17,7 @@ if TYPE_CHECKING:  # annotation-only: avoids a package import cycle
     from ..simulator.request import RequestState
 
 __all__ = [
+    "SJF_AGING",
     "QueuePolicy",
     "FCFSQueue",
     "SJFQueue",
@@ -24,108 +25,112 @@ __all__ = [
     "make_queue_policy",
 ]
 
+#: Tokens of ``sjf`` rank credit per second of queue wait: a prompt that
+#: waited ``input_len / SJF_AGING`` seconds outranks a fresh zero-length
+#: one, bounding starvation.
+SJF_AGING = 2000.0
+
 
 class QueuePolicy:
-    """Orders waiting requests before each batch-formation pass."""
+    """Orders waiting requests before each batch-formation pass.
+
+    A partly prefilled request keeps the queue head under every policy:
+    it already holds KV for its whole prompt, so a request ordered ahead
+    of it could wait forever for the memory it holds.
+    """
 
     name = ""
 
     def reorder(
-        self, queue: "Deque[RequestState]", now: float
-    ) -> "Deque[RequestState]":
-        """Return the queue in admission order (may be the same object)."""
+        self, queue: Deque[RequestState], now: float, partial: RequestState | None
+    ) -> Deque[RequestState]:
+        """Return the queue in admission order (may be the same object).
+
+        ``partial`` is the queue's partly prefilled request, if there is
+        one: it goes first, and the policy orders the rest.
+        """
         raise NotImplementedError
 
 
+def _sorted_behind(
+    queue: Deque[RequestState],
+    partial: RequestState | None,
+    key: Callable[[RequestState], float],
+) -> Deque[RequestState]:
+    """``queue`` sorted by ``key`` behind ``partial``; a short one as is."""
+    if len(queue) <= 1:
+        return queue
+    ordered = sorted((s for s in queue if s is not partial), key=key)
+    return deque(ordered if partial is None else [partial, *ordered])
+
+
 class FCFSQueue(QueuePolicy):
-    """First-come-first-served (§4.3 default): identity, zero cost."""
+    """First-come-first-served (§4.3 default): identity, zero cost.
+
+    Only a colocated preemption victim, pushed to the front, can stand
+    ahead of the partial request; it then moves back behind it.
+    """
 
     name = "fcfs"
 
     def reorder(
-        self, queue: "Deque[RequestState]", now: float
-    ) -> "Deque[RequestState]":
+        self, queue: Deque[RequestState], now: float, partial: RequestState | None
+    ) -> Deque[RequestState]:
+        if partial is not None and queue[0] is not partial:
+            queue.remove(partial)
+            queue.appendleft(partial)
         return queue
 
 
 class SJFQueue(QueuePolicy):
     """Shortest-prompt-first with wait-time aging.
 
-    Effective rank = prompt length - aging * wait; a long prompt that
-    has waited ``input_len / aging`` seconds outranks a fresh short one,
-    bounding starvation. ``enqueue_stamp`` names the timestamp that
-    marks when the request joined this queue ("prefill_enqueue" on the
-    prefill side, "decode_enqueue" on the decode side).
+    Effective rank = prefill length - :data:`SJF_AGING` * wait.
+    ``enqueue_stamp`` names the timestamp that marks when the request
+    joined this queue ("prefill_enqueue" on the prefill side,
+    "decode_enqueue" on the decode side).
     """
 
     name = "sjf"
 
-    def __init__(
-        self,
-        aging: float = 2000.0,
-        enqueue_stamp: str = "prefill_enqueue",
-    ) -> None:
-        if aging < 0:
-            raise ValueError(f"sjf_aging must be >= 0, got {aging}")
-        self._aging = aging
+    def __init__(self, enqueue_stamp: str) -> None:
         self._stamp = enqueue_stamp
 
     def reorder(
-        self, queue: "Deque[RequestState]", now: float
-    ) -> "Deque[RequestState]":
-        if len(queue) <= 1:
-            return queue
-        ordered = sorted(
+        self, queue: Deque[RequestState], now: float, partial: RequestState | None
+    ) -> Deque[RequestState]:
+        stamp = self._stamp
+        return _sorted_behind(
             queue,
-            key=lambda s: s.prefill_len
-            - self._aging * (now - s.timestamps.get(self._stamp, now)),
+            partial,
+            lambda s: s.prefill_len - SJF_AGING * (now - s.timestamps.get(stamp, now)),
         )
-        return deque(ordered)
 
 
 class EDFQueue(QueuePolicy):
-    """Earliest-deadline-first: SLO-aware admission order.
+    """Earliest-deadline-first, every deadline being arrival + one offset.
 
-    A request's deadline is ``state.deadline`` when set, else
-    ``arrival_time + default_deadline``. Python's sort is stable, so
-    requests sharing a deadline keep FCFS order.
+    The earliest deadline is thus the earliest arrival: an older request
+    that re-enters the queue (a failover victim) goes first. Python's
+    sort is stable, so requests that arrived together keep queue order.
     """
 
     name = "edf"
 
-    def __init__(self, default_deadline: float = 10.0) -> None:
-        if default_deadline <= 0:
-            raise ValueError(
-                f"default_deadline must be positive, got {default_deadline}"
-            )
-        self._default = default_deadline
-
-    def _deadline(self, state: RequestState) -> float:
-        if state.deadline is not None:
-            return state.deadline
-        return state.request.arrival_time + self._default
-
     def reorder(
-        self, queue: "Deque[RequestState]", now: float
-    ) -> "Deque[RequestState]":
-        if len(queue) <= 1:
-            return queue
-        return deque(sorted(queue, key=self._deadline))
+        self, queue: Deque[RequestState], now: float, partial: RequestState | None
+    ) -> Deque[RequestState]:
+        return _sorted_behind(queue, partial, lambda s: s.request.arrival_time)
 
 
-def make_queue_policy(
-    policy: str,
-    sjf_aging: float = 2000.0,
-    edf_default_deadline: float = 10.0,
-    enqueue_stamp: str = "prefill_enqueue",
-) -> QueuePolicy:
-    """Build the named queue policy with its knobs bound."""
+def make_queue_policy(policy: str, enqueue_stamp: str) -> QueuePolicy:
+    """Build the named queue policy (``enqueue_stamp`` as in :class:`SJFQueue`)."""
     if policy == "fcfs":
         return FCFSQueue()
     if policy == "sjf":
-        return SJFQueue(aging=sjf_aging, enqueue_stamp=enqueue_stamp)
+        return SJFQueue(enqueue_stamp)
     if policy == "edf":
-        return EDFQueue(default_deadline=edf_default_deadline)
+        return EDFQueue()
     raise ValueError(
         f"unknown queue_policy {policy!r}; expected one of {QUEUE_POLICIES}"
     )

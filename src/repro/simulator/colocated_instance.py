@@ -60,7 +60,7 @@ from ..latency.memo import DecodeStepTimer, PrefillBatchTimer
 from ..latency.mixed import mixed_batch_latency
 from ..latency.parallel import decode_times, prefill_times
 from ..scheduling.config import DEFAULT_SCHEDULING, SchedulingConfig
-from ..scheduling.queue import QueuePolicy, make_queue_policy
+from ..scheduling.queue import make_queue_policy
 
 __all__ = ["ColocatedInstance", "POLICIES"]
 
@@ -133,12 +133,7 @@ class ColocatedInstance:
         self._on_done = on_request_done
         self._max_prefill_tokens = max_prefill_tokens
         self._chunk_size = chunk_size
-        self._qpolicy: QueuePolicy = make_queue_policy(
-            scheduling.queue_policy,
-            sjf_aging=scheduling.sjf_aging,
-            edf_default_deadline=scheduling.edf_default_deadline,
-            enqueue_stamp="prefill_enqueue",
-        )
+        self._qpolicy = make_queue_policy(scheduling.queue_policy, "prefill_enqueue")
         self._alive = True
         self._waiting: "Deque[RequestState]" = deque()
         # Prefill states inside the currently scheduled iteration: popped
@@ -294,7 +289,7 @@ class ColocatedInstance:
 
         Returns the batch with its total and squared-sum prompt lengths.
         """
-        self._waiting = self._qpolicy.reorder(self._waiting, self._sim.now)
+        self._waiting = self._qpolicy.reorder(self._waiting, self._sim.now, None)
         running = len(self._kernel.active)
         batch: "list[RequestState]" = []
         total = 0
@@ -610,17 +605,12 @@ class ColocatedInstance:
     def _iteration_mixed(self, token_budget: int, combined: bool) -> None:
         """One Orca/SARATHI iteration: decode batch plus prompt (chunks).
 
-        A partly prefilled prompt already holds KV for its whole prompt,
-        so it keeps the queue head: neither a time-dependent queue order
-        nor a preemption victim pushed to the front may stall it, or the
-        request ahead of it could wait forever for the KV it holds.
+        The queue policy keeps a partly prefilled prompt at the head, in
+        front of a preemption victim pushed there too.
         """
-        chunking = self._chunking
-        if chunking is not None:
-            self._waiting.remove(chunking)
-        self._waiting = self._qpolicy.reorder(self._waiting, self._sim.now)
-        if chunking is not None:
-            self._waiting.appendleft(chunking)
+        self._waiting = self._qpolicy.reorder(
+            self._waiting, self._sim.now, self._chunking
+        )
         kernel = self._kernel
         running = kernel.active
         contexts = [s.context_len for s in running]

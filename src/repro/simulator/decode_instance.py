@@ -48,9 +48,8 @@ from .request import RequestPhase, RequestState
 from .tracing import NULL_TRACER, SpanKind, Tracer
 from ..latency.memo import DecodeStepTimer
 from ..latency.parallel import decode_times
-from ..scheduling.batch import BatchPolicy, make_batch_policy
 from ..scheduling.config import DEFAULT_SCHEDULING, SchedulingConfig
-from ..scheduling.queue import QueuePolicy, make_queue_policy
+from ..scheduling.queue import make_queue_policy
 
 __all__ = ["DecodeInstance"]
 
@@ -72,9 +71,9 @@ class DecodeInstance:
             output are bit-identical either way; disabling forces the
             one-event-per-step reference path.
         scheduling: Policy configuration (:mod:`repro.scheduling`); the
-            queue policy orders the waiting deque before admission and
-            the batch policy gates the ``max_batch_size`` cap. Defaults
-            reproduce FCFS + plain capping exactly.
+            queue policy orders the waiting deque before admission, which
+            ``max_batch_size`` caps. Batch shaping is a prefill decision,
+            so the decode side reads no batch setting.
     """
 
     def __init__(
@@ -92,13 +91,7 @@ class DecodeInstance:
         self.spec = spec
         self.name = name
         self._on_done = on_request_done
-        self._qpolicy: QueuePolicy = make_queue_policy(
-            scheduling.queue_policy,
-            sjf_aging=scheduling.sjf_aging,
-            edf_default_deadline=scheduling.edf_default_deadline,
-            enqueue_stamp="decode_enqueue",
-        )
-        self._bpolicy: BatchPolicy = make_batch_policy(scheduling.batch_policy)
+        self._qpolicy = make_queue_policy(scheduling.queue_policy, "decode_enqueue")
         self._waiting: "Deque[RequestState]" = deque()
         self._kv: KVBlockManager = spec.make_kv_manager()
         self._coeffs = spec.latency_coeffs
@@ -241,11 +234,9 @@ class DecodeInstance:
 
     # ------------------------------------------------------------------
     def _admit(self) -> None:
-        self._waiting = self._qpolicy.reorder(self._waiting, self._sim.now)
+        self._waiting = self._qpolicy.reorder(self._waiting, self._sim.now, None)
         kernel = self._kernel
-        while self._waiting and self._bpolicy.admit_decode(
-            len(kernel.active), self.spec.max_batch_size
-        ):
+        while self._waiting and len(kernel.active) < self.spec.max_batch_size:
             head = self._waiting[0]
             need = head.request.total_tokens
             if not self._kv.can_allocate(need):
@@ -370,7 +361,6 @@ class DecodeInstance:
         kernel.clear()
         self._waiting.clear()
         self._stepping = False
-        self._bpolicy.reset()
         # The pool dies with the instance: release any remaining
         # allocations so quiesce-time leak audits stay clean.
         for request_id in self._kv.holders():

@@ -35,9 +35,9 @@ from .tracing import NULL_TRACER, SpanKind, Tracer
 from ..latency.memo import PrefillBatchTimer
 from ..latency.parallel import prefill_times
 from ..latency.prefill import saturation_length
-from ..scheduling.batch import BatchPolicy, PrefillChunk, make_batch_policy
+from ..scheduling.batch import PrefillChunk, make_batch_policy
 from ..scheduling.config import DEFAULT_SCHEDULING, SchedulingConfig
-from ..scheduling.queue import QueuePolicy, make_queue_policy
+from ..scheduling.queue import make_queue_policy
 
 __all__ = ["PrefillInstance"]
 
@@ -59,10 +59,10 @@ class PrefillInstance:
             :class:`PrefillBatchTimer` (bit-identical to the reference
             path, validation hoisted out of the scheduling loop).
         scheduling: Policy configuration (:mod:`repro.scheduling`): the
-            queue policy (``fcfs``, the convoy-effect mitigation ``sjf``
-            with its ``sjf_aging``, or ``edf``), the batch policy, and
-            ``batch_token_limit``, which overrides the batch-shaping
-            threshold ``L_m`` (the profiled saturation length).
+            queue policy (``fcfs``, the convoy-effect mitigation ``sjf``,
+            or ``edf``), the batch policy, and ``batch_token_limit``,
+            which overrides the batch-shaping threshold ``L_m`` (the
+            profiled saturation length).
     """
 
     def __init__(
@@ -80,13 +80,8 @@ class PrefillInstance:
         self.spec = spec
         self.name = name
         self._on_done = on_prefill_done
-        self._qpolicy: QueuePolicy = make_queue_policy(
-            scheduling.queue_policy,
-            sjf_aging=scheduling.sjf_aging,
-            edf_default_deadline=scheduling.edf_default_deadline,
-            enqueue_stamp="prefill_enqueue",
-        )
-        self._bpolicy: BatchPolicy = make_batch_policy(scheduling.batch_policy)
+        self._qpolicy = make_queue_policy(scheduling.queue_policy, "prefill_enqueue")
+        self._bpolicy = make_batch_policy(scheduling.batch_policy)
         self._queue: "Deque[RequestState]" = deque()
         self._kv: KVBlockManager = spec.make_kv_manager()
         self._coeffs = spec.latency_coeffs
@@ -236,9 +231,12 @@ class PrefillInstance:
 
         Both decisions are delegated to the configured scheduling
         policies (:mod:`repro.scheduling`); the defaults reproduce the
-        paper's FCFS + token-budget recipe operation for operation.
+        paper's FCFS + token-budget recipe operation for operation. A
+        prompt the batch policy issued only in part keeps the head.
         """
-        self._queue = self._qpolicy.reorder(self._queue, self._sim.now)
+        self._queue = self._qpolicy.reorder(
+            self._queue, self._sim.now, self._bpolicy.partial
+        )
         return self._bpolicy.form_prefill(self._queue, self._kv, self._limit)
 
     def _try_schedule(self) -> None:

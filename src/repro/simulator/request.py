@@ -61,9 +61,6 @@ class RequestState:
     #: prefill recomputes this many tokens (prompt + generated so far)
     #: instead of just the prompt.
     recompute_len: "int | None" = None
-    #: Absolute completion deadline used by the ``edf`` queue policy;
-    #: ``None`` means the policy assumes arrival + its default window.
-    deadline: "float | None" = None
 
     @property
     def request_id(self) -> int:

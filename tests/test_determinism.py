@@ -6,8 +6,9 @@ These tests run the same-seed scenarios again with everything a run must
 *not* depend on changed, and require identical outputs:
 
 * wall clocks (``time.*``, ``datetime.now``/``utcnow``/``today``) return
-  shifted values that jump on every call, and the global ``random`` and
-  ``np.random`` state is reseeded;
+  shifted values that jump on every call, forward in one run and
+  backward in another, and the global ``random`` and ``np.random``
+  state is reseeded;
 * the interpreter's string-hash seed (``PYTHONHASHSEED``) differs, which
   reorders iteration over sets of strings;
 * the order of the records, spans and critical paths handed to the
@@ -65,20 +66,26 @@ _CLOCKS = (
 #: How far each perturbed clock read jumps past the previous one.
 _JUMP_S = 86_400.0
 
+#: Directions of the clock shift. A forward-shifted stamp is never older
+#: than a virtual-time window's start, so only a backward shift shows a
+#: wall-clock stamp compared with virtual time.
+SHIFTS = (1, -1)
+
 
 @contextlib.contextmanager
-def perturbed():
+def perturbed(direction=1):
     """Shift and jump every wall clock; reseed the global RNGs.
 
-    Clocks are patched on their own modules and on every name a loaded
-    ``repro`` module bound from them (``from time import perf_counter``),
-    so a read through any call chain sees the perturbed value.
+    ``direction`` 1 moves each read forward, -1 backward. Clocks are
+    patched on their own modules and on every name a loaded ``repro``
+    module bound from them (``from time import perf_counter``), so a
+    read through any call chain sees the perturbed value.
     """
     calls = itertools.count(1)
     real_datetime, real_date = datetime.datetime, datetime.date
 
     def jump():
-        return datetime.timedelta(seconds=_JUMP_S * next(calls))
+        return datetime.timedelta(seconds=direction * _JUMP_S * next(calls))
 
     class ShiftedDatetime(real_datetime):
         @classmethod
@@ -100,7 +107,7 @@ def perturbed():
 
     def shifted(real, ns):
         def clock():
-            offset = _JUMP_S * next(calls)
+            offset = direction * _JUMP_S * next(calls)
             return real() + (int(offset * 1e9) if ns else offset)
         return clock
 
@@ -134,16 +141,20 @@ def perturbed():
 
 
 def test_perturbed_clocks_jump():
-    before = time.perf_counter()
-    with perturbed():
-        first, second = time.perf_counter(), time.perf_counter()
-        stamp = datetime.datetime.now()
-        draw = random.random(), float(np.random.random())
-    assert second - first >= _JUMP_S and first - before >= _JUMP_S
-    assert stamp - datetime.datetime.now() > datetime.timedelta(days=1)
-    with perturbed():
-        assert (random.random(), float(np.random.random())) == draw
-    assert time.perf_counter() - before < _JUMP_S
+    for direction in SHIFTS:
+        before = time.perf_counter()
+        with perturbed(direction):
+            first, second = time.perf_counter(), time.perf_counter()
+            stamp = datetime.datetime.now()
+            draw = random.random(), float(np.random.random())
+        # Each read lands about one more jump away, in ``direction``.
+        assert abs(first - before - direction * _JUMP_S) < 1.0
+        assert abs(second - first - direction * _JUMP_S) < 1.0
+        ahead = stamp - datetime.datetime.now()
+        assert direction * ahead > datetime.timedelta(days=1)
+        with perturbed(direction):
+            assert (random.random(), float(np.random.random())) == draw
+        assert abs(time.perf_counter() - before) < _JUMP_S
 
 
 # ----------------------------------------------------------------------
@@ -151,10 +162,13 @@ def test_perturbed_clocks_jump():
 # ----------------------------------------------------------------------
 
 class TestWallClockAndGlobalRng:
+    """Each run is repeated under a forward and a backward clock shift."""
+
     def test_golden_trace(self):
-        with perturbed():
-            spans = build_golden_spans()
-        assert to_jsonl(spans).encode("utf-8") == GOLDEN_FILE.read_bytes()
+        for direction in SHIFTS:
+            with perturbed(direction):
+                spans = build_golden_spans()
+            assert to_jsonl(spans).encode("utf-8") == GOLDEN_FILE.read_bytes()
 
     def test_metrics_export(self, tiny_spec):
         def export():
@@ -165,8 +179,9 @@ class TestWallClockAndGlobalRng:
                     result.records)
 
         expected = export()
-        with perturbed():
-            assert export() == expected
+        for direction in SHIFTS:
+            with perturbed(direction):
+                assert export() == expected, direction
 
     def test_colocated_run(self, tiny_spec):
         # Bare, so the fast kernel runs (an observer forces the per-step
@@ -178,8 +193,9 @@ class TestWallClockAndGlobalRng:
             return simulate_trace(system, trace).records
 
         expected = run()
-        with perturbed():
-            assert run() == expected
+        for direction in SHIFTS:
+            with perturbed(direction):
+                assert run() == expected, direction
 
     def test_serial_placement_search(self, opt13b):
         cluster = Cluster(nodes=[Node(index=0, num_gpus=2)])
@@ -196,8 +212,9 @@ class TestWallClockAndGlobalRng:
             return out
 
         expected = search()
-        with perturbed():
-            assert search() == expected
+        for direction in SHIFTS:
+            with perturbed(direction):
+                assert search() == expected, direction
 
 
 # ----------------------------------------------------------------------

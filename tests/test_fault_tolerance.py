@@ -168,9 +168,7 @@ class TestSJFQueuePolicy:
         inst = PrefillInstance(
             sim, tiny_spec,
             on_prefill_done=lambda s: done.append(s.request_id),
-            scheduling=SchedulingConfig(
-                queue_policy="sjf", sjf_aging=2000.0, batch_token_limit=128
-            ),
+            scheduling=SchedulingConfig(queue_policy="sjf", batch_token_limit=128),
         )
         # A long request plus a steady stream of short ones.
         inst.submit(RequestState(request=Request(0, 0.0, 1500, 2)))

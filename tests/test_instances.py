@@ -3,7 +3,7 @@
 import pytest
 
 from repro.latency import ParallelismConfig
-from repro.scheduling import SchedulingConfig
+from repro.scheduling import SchedulingConfig, queue
 from repro.simulator import (
     ColocatedInstance,
     DecodeInstance,
@@ -273,12 +273,13 @@ class TestColocatedInstance:
 
     @pytest.mark.parametrize("fast_kernel", [True, False])
     def test_sjf_ranks_a_preempted_request_by_its_context(
-        self, tiny_model, fast_kernel
+        self, tiny_model, fast_kernel, monkeypatch
     ):
         """A preempted request recomputes its whole context, so SJF must
         rank it by that, not by its prompt: it waits behind a request
         whose prompt is longer than its prompt but shorter than its
-        context."""
+        context. Without aging, so the rank is the length alone."""
+        monkeypatch.setattr(queue, "SJF_AGING", 0.0)
         spec = InstanceSpec(
             model=tiny_model, config=ParallelismConfig(1, 1),
             gpu=_small_gpu(tiny_model, 480),
@@ -288,7 +289,7 @@ class TestColocatedInstance:
         inst = ColocatedInstance(
             sim, spec, on_request_done=lambda s: None, tracer=tracer,
             fast_kernel=fast_kernel,
-            scheduling=SchedulingConfig(queue_policy="sjf", sjf_aging=0.0),
+            scheduling=SchedulingConfig(queue_policy="sjf"),
         )
         first, victim = make_states([(160, 300), (96, 300)])
         waiter = make_states([(150, 5)], start_id=2)[0]

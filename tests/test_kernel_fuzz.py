@@ -9,7 +9,8 @@ full token timeline, and the instance counters. The serving-system
 suites add requests too large for the pool, which the system must
 reject (the sanitizer fails a run that strands any), and every
 scheduling-policy combination the system takes: queue, batch and
-dispatch policy for the disaggregated system; queue and dispatch policy,
+dispatch policy, with a batch budget small enough for ``chunked`` to
+split prompts, for the disaggregated system; queue and dispatch policy,
 every iteration policy, and one or two replicas with an optional mid-run
 ``fail_replica()`` for the colocated one. The randomized dispatch
 policies draw from separate generators seeded alike in the two runs.
@@ -219,12 +220,14 @@ class _RecordingColocated(_Recording, ColocatedSystem):
     pass
 
 
-#: Every scheduling triple (queue x batch x dispatch policy).
+#: Every scheduling triple (queue x batch x dispatch policy), with a
+#: batch budget small enough that ``chunked`` splits most prompts.
 TRIPLES = st.builds(
     SchedulingConfig,
     queue_policy=st.sampled_from(QUEUE_POLICIES),
     batch_policy=st.sampled_from(BATCH_POLICIES),
     dispatch_policy=st.sampled_from(DISPATCH_POLICIES),
+    batch_token_limit=st.sampled_from((None, 64, 128)),
 )
 
 #: Seeds of the randomized dispatch policies' generators.
@@ -284,7 +287,7 @@ def test_decode_instance_matches_reference(rows, jitter, pp, policy, fail_at,
     seed=SEEDS,
     observed=st.booleans(),
 )
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=150, deadline=None)
 def test_disaggregated_matches_reference(rows, num_prefill, mode, jitter,
                                          scheduling, seed, observed):
     trace = _trace(rows)

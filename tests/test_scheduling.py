@@ -1,8 +1,9 @@
 """Tests for the pluggable scheduling layer (:mod:`repro.scheduling`).
 
 Covers the three policy families (queue, batch-shaping, dispatch), the
-frozen :class:`SchedulingConfig` threading, search-fingerprint
-stability, and the KV-release guarantees of instance failure.
+rule that a partly prefilled prompt keeps the queue head, the frozen
+:class:`SchedulingConfig` threading, search-fingerprint stability, and
+the KV-release guarantees of instance failure.
 """
 
 import numpy as np
@@ -23,7 +24,12 @@ from repro.scheduling import (
     make_dispatch_policy,
     make_queue_policy,
 )
-from repro.serving import ColocatedSystem, DisaggregatedSystem, simulate_trace
+from repro.serving import (
+    ColocatedSystem,
+    DisaggregatedSystem,
+    PrefillOnlySystem,
+    simulate_trace,
+)
 from repro.serving.dispatch import Dispatcher
 from repro.simulator import (
     InstanceSpec,
@@ -32,14 +38,13 @@ from repro.simulator import (
     SimSanitizer,
     Simulation,
 )
-from repro.workload import SHAREGPT, SLO, generate_trace
+from repro.workload import SHAREGPT, SLO, Request, generate_trace
+from tests.test_kernel import _small_gpu
 
 from collections import deque
 
 
 def make_states(lens_and_outs, start_id=0, arrival=0.0):
-    from repro.workload import Request
-
     return [
         RequestState(
             request=Request(
@@ -65,9 +70,7 @@ class TestSchedulingConfig:
             {"queue_policy": "lifo"},
             {"batch_policy": "continuous"},
             {"dispatch_policy": "sticky"},
-            {"sjf_aging": -1.0},
             {"batch_token_limit": 0},
-            {"edf_default_deadline": 0.0},
         ],
     )
     def test_validation(self, kwargs):
@@ -76,7 +79,7 @@ class TestSchedulingConfig:
 
     def test_policy_tuples_cover_factories(self):
         for q in QUEUE_POLICIES:
-            assert make_queue_policy(q).name == q
+            assert make_queue_policy(q, "prefill_enqueue").name == q
         for b in BATCH_POLICIES:
             assert make_batch_policy(b).name == b
         for d in DISPATCH_POLICIES:
@@ -88,32 +91,20 @@ class TestSchedulingConfig:
 
 class TestEDFQueue:
     def test_reorders_by_deadline(self):
-        states = make_states([(100, 2), (100, 2), (100, 2)])
-        states[0].deadline = 9.0
-        states[1].deadline = 1.0
-        states[2].deadline = 5.0
-        q = EDFQueue().reorder(deque(states), now=0.0)
-        assert [s.request_id for s in q] == [1, 2, 0]
-
-    def test_missing_deadline_uses_arrival_plus_default(self):
-        early = make_states([(100, 2)], start_id=0, arrival=0.0)[0]
-        late = make_states([(100, 2)], start_id=1, arrival=50.0)[0]
-        urgent = make_states([(100, 2)], start_id=2, arrival=60.0)[0]
-        urgent.deadline = 0.5
-        q = EDFQueue(default_deadline=10.0).reorder(
-            deque([late, early, urgent]), now=0.0
-        )
+        """Every deadline is arrival plus one offset, so a failover victim
+        that re-enters behind newer requests goes first."""
+        newer = make_states([(100, 2), (100, 2)], start_id=0, arrival=5.0)
+        older = make_states([(100, 2)], start_id=2, arrival=1.0)[0]
+        q = EDFQueue().reorder(deque([*newer, older]), now=6.0, partial=None)
         assert [s.request_id for s in q] == [2, 0, 1]
 
     def test_stable_for_ties(self):
-        states = make_states([(100, 2), (200, 2), (300, 2)])
-        for s in states:
-            s.deadline = 4.0
-        q = EDFQueue().reorder(deque(states), now=0.0)
-        assert [s.request_id for s in q] == [0, 1, 2]
+        states = make_states([(300, 2), (100, 2), (200, 2)], arrival=4.0)
+        q = EDFQueue().reorder(deque(states[::-1]), now=5.0, partial=None)
+        assert [s.request_id for s in q] == [2, 1, 0]
 
     def test_end_to_end_edf_order(self, tiny_spec):
-        """EDF runs the tight-deadline request first despite FCFS order."""
+        """EDF runs the earliest arrival first despite submission order."""
         sim = Simulation()
         done = []
         inst = PrefillInstance(
@@ -125,17 +116,64 @@ class TestEDFQueue:
             ),
         )
         big = tiny_spec.model.max_seq_len  # one request per batch
-        states = make_states([(big, 2), (big, 2), (big, 2)])
-        states[0].deadline = 100.0
-        states[1].deadline = 50.0
-        states[2].deadline = 1.0
-        for s in states:
-            inst.submit(s)
+        for i, arrival in enumerate((0.003, 0.002, 0.001)):
+            inst.submit(make_states([(big, 2)], start_id=i, arrival=arrival)[0])
         sim.run()
         # Batch formation is deferred to the event loop, so all three
-        # are queued by the first reorder: strict deadline order wins
-        # over FCFS submission order.
+        # are queued by the first reorder: arrival order wins over
+        # submission order.
         assert done == [2, 1, 0]
+
+
+class TestPartialKeepsHead:
+    """A partly prefilled prompt holds KV for its whole length, so every
+    queue policy keeps it at the head."""
+
+    @pytest.mark.parametrize(
+        "policy, order",
+        [("fcfs", [0, 2, 1]), ("sjf", [0, 1, 2]), ("edf", [0, 2, 1])],
+    )
+    def test_reorder_puts_partial_first(self, policy, order):
+        # A long partial prompt 0, a short newcomer 1 that sjf ranks
+        # first among the rest, and an older preemption victim 2 pushed
+        # ahead of both, which fcfs keeps and edf ranks ahead of 1.
+        partial, short = make_states([(1500, 2), (40, 2)], arrival=1.0)
+        victim = make_states([(900, 2)], start_id=2, arrival=0.5)[0]
+        q = make_queue_policy(policy, "prefill_enqueue").reorder(
+            deque([victim, partial, short]), now=2.0, partial=partial
+        )
+        assert [s.request_id for s in q] == order
+
+    @pytest.mark.parametrize("system", ["prefill_only", "disaggregated"])
+    def test_chunked_sjf_strands_nothing(self, tiny_model, system):
+        """The 2,000-token head fills the 2,048-token pool at its first
+        chunk; a shorter request ordered ahead of it could never
+        allocate, and every request would strand."""
+        spec = InstanceSpec(
+            model=tiny_model, config=ParallelismConfig(1, 1),
+            gpu=_small_gpu(tiny_model, 2048),
+        )
+        scheduling = SchedulingConfig(
+            queue_policy="sjf", batch_policy="chunked", batch_token_limit=256
+        )
+        sanitizer = SimSanitizer(strict=True)
+        sim = sanitizer.simulation()
+        if system == "prefill_only":
+            served = PrefillOnlySystem(sim, spec, scheduling=scheduling)
+        else:
+            served = DisaggregatedSystem(
+                sim, spec, InstanceSpec(model=tiny_model),
+                num_prefill=1, num_decode=1, scheduling=scheduling,
+            )
+        sanitizer.watch_system(served)
+        trace = [
+            Request(request_id=i, arrival_time=t, input_len=n, output_len=4)
+            for i, (t, n) in enumerate([(0.0, 2000), (0.001, 100), (0.5, 40)])
+        ]
+        result = simulate_trace(served, trace)
+        sanitizer.check_quiesce()
+        assert result.completed == 3
+        assert sanitizer.ok, sanitizer.report()
 
 
 class TestBatchPolicies:
@@ -185,8 +223,9 @@ class TestBatchPolicies:
         policy = ChunkedBatch()
         queue = deque(make_states([(1000, 2)]))
         policy.form_prefill(queue, kv, limit=256)
+        assert policy.partial is queue[0]
         policy.reset()
-        assert policy._progress == {}
+        assert policy.partial is None
 
     def test_chunked_end_to_end_single_first_token(self, tiny_spec):
         """Chunked prefill completes every request exactly once."""
@@ -203,12 +242,6 @@ class TestBatchPolicies:
         sim.run()
         assert sorted(done) == [0, 1, 2]
         assert len(done) == 3  # one completion per request
-
-    def test_admit_decode_caps(self):
-        p = TokenBudgetBatch()
-        assert p.admit_decode(0, 4)
-        assert p.admit_decode(3, 4)
-        assert not p.admit_decode(4, 4)
 
 
 class _FakeInstance:
