@@ -70,6 +70,7 @@ class TestSchedulingConfig:
             {"queue_policy": "lifo"},
             {"batch_policy": "continuous"},
             {"dispatch_policy": "sticky"},
+            {"batch_token_limit": -1},
             {"batch_token_limit": 0},
         ],
     )
