@@ -51,6 +51,7 @@ perf-check:
 		python3 benchmarks/check_perf.py --workload $$w || status=1; \
 	done; exit $$status
 
+# Every example script; the two placement searches take about 20 s each.
 examples:
 	PYTHONPATH=src python examples/quickstart.py
 	PYTHONPATH=src python examples/api_frontend.py
@@ -58,6 +59,9 @@ examples:
 	PYTHONPATH=src python examples/fault_injection.py
 	PYTHONPATH=src python examples/burstiness_pull_vs_push.py
 	PYTHONPATH=src python examples/queueing_analysis.py
+	PYTHONPATH=src python examples/summarization_vs_chatbot.py
+	PYTHONPATH=src python examples/placement_planner.py
+	PYTHONPATH=src python examples/replanning_demo.py
 
 clean:
 	rm -rf build dist *.egg-info .pytest_cache .hypothesis

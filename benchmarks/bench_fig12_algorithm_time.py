@@ -5,14 +5,17 @@ runtimes in seconds-to-minutes, scaling with the number of GPUs
 (``N x M``) available to one instance and independent of model size
 (the simulator only walks discrete events). We time our Algorithm 1
 and Algorithm 2 implementations across cluster sizes and check the
-same qualitative properties.
+same qualitative properties. Each of these searches passes no
+``trial_cache``, so it starts from a fresh cache and its time is its
+own, whatever ran before it.
 
 The second half benchmarks the search-acceleration layer
 (:mod:`repro.core.search`): the same sweep is run once *unaccelerated*
-(no cache, no pruning, no early abort, serial) and then once per
-``workers`` setting with the accelerated defaults, sharing one trial
-cache across the sweep the way a real capacity study would. Speedups
-and the placement-parity check land in ``BENCH_search.json``.
+(a fresh cache per search, no pruning, no early abort, serial) and then
+once per ``workers`` setting with the accelerated defaults, passing one
+``TrialCache`` to every search of the sweep the way a real capacity
+study would. Speedups and the placement-parity check land in
+``BENCH_search.json``.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ def run_figure12():
                     fn(
                         model, cluster, DATASET, SLO_13B,
                         traffic_rate=None, num_requests=N_REQ,
-                        stats=stats, trial_cache=False, **kwargs,
+                        stats=stats, **kwargs,
                     )
                     elapsed = time.perf_counter() - start
                 except RuntimeError:
@@ -150,7 +153,7 @@ def _run_sweep(searches, *, workers, accelerated, num_requests):
                 model, cluster, DATASET, SLO_13B,
                 traffic_rate=None, num_requests=num_requests,
                 stats=stats, workers=workers,
-                trial_cache=cache if accelerated else False,
+                trial_cache=cache if accelerated else None,
                 prune=accelerated, early_abort=accelerated,
                 **kwargs,
             )

@@ -275,14 +275,16 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if sanitizer is not None:
         sanitizer.watch_system(system)
     result = simulate_trace(system, trace)
-    write_chrome_trace(args.out, result.spans)
+    if args.out:
+        write_chrome_trace(args.out, result.spans)
     if args.jsonl_out:
         write_jsonl(args.jsonl_out, result.spans)
     print(f"{result.completed}/{len(trace)} requests, "
           f"{len(result.spans)} spans in {result.sim_time:.1f}s simulated"
           f"{_rejected(result)}")
-    print(f"Chrome trace written to {args.out} "
-          f"(open in Perfetto or chrome://tracing)")
+    if args.out:
+        print(f"Chrome trace written to {args.out} "
+              f"(open in Perfetto or chrome://tracing)")
     if args.jsonl_out:
         print(f"JSON-lines trace written to {args.jsonl_out}")
     paths = critical_paths(result.spans)
@@ -532,8 +534,8 @@ def build_parser() -> argparse.ArgumentParser:
         "trace", help="simulate a synthetic trace and dump the span timeline"
     )
     _add_run_flags(trace_p, requests=100)
-    trace_p.add_argument("--out", default="/tmp/trace.json",
-                         help="Chrome trace_event output path")
+    trace_p.add_argument("--out", default="",
+                         help="optional Chrome trace_event output path")
     trace_p.add_argument("--jsonl-out", default="",
                          help="optional JSON-lines span dump path")
     trace_p.add_argument("--sanitize", action="store_true",

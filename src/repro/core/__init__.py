@@ -6,7 +6,6 @@ from .deploy import build_system
 from .goodput import (
     GoodputResult,
     TrialOutcome,
-    attainment_at_rate,
     max_goodput,
     min_slo_scale,
     run_attainment_trial,
@@ -15,14 +14,13 @@ from .placement_high import place_high_affinity
 from .placement_low import IntraNodeConfig, get_intra_node_configs, place_low_affinity
 from .replan import DriftThresholds, ReplanController, WorkloadProfiler
 from .search import (
-    GLOBAL_TRIAL_CACHE,
     ParallelEvaluator,
     PlacementSearchStats,
     TrialCache,
     fingerprint,
     trial_context_fingerprint,
 )
-from .simulate import candidate_configs, phase_trial_setup, simu_decode, simu_prefill
+from .simulate import candidate_configs, phase_trial_setup
 from .validate import ValidationReport, validate_placement
 
 __all__ = [
@@ -34,7 +32,6 @@ __all__ = [
     "build_system",
     "GoodputResult",
     "TrialOutcome",
-    "attainment_at_rate",
     "max_goodput",
     "min_slo_scale",
     "run_attainment_trial",
@@ -46,15 +43,12 @@ __all__ = [
     "DriftThresholds",
     "ReplanController",
     "WorkloadProfiler",
-    "GLOBAL_TRIAL_CACHE",
     "ParallelEvaluator",
     "TrialCache",
     "fingerprint",
     "trial_context_fingerprint",
     "candidate_configs",
     "phase_trial_setup",
-    "simu_decode",
-    "simu_prefill",
     "ValidationReport",
     "validate_placement",
 ]

@@ -3,8 +3,11 @@
 "DistServe simply enumerates the placements via binary search and finds
 the maximum rate that meets the SLO attainment target with simulation
 trials" (§4.1). :func:`max_goodput` implements that search for any
-system factory: double the rate until attainment drops below target,
-then bisect to the requested resolution.
+system factory: double the rate from :data:`RATE_LO` until attainment
+drops below target (or the rate reaches :data:`RATE_HI_CAP`), then
+bisect to the relative :data:`RESOLUTION`. The three are constants: no
+caller searches another range, and the search layer's dominance bound
+(:func:`repro.core.search.rate_cap_per_gpu`) relies on the cap.
 
 A trial counts SLO verdicts as requests complete: one counter, attached
 to the trial's system as its monitor, judges each completion's TTFT and
@@ -62,16 +65,21 @@ __all__ = [
     "TrialOutcome",
     "max_goodput",
     "run_attainment_trial",
-    "attainment_at_rate",
     "min_slo_scale",
 ]
 
 #: Hard ceiling on event count per trial, guarding unstable configurations.
 MAX_EVENTS_PER_TRIAL = 5_000_000
 
-#: Default cap on the doubling phase of :func:`max_goodput` — also the
+#: Lowest rate :func:`max_goodput` probes, req/s.
+RATE_LO = 0.05
+
+#: Cap on the doubling phase of :func:`max_goodput`, req/s — also the
 #: basis of the search layer's trivially sound per-GPU goodput upper bound.
-RATE_HI_CAP_DEFAULT = 512.0
+RATE_HI_CAP = 512.0
+
+#: Relative resolution at which :func:`max_goodput` stops bisecting.
+RESOLUTION = 0.02
 
 #: Type of the injectable per-trial executor: ``(rate, abort_target)``
 #: where ``abort_target`` is the attainment target when early abort is
@@ -224,26 +232,6 @@ def run_attainment_trial(
     return TrialOutcome(attainment=attainment, truncated=truncated)
 
 
-def attainment_at_rate(
-    system_factory: "Callable[[Simulation], ServingSystem]",
-    dataset: SyntheticDataset,
-    rate: float,
-    slo: SLO,
-    num_requests: int = 300,
-    seed: int = 0,
-    min_duration: float = 20.0,
-) -> float:
-    """Simulate one full trial and return total SLO attainment.
-
-    Thin wrapper over :func:`run_attainment_trial` with aborting disabled,
-    kept for callers that only need the exact scalar.
-    """
-    return run_attainment_trial(
-        system_factory, dataset, rate, slo,
-        num_requests=num_requests, seed=seed, min_duration=min_duration,
-    ).attainment
-
-
 def max_goodput(
     system_factory: "Callable[[Simulation], ServingSystem]",
     dataset: SyntheticDataset,
@@ -251,9 +239,6 @@ def max_goodput(
     attainment_target: float = 0.9,
     num_requests: int = 300,
     seed: int = 0,
-    rate_lo: float = 0.05,
-    rate_hi_cap: float = RATE_HI_CAP_DEFAULT,
-    resolution: float = 0.02,
     min_duration: float = 20.0,
     trial_runner: "TrialRunner | None" = None,
     early_abort: bool = True,
@@ -273,9 +258,6 @@ def max_goodput(
         num_requests: Trace length per trial.
         seed: Trace RNG seed — fixed across trials so rate is the only
             variable.
-        rate_lo: Lowest rate probed.
-        rate_hi_cap: Upper bound on the doubling phase.
-        resolution: Relative bisection resolution.
         trial_runner: Optional per-trial executor override, e.g. the
             memoizing runner of :mod:`repro.core.search`; defaults to
             :func:`run_attainment_trial` on ``system_factory``.
@@ -288,8 +270,6 @@ def max_goodput(
     """
     if not 0.0 < attainment_target <= 1.0:
         raise ValueError(f"attainment_target must be in (0, 1], got {attainment_target}")
-    if rate_lo <= 0:
-        raise ValueError(f"rate_lo must be positive, got {rate_lo}")
 
     if trial_runner is None:
         def trial_runner(rate: float, abort_target: "float | None") -> TrialOutcome:
@@ -312,7 +292,7 @@ def max_goodput(
 
     # The first probe's attainment surfaces in the result when it fails,
     # so it must be exact — no abort permitted.
-    lo_att = attain(rate_lo, allow_abort=False)
+    lo_att = attain(RATE_LO, allow_abort=False)
     if lo_att < attainment_target:
         return GoodputResult(
             goodput=0.0, attainment_at_goodput=lo_att,
@@ -320,22 +300,22 @@ def max_goodput(
         )
 
     # Exponential expansion: find the first failing rate.
-    lo, hi = rate_lo, rate_lo
+    lo, hi = RATE_LO, RATE_LO
     lo_att_best = lo_att
-    while hi < rate_hi_cap:
-        hi = min(lo * 2.0, rate_hi_cap)
+    while hi < RATE_HI_CAP:
+        hi = min(lo * 2.0, RATE_HI_CAP)
         att = attain(hi)
         if att < attainment_target:
             break
         lo, lo_att_best = hi, att
-        if hi >= rate_hi_cap:
+        if hi >= RATE_HI_CAP:
             return GoodputResult(
-                goodput=rate_hi_cap, attainment_at_goodput=att,
+                goodput=RATE_HI_CAP, attainment_at_goodput=att,
                 trials=trials, truncated_trials=truncated,
             )
 
     # Bisection between the last passing and first failing rates.
-    while hi - lo > resolution * max(lo, 1.0):
+    while hi - lo > RESOLUTION * max(lo, 1.0):
         mid = (lo + hi) / 2.0
         att = attain(mid)
         if att >= attainment_target:

@@ -33,7 +33,6 @@ from .search import (
     make_phase_task,
     phase_slo_infeasible,
     rate_cap_per_gpu,
-    resolve_trial_cache,
 )
 from .simulate import candidate_configs
 from ..scheduling.config import DEFAULT_SCHEDULING, SchedulingConfig
@@ -62,7 +61,7 @@ def place_high_affinity(
     seed: int = 0,
     stats: "PlacementSearchStats | None" = None,
     workers: int = 1,
-    trial_cache: "TrialCache | None | bool" = None,
+    trial_cache: "TrialCache | None" = None,
     prune: bool = True,
     early_abort: bool = True,
     fast_kernel: bool = True,
@@ -87,9 +86,9 @@ def place_high_affinity(
         stats: Optional instrumentation sink.
         workers: Simulation worker processes; ``<= 1`` runs in-process.
             The placement returned is identical either way.
-        trial_cache: ``None`` uses the process-wide shared cache,
-            ``False`` an isolated throwaway one, or pass a
-            :class:`TrialCache` explicitly.
+        trial_cache: Trial outcomes to replay and extend. ``None``
+            gives this search a fresh :class:`TrialCache`; pass one
+            cache to several searches to share their trials.
         prune: Skip simulations whose outcome is already decided
             (result-preserving; see :mod:`repro.core.search`).
         early_abort: Stop individual trials once the attainment target
@@ -112,7 +111,7 @@ def place_high_affinity(
     n_limit = node_limit_per_instance or cluster.num_nodes
     max_gpus = n_limit * cluster.gpus_per_node
     gpu = cluster.gpu
-    cache = resolve_trial_cache(trial_cache)
+    cache = TrialCache() if trial_cache is None else trial_cache
     st = stats if stats is not None else PlacementSearchStats()
     st.workers = max(1, int(workers or 1))
     # Wall-clock here measures *search* cost for PlacementSearchStats

@@ -40,10 +40,9 @@ from .search import (
     ParallelEvaluator,
     PlacementSearchStats,
     TrialCache,
-    make_joint_task,
     make_phase_task,
+    make_task,
     phase_slo_infeasible,
-    resolve_trial_cache,
 )
 from ..hardware.cluster import Cluster
 from ..latency.parallel import ParallelismConfig
@@ -61,6 +60,10 @@ __all__ = ["IntraNodeConfig", "get_intra_node_configs", "place_low_affinity"]
 
 #: Arrival span of each joint deployment-unit trial.
 JOINT_TRIAL_MIN_DURATION = 45.0
+
+#: Most prefill (decode) instances one deployment unit packs per node.
+MAX_PREFILL_INSTANCES = 4
+MAX_DECODE_INSTANCES = 2
 
 
 @dataclass(frozen=True)
@@ -96,10 +99,12 @@ def get_intra_node_configs(
     inter_op: int,
     gpus_per_node: int,
     gpu_memory_bytes: int,
-    max_prefill_instances: int = 4,
-    max_decode_instances: int = 2,
 ) -> "list[IntraNodeConfig]":
-    """Enumerate feasible intra-node segment packings for one inter-op degree."""
+    """Enumerate feasible intra-node segment packings for one inter-op degree.
+
+    A packing holds up to :data:`MAX_PREFILL_INSTANCES` prefill and
+    :data:`MAX_DECODE_INSTANCES` decode segments.
+    """
     configs: "list[IntraNodeConfig]" = []
     tp_options = [
         tp for tp in range(1, gpus_per_node + 1) if model.num_heads % tp == 0
@@ -110,8 +115,8 @@ def get_intra_node_configs(
         for tp_d in tp_options:
             if not fits_in_memory(model, gpu_memory_bytes, tp_d, inter_op):
                 continue
-            for n_p in range(1, max_prefill_instances + 1):
-                for n_d in range(1, max_decode_instances + 1):
+            for n_p in range(1, MAX_PREFILL_INSTANCES + 1):
+                for n_d in range(1, MAX_DECODE_INSTANCES + 1):
                     used = n_p * tp_p + n_d * tp_d
                     if used <= gpus_per_node:
                         configs.append(
@@ -175,7 +180,7 @@ def place_low_affinity(
     joint_sim_candidates: int = 5,
     stats: "PlacementSearchStats | None" = None,
     workers: int = 1,
-    trial_cache: "TrialCache | None | bool" = None,
+    trial_cache: "TrialCache | None" = None,
     prune: bool = True,
     early_abort: bool = True,
     fast_kernel: bool = True,
@@ -188,8 +193,11 @@ def place_low_affinity(
     (pass ``None`` for a single, un-replicated deployment unit).
 
     ``workers``, ``trial_cache``, ``prune`` and ``early_abort`` behave
-    as in :func:`repro.core.placement_high.place_high_affinity`; the
-    returned placement is identical for every combination.
+    as in :func:`repro.core.placement_high.place_high_affinity`: in
+    particular ``trial_cache=None`` gives this search a fresh
+    :class:`TrialCache`, and one cache passed to several searches
+    shares their trials. The returned placement is identical for every
+    combination.
 
     Raises:
         RuntimeError: if no feasible unit exists or SLOs are unattainable.
@@ -198,7 +206,7 @@ def place_low_affinity(
         raise ValueError(f"traffic_rate must be positive, got {traffic_rate}")
     n_limit = node_limit_per_instance or cluster.num_nodes
     gpu = cluster.gpu
-    cache = resolve_trial_cache(trial_cache)
+    cache = TrialCache() if trial_cache is None else trial_cache
     st = stats if stats is not None else PlacementSearchStats()
     st.workers = max(1, int(workers or 1))
     # Wall-clock here measures *search* cost for PlacementSearchStats
@@ -290,9 +298,8 @@ def place_low_affinity(
                         fast_kernel=fast_kernel, scheduling=scheduling,
                     )
                     tasks.append(
-                        make_joint_task(
-                            factory,
-                            dataset, slo, attainment_target,
+                        make_task(
+                            factory, dataset, slo, attainment_target,
                             num_requests, seed, JOINT_TRIAL_MIN_DURATION,
                             cache, early_abort,
                         )

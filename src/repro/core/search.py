@@ -8,7 +8,8 @@ are built on:
 
 1. **Parallel evaluator** — :class:`ParallelEvaluator` fans independent
    goodput searches (one per candidate configuration and phase, plus the
-   joint simulations of Algorithm 2) across a
+   joint simulations of Algorithm 2; each a :class:`GoodputTask` of one
+   shape, a trial factory and the SLO its trials are judged by) across a
    ``concurrent.futures.ProcessPoolExecutor``. With ``workers <= 1``
    everything runs in-process; because each task is deterministic,
    results and statistics are *identical* in both modes.
@@ -19,7 +20,9 @@ are built on:
    trace length, seed, duration). The doubling+bisection phases of the
    goodput search re-probe the same rates constantly across searches;
    cache snapshots ride along to worker processes and fresh entries are
-   merged back, so warm searches replay from memory.
+   merged back, so warm searches replay from memory. Each placement
+   search starts from a fresh cache unless its caller passes one to
+   share, so its statistics never depend on what ran before it.
 3. **Pruning** — sound rules that skip simulations whose outcome is
    already decided: an *SLO-infeasibility* bound derived from the
    latency model's own floor (a configuration whose unloaded latency
@@ -46,7 +49,7 @@ from typing import Any, Callable
 
 from .goodput import (
     GoodputResult,
-    RATE_HI_CAP_DEFAULT,
+    RATE_HI_CAP,
     TrialOutcome,
     max_goodput,
     run_attainment_trial,
@@ -63,13 +66,11 @@ __all__ = [
     "trial_context_fingerprint",
     "TrialEntry",
     "TrialCache",
-    "GLOBAL_TRIAL_CACHE",
-    "resolve_trial_cache",
     "PlacementSearchStats",
     "GoodputTask",
     "GoodputTaskResult",
+    "make_task",
     "make_phase_task",
-    "make_joint_task",
     "ParallelEvaluator",
     "phase_floor_latency",
     "phase_slo_infeasible",
@@ -212,7 +213,10 @@ class TrialCache:
     probe rate from the same literals with the same arithmetic, so equal
     probes are bit-identical. Entries are plain picklable values — the
     parallel evaluator ships per-context snapshots to worker processes
-    and merges fresh entries back.
+    and merges fresh entries back. There is no process-wide instance: a
+    placement search given ``trial_cache=None`` starts from a fresh one,
+    and callers that want replay across searches pass the same cache to
+    each of them.
     """
 
     def __init__(self) -> None:
@@ -232,9 +236,6 @@ class TrialCache:
             if prev is None or not prev.exact:
                 bucket[rate] = entry
 
-    def clear(self) -> None:
-        self._contexts.clear()
-
     @property
     def num_contexts(self) -> int:
         return len(self._contexts)
@@ -242,26 +243,6 @@ class TrialCache:
     @property
     def num_entries(self) -> int:
         return sum(len(b) for b in self._contexts.values())
-
-
-#: Process-wide cache shared by all placement searches by default, so a
-#: sweep over cluster sizes or repeated replanning replays overlapping
-#: configurations from memory.
-GLOBAL_TRIAL_CACHE = TrialCache()
-
-
-def resolve_trial_cache(trial_cache: "TrialCache | None | bool") -> TrialCache:
-    """Map the placement APIs' ``trial_cache`` argument to a cache.
-
-    ``None`` (default) selects :data:`GLOBAL_TRIAL_CACHE`; ``False``
-    disables cross-search memoization by handing out a throwaway cache;
-    a :class:`TrialCache` instance is used as-is.
-    """
-    if trial_cache is None:
-        return GLOBAL_TRIAL_CACHE
-    if trial_cache is False:
-        return TrialCache()
-    return trial_cache
 
 
 # ----------------------------------------------------------------------
@@ -314,9 +295,9 @@ class PlacementSearchStats:
     def comparable(self) -> "dict[str, int]":
         """All deterministic counters — everything except wall time.
 
-        Two searches over the same inputs must agree on this dict for
-        every ``workers`` setting; the serial/parallel parity tests
-        assert exactly that.
+        Two searches over the same inputs, starting from equal cache
+        contents, must agree on this dict for every ``workers`` setting;
+        the serial/parallel parity tests assert exactly that.
         """
         return {
             "configs_evaluated": self.configs_evaluated,
@@ -337,14 +318,15 @@ class PlacementSearchStats:
 class GoodputTask:
     """One independent goodput search, picklable for worker processes.
 
-    ``payload`` is an :class:`InstanceSpec` for phase tasks (the masked
-    SLO and system factory are re-derived via
-    :func:`repro.core.simulate.phase_trial_setup` inside the worker) or
-    a picklable system-factory callable for joint tasks.
+    Phase searches (Algorithm 1, and Algorithm 2's phase estimates) and
+    joint searches (Algorithm 2's deployment units) share this shape:
+    ``system_factory`` builds each trial's system and ``slo`` is the SLO
+    its trials are judged by — for a phase search, the masked SLO of
+    :func:`repro.core.simulate.phase_trial_setup`. Build tasks with
+    :func:`make_task` or :func:`make_phase_task`.
     """
 
-    kind: str  # "prefill" | "decode" | "joint"
-    payload: Any
+    system_factory: Callable
     dataset: SyntheticDataset
     slo: SLO
     attainment_target: float
@@ -354,14 +336,6 @@ class GoodputTask:
     context_fp: str
     seed_entries: "dict[float, TrialEntry]" = field(default_factory=dict)
     early_abort: bool = True
-    #: Fast-forward simulation kernel for phase tasks (bit-identical
-    #: results; off routes every trial through the per-step reference
-    #: path). Joint tasks carry it inside the factory partial.
-    fast_kernel: bool = True
-    #: Scheduling policy triple for phase tasks (joint tasks carry it
-    #: inside the factory partial). It is bound into the re-derived
-    #: factory and hence the fingerprint.
-    scheduling: SchedulingConfig = DEFAULT_SCHEDULING
 
 
 @dataclass
@@ -379,30 +353,16 @@ class GoodputTaskResult:
 class _TrialRunner:
     """``(rate, abort_target) -> TrialOutcome`` with memoization.
 
-    Seeded with a cache snapshot; fresh outcomes accumulate in
+    Seeded with the task's cache snapshot; fresh outcomes accumulate in
     ``new_entries`` for the parent process to merge back. Because every
     trial is deterministic, replaying an entry is indistinguishable from
     re-simulating it — which is what makes serial and parallel searches
     byte-identical.
     """
 
-    def __init__(
-        self,
-        system_factory: Callable,
-        dataset: SyntheticDataset,
-        slo: SLO,
-        num_requests: int,
-        seed: int,
-        min_duration: float,
-        seed_entries: "dict[float, TrialEntry]",
-    ) -> None:
-        self._factory = system_factory
-        self._dataset = dataset
-        self._slo = slo
-        self._num_requests = num_requests
-        self._seed = seed
-        self._min_duration = min_duration
-        self._entries = dict(seed_entries)
+    def __init__(self, task: GoodputTask) -> None:
+        self._task = task
+        self._entries = dict(task.seed_entries)
         self.new_entries: "dict[float, TrialEntry]" = {}
         self.hits = 0
         self.misses = 0
@@ -418,10 +378,11 @@ class _TrialRunner:
                 truncated=entry.truncated,
             )
         self.misses += 1
+        task = self._task
         outcome = run_attainment_trial(
-            self._factory, self._dataset, rate, self._slo,
-            num_requests=self._num_requests, seed=self._seed,
-            min_duration=self._min_duration, abort_target=abort_target,
+            task.system_factory, task.dataset, rate, task.slo,
+            num_requests=task.num_requests, seed=task.seed,
+            min_duration=task.min_duration, abort_target=abort_target,
         )
         if outcome.aborted:
             self.aborted += 1
@@ -438,6 +399,35 @@ class _TrialRunner:
         return outcome
 
 
+def make_task(
+    system_factory: Callable,
+    dataset: SyntheticDataset,
+    slo: SLO,
+    attainment_target: float,
+    num_requests: int,
+    seed: int,
+    min_duration: float,
+    cache: TrialCache,
+    early_abort: bool = True,
+) -> GoodputTask:
+    """A goodput search task, seeded with ``cache``'s entries for its context.
+
+    ``system_factory`` must be picklable and fingerprintable — in
+    practice a ``functools.partial`` over a module-level function with
+    dataclass arguments — and binds everything its trials depend on,
+    the fast-kernel switch and the scheduling policies included.
+    """
+    fp = trial_context_fingerprint(
+        system_factory, dataset, slo, num_requests, seed, min_duration
+    )
+    return GoodputTask(
+        system_factory=system_factory, dataset=dataset, slo=slo,
+        attainment_target=attainment_target, num_requests=num_requests,
+        seed=seed, min_duration=min_duration,
+        context_fp=fp, seed_entries=cache.snapshot(fp), early_abort=early_abort,
+    )
+
+
 def make_phase_task(
     kind: str,
     spec: InstanceSpec,
@@ -451,68 +441,26 @@ def make_phase_task(
     fast_kernel: bool = True,
     scheduling: SchedulingConfig = DEFAULT_SCHEDULING,
 ) -> GoodputTask:
-    """A phase-level goodput search task (``simu_prefill``/``simu_decode``)."""
+    """The paper's ``simu_prefill``/``simu_decode`` as a search task.
+
+    The task's factory and SLO are :func:`phase_trial_setup`'s pair for
+    ``kind`` (the SLO masked to the phase's own bound), and its trials
+    span :data:`PHASE_TRIAL_MIN_DURATION`.
+    """
     factory, trial_slo = phase_trial_setup(
         kind, spec, slo, fast_kernel=fast_kernel, scheduling=scheduling
     )
-    fp = trial_context_fingerprint(
-        factory, dataset, trial_slo, num_requests, seed, PHASE_TRIAL_MIN_DURATION
-    )
-    return GoodputTask(
-        kind=kind, payload=spec, dataset=dataset, slo=slo,
-        attainment_target=attainment_target, num_requests=num_requests,
-        seed=seed, min_duration=PHASE_TRIAL_MIN_DURATION,
-        context_fp=fp, seed_entries=cache.snapshot(fp), early_abort=early_abort,
-        fast_kernel=fast_kernel, scheduling=scheduling,
-    )
-
-
-def make_joint_task(
-    system_factory: Callable,
-    dataset: SyntheticDataset,
-    slo: SLO,
-    attainment_target: float,
-    num_requests: int,
-    seed: int,
-    min_duration: float,
-    cache: TrialCache,
-    early_abort: bool = True,
-) -> GoodputTask:
-    """A full-system goodput search task (Algorithm 2's joint simulation).
-
-    ``system_factory`` must be picklable and fingerprintable — in
-    practice a ``functools.partial`` over a module-level function with
-    dataclass arguments — and binds everything its trials depend on,
-    the fast-kernel switch and the scheduling policies included.
-    """
-    fp = trial_context_fingerprint(
-        system_factory, dataset, slo, num_requests, seed, min_duration
-    )
-    return GoodputTask(
-        kind="joint", payload=system_factory, dataset=dataset, slo=slo,
-        attainment_target=attainment_target, num_requests=num_requests,
-        seed=seed, min_duration=min_duration,
-        context_fp=fp, seed_entries=cache.snapshot(fp), early_abort=early_abort,
+    return make_task(
+        factory, dataset, trial_slo, attainment_target, num_requests, seed,
+        PHASE_TRIAL_MIN_DURATION, cache, early_abort,
     )
 
 
 def _execute_task(task: GoodputTask) -> GoodputTaskResult:
     """Run one goodput search (in-process or inside a pool worker)."""
-    if task.kind in ("prefill", "decode"):
-        factory, trial_slo = phase_trial_setup(
-            task.kind, task.payload, task.slo,
-            fast_kernel=task.fast_kernel, scheduling=task.scheduling,
-        )
-    elif task.kind == "joint":
-        factory, trial_slo = task.payload, task.slo
-    else:
-        raise ValueError(f"unknown task kind {task.kind!r}")
-    runner = _TrialRunner(
-        factory, task.dataset, trial_slo,
-        task.num_requests, task.seed, task.min_duration, task.seed_entries,
-    )
+    runner = _TrialRunner(task)
     result = max_goodput(
-        factory, task.dataset, trial_slo,
+        task.system_factory, task.dataset, task.slo,
         attainment_target=task.attainment_target,
         num_requests=task.num_requests, seed=task.seed,
         min_duration=task.min_duration,
@@ -622,6 +570,6 @@ def phase_slo_infeasible(
     return floor > bound
 
 
-def rate_cap_per_gpu(num_gpus: int, rate_hi_cap: float = RATE_HI_CAP_DEFAULT) -> float:
+def rate_cap_per_gpu(num_gpus: int) -> float:
     """Trivially sound per-GPU goodput upper bound: the search's rate cap."""
-    return rate_hi_cap / num_gpus
+    return RATE_HI_CAP / num_gpus

@@ -1,4 +1,4 @@
-"""Phase-level goodput estimation: ``simu_prefill`` and ``simu_decode``.
+"""Phase-level trials: the paper's ``simu_prefill`` and ``simu_decode``.
 
 Algorithm 1 evaluates each candidate parallel configuration by
 simulating the prefill phase and decoding phase *independently*
@@ -6,11 +6,13 @@ simulating the prefill phase and decoding phase *independently*
 passes its SLO alone — TTFT for prefill, TPOT for decoding — with an
 effectively unconstrained partner metric.
 
-:func:`phase_trial_setup` is the single source of truth for how a phase
-simulation is posed (system factory, masked SLO, trial duration); the
-search-acceleration layer (:mod:`repro.core.search`) uses it to build
-cache keys and worker tasks that are guaranteed to agree with what
-``simu_prefill``/``simu_decode`` would simulate in process.
+:func:`phase_trial_setup` is the one place a phase trial is posed: it
+returns the system factory and masked SLO, and
+:data:`PHASE_TRIAL_MIN_DURATION` is the trial duration. ``simu_prefill``
+(or ``simu_decode``) is :func:`repro.core.goodput.max_goodput` over the
+``"prefill"`` (or ``"decode"``) pair with that duration; the search
+layer (:func:`repro.core.search.make_phase_task`) runs exactly that
+search through its trial cache, so it has no entry point of its own.
 """
 
 from __future__ import annotations
@@ -18,16 +20,14 @@ from __future__ import annotations
 from dataclasses import replace
 from functools import partial
 
-from .goodput import GoodputResult, TrialRunner, max_goodput
 from ..latency.parallel import ParallelismConfig
 from ..scheduling.config import DEFAULT_SCHEDULING, SchedulingConfig
 from ..serving.phase_only import DecodeOnlySystem, PrefillOnlySystem
 from ..simulator.events import Simulation
 from ..simulator.instance import InstanceSpec
-from ..workload.datasets import SyntheticDataset
 from ..workload.slos import SLO
 
-__all__ = ["simu_prefill", "simu_decode", "phase_trial_setup", "PHASE_TRIAL_MIN_DURATION"]
+__all__ = ["phase_trial_setup", "PHASE_TRIAL_MIN_DURATION"]
 
 #: A bound so loose it never binds — used to isolate one phase's SLO.
 _UNBOUNDED = 1e9
@@ -98,64 +98,6 @@ def phase_trial_setup(
             SLO(ttft=_UNBOUNDED, tpot=slo.tpot),
         )
     raise ValueError(f"unknown phase kind {kind!r}; expected 'prefill' or 'decode'")
-
-
-def simu_prefill(
-    spec: InstanceSpec,
-    dataset: SyntheticDataset,
-    slo: SLO,
-    attainment_target: float = 0.9,
-    num_requests: int = 300,
-    seed: int = 0,
-    trial_runner: "TrialRunner | None" = None,
-    early_abort: bool = True,
-    fast_kernel: bool = True,
-    scheduling: SchedulingConfig = DEFAULT_SCHEDULING,
-) -> GoodputResult:
-    """Max rate one prefill instance sustains under the TTFT SLO alone."""
-    factory, phase_slo = phase_trial_setup(
-        "prefill", spec, slo, fast_kernel=fast_kernel, scheduling=scheduling
-    )
-    return max_goodput(
-        factory,
-        dataset,
-        phase_slo,
-        attainment_target=attainment_target,
-        num_requests=num_requests,
-        seed=seed,
-        min_duration=PHASE_TRIAL_MIN_DURATION,
-        trial_runner=trial_runner,
-        early_abort=early_abort,
-    )
-
-
-def simu_decode(
-    spec: InstanceSpec,
-    dataset: SyntheticDataset,
-    slo: SLO,
-    attainment_target: float = 0.9,
-    num_requests: int = 300,
-    seed: int = 0,
-    trial_runner: "TrialRunner | None" = None,
-    early_abort: bool = True,
-    fast_kernel: bool = True,
-    scheduling: SchedulingConfig = DEFAULT_SCHEDULING,
-) -> GoodputResult:
-    """Max rate one decode instance sustains under the TPOT SLO alone."""
-    factory, phase_slo = phase_trial_setup(
-        "decode", spec, slo, fast_kernel=fast_kernel, scheduling=scheduling
-    )
-    return max_goodput(
-        factory,
-        dataset,
-        phase_slo,
-        attainment_target=attainment_target,
-        num_requests=num_requests,
-        seed=seed,
-        min_duration=PHASE_TRIAL_MIN_DURATION,
-        trial_runner=trial_runner,
-        early_abort=early_abort,
-    )
 
 
 def candidate_configs(

@@ -44,7 +44,7 @@ _OPTIONS = {
         ("--ttft", 0.0), ("--tpot", 0.0),
     ] + _SCHEDULING,
     "trace": _MODEL + _MODE + _workload(100) + _DEPLOYMENT + [
-        ("--out", "/tmp/trace.json"), ("--jsonl-out", ""), ("--sanitize", False),
+        ("--out", ""), ("--jsonl-out", ""), ("--sanitize", False),
     ] + _SCHEDULING,
     "metrics": _MODEL + _MODE + _workload(300) + _DEPLOYMENT + [
         ("--ttft", 4.0), ("--tpot", 0.2), ("--window", 30.0),
@@ -151,6 +151,25 @@ class TestCommands:
         assert {"prefill_exec", "kv_transfer", "decode"} <= names
         lines = jsonl.read_text().strip().split("\n")
         assert all(json.loads(line)["kind"] for line in lines)
+
+    def test_trace_writes_only_the_files_it_is_given(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("trace wrote a Chrome trace without --out")
+
+        monkeypatch.setattr("repro.cli.write_chrome_trace", refuse)
+        jsonl = tmp_path / "trace.jsonl"
+        assert main(
+            [
+                "trace", "--model", "opt-1.3b", "--rate", "4.0",
+                "--requests", "10", "--jsonl-out", str(jsonl),
+            ]
+        ) == 0
+        assert jsonl.read_text().strip()
+        printed = capsys.readouterr().out
+        assert f"JSON-lines trace written to {jsonl}" in printed
+        assert "Chrome trace written" not in printed
 
     def test_trace_deterministic_outputs(self, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]

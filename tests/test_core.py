@@ -10,17 +10,18 @@ from repro.core import (
     Placement,
     PlacementSearchStats,
     ReplanController,
+    TrialCache,
     WorkloadProfiler,
-    attainment_at_rate,
     build_system,
     candidate_configs,
     get_intra_node_configs,
     max_goodput,
+    phase_trial_setup,
     place_high_affinity,
     place_low_affinity,
-    simu_decode,
-    simu_prefill,
+    run_attainment_trial,
 )
+from repro.core.simulate import PHASE_TRIAL_MIN_DURATION
 from repro.hardware import Cluster, Node, paper_testbed
 from repro.latency import ParallelismConfig
 from repro.models import get_model
@@ -56,12 +57,12 @@ def colocated_factory(spec):
 
 class TestGoodputSearch:
     def test_attainment_decreases_with_rate(self, tiny_spec, fast_dataset, loose_slo):
-        low = attainment_at_rate(
+        low = run_attainment_trial(
             colocated_factory(tiny_spec), fast_dataset, 1.0, loose_slo, num_requests=80
-        )
-        high = attainment_at_rate(
+        ).attainment
+        high = run_attainment_trial(
             colocated_factory(tiny_spec), fast_dataset, 400.0, loose_slo, num_requests=80
-        )
+        ).attainment
         assert low > high
 
     def test_max_goodput_is_sustainable(self, tiny_spec, fast_dataset, loose_slo):
@@ -75,10 +76,10 @@ class TestGoodputSearch:
         assert result.attainment_at_goodput >= 0.9
         # Just above goodput, attainment should drop below target within
         # the search's own trace.
-        above = attainment_at_rate(
+        above = run_attainment_trial(
             colocated_factory(tiny_spec), fast_dataset, result.goodput * 2.5,
             loose_slo, num_requests=80,
-        )
+        ).attainment
         assert above < 0.9
 
     def test_impossible_slo_returns_zero(self, tiny_spec, fast_dataset):
@@ -96,16 +97,29 @@ class TestGoodputSearch:
             )
 
 
+def phase_goodput(kind, spec, dataset, slo, **kwargs):
+    """The paper's ``simu_prefill``/``simu_decode``: a goodput search
+    over one phase's trial factory and masked SLO."""
+    factory, trial_slo = phase_trial_setup(kind, spec, slo)
+    return max_goodput(
+        factory, dataset, trial_slo, min_duration=PHASE_TRIAL_MIN_DURATION, **kwargs
+    )
+
+
 class TestPhaseSimulation:
     def test_simu_prefill_ignores_tpot(self, tiny_spec, fast_dataset):
         # TPOT bound of 1 ns must not affect a prefill-only search.
         strict_tpot = SLO(ttft=0.5, tpot=1e-9)
-        result = simu_prefill(tiny_spec, fast_dataset, strict_tpot, num_requests=60)
+        result = phase_goodput(
+            "prefill", tiny_spec, fast_dataset, strict_tpot, num_requests=60
+        )
         assert result.goodput > 0
 
     def test_simu_decode_ignores_ttft(self, tiny_spec, fast_dataset):
         strict_ttft = SLO(ttft=1e-9, tpot=0.2)
-        result = simu_decode(tiny_spec, fast_dataset, strict_ttft, num_requests=60)
+        result = phase_goodput(
+            "decode", tiny_spec, fast_dataset, strict_ttft, num_requests=60
+        )
         assert result.goodput > 0
 
     def test_candidate_configs_validity(self):
@@ -154,24 +168,38 @@ class TestIntraNodeConfigs:
 
 
 class TestPlacementSearch:
+    @pytest.fixture(scope="class")
+    def trial_cache(self):
+        """One cache for the four searches below: the two Algorithm 1
+        searches (and the two Algorithm 2 ones) differ only in what they
+        do with the goodputs, so the second of each pair replays the
+        first's trials."""
+        return TrialCache()
+
     @pytest.fixture
     def small_cluster(self, tiny_model):
         return Cluster(nodes=[Node(index=i, num_gpus=4) for i in range(2)])
 
-    def test_high_affinity_search(self, tiny_model, small_cluster, fast_dataset, loose_slo):
+    def test_high_affinity_search(
+        self, tiny_model, small_cluster, fast_dataset, loose_slo, trial_cache
+    ):
         stats = PlacementSearchStats()
         plm = place_high_affinity(
             tiny_model, small_cluster, fast_dataset, loose_slo,
             traffic_rate=5.0, num_requests=60, stats=stats,
+            trial_cache=trial_cache,
         )
         assert plm.system_goodput >= 5.0 or plm.prefill.num_instances >= 1
         assert stats.configs_evaluated > 0
         assert not plm.kv_transfer_intra_node
 
-    def test_low_affinity_search(self, tiny_model, small_cluster, fast_dataset, loose_slo):
+    def test_low_affinity_search(
+        self, tiny_model, small_cluster, fast_dataset, loose_slo, trial_cache
+    ):
         plm = place_low_affinity(
             tiny_model, small_cluster, fast_dataset, loose_slo,
             traffic_rate=5.0, num_requests=60, joint_sim_candidates=2,
+            trial_cache=trial_cache,
         )
         assert plm.kv_transfer_intra_node
         # Stage colocation: both phases share the inter-op degree.
@@ -179,18 +207,23 @@ class TestPlacementSearch:
         # The unit must fit in one node per stage.
         assert plm.prefill.config.tp + plm.decode.config.tp <= small_cluster.gpus_per_node
 
-    def test_replication_meets_traffic(self, tiny_model, small_cluster, fast_dataset, loose_slo):
+    def test_replication_meets_traffic(
+        self, tiny_model, small_cluster, fast_dataset, loose_slo, trial_cache
+    ):
         plm = place_high_affinity(
             tiny_model, small_cluster, fast_dataset, loose_slo,
-            traffic_rate=40.0, num_requests=60,
+            traffic_rate=40.0, num_requests=60, trial_cache=trial_cache,
         )
         assert plm.prefill.total_goodput >= 40.0 * 0.95
         assert plm.decode.total_goodput >= 40.0 * 0.95
 
-    def test_build_system_runs(self, tiny_model, small_cluster, fast_dataset, loose_slo, rng):
+    def test_build_system_runs(
+        self, tiny_model, small_cluster, fast_dataset, loose_slo, rng, trial_cache
+    ):
         plm = place_low_affinity(
             tiny_model, small_cluster, fast_dataset, loose_slo,
             traffic_rate=5.0, num_requests=60, joint_sim_candidates=1,
+            trial_cache=trial_cache,
         )
         sim = Simulation()
         system = build_system(sim, tiny_model, plm, small_cluster)
@@ -366,13 +399,11 @@ class TestMinSLOScale:
         assert trials >= 2
         assert 0.05 <= scale <= 4.0
         # Just below the found scale the system must fail.
-        from repro.core import attainment_at_rate
-
         if scale > 0.06:
-            att = attainment_at_rate(
+            att = run_attainment_trial(
                 colocated_factory(tiny_spec), fast_dataset, 5.0,
                 base.scaled(scale * 0.7), num_requests=60,
-            )
+            ).attainment
             assert att < 0.9
 
     def test_impossible_slo_inf(self, tiny_spec, fast_dataset):

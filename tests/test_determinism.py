@@ -207,7 +207,7 @@ class TestWallClockAndGlobalRng:
             for place in (place_high_affinity, place_low_affinity):
                 stats = PlacementSearchStats()
                 placement = place(opt13b, cluster, dataset, slo,
-                                  num_requests=40, stats=stats, trial_cache=False)
+                                  num_requests=40, stats=stats)
                 out.append((placement, dataclasses.replace(stats, wall_time_s=0.0)))
             return out
 

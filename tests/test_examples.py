@@ -1,8 +1,10 @@
 """Smoke tests keeping the fast example scripts runnable.
 
-The slow examples (placement search) are exercised by the benchmarks;
-here we import and run the cheap ones, every script ``make examples``
-runs, so documentation code cannot rot.
+Every script but the two placement searches is imported and run here,
+so documentation code cannot rot. ``placement_planner.py`` and
+``replanning_demo.py`` take about 20 s each; they run in ``make
+examples``, which runs all nine scripts and which CI's ``examples`` job
+calls.
 """
 
 import importlib.util
@@ -20,6 +22,7 @@ FAST_EXAMPLES = [
     "fault_injection.py",
     "burstiness_pull_vs_push.py",
     "queueing_analysis.py",
+    "summarization_vs_chatbot.py",
 ]
 
 

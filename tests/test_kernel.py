@@ -859,17 +859,24 @@ class TestCutoffCounters:
 # ----------------------------------------------------------------------
 class TestGoodputParity:
     def test_simu_decode_verdict_identical(self, tiny_spec):
-        from repro.core.simulate import simu_decode
+        from repro.core import max_goodput, phase_trial_setup
+        from repro.core.simulate import PHASE_TRIAL_MIN_DURATION
         from repro.workload.slos import SLO
 
         dataset = fixed_length_dataset(256, 24)
         slo = SLO(ttft=0.5, tpot=0.08)
-        fast = simu_decode(
-            tiny_spec, dataset, slo, num_requests=60, fast_kernel=True
-        )
-        slow = simu_decode(
-            tiny_spec, dataset, slo, num_requests=60, fast_kernel=False
-        )
+
+        def simu_decode(fast_kernel):
+            factory, trial_slo = phase_trial_setup(
+                "decode", tiny_spec, slo, fast_kernel=fast_kernel
+            )
+            return max_goodput(
+                factory, dataset, trial_slo, num_requests=60,
+                min_duration=PHASE_TRIAL_MIN_DURATION,
+            )
+
+        fast = simu_decode(fast_kernel=True)
+        slow = simu_decode(fast_kernel=False)
         assert fast.goodput == slow.goodput
         assert fast.attainment_at_goodput == slow.attainment_at_goodput
         assert fast.trials == slow.trials

@@ -26,7 +26,7 @@ import repro.analysis.critpath as critpath_module
 import repro.scheduling.dispatch as dispatch_module
 from repro.analysis import slo_attainment
 from repro.core.placement_low import IntraNodeConfig, _unit_factory
-from repro.core.search import TrialCache, make_joint_task
+from repro.core.search import TrialCache, make_task
 from repro.hardware import Cluster, Node
 from repro.models import get_model
 from repro.scheduling import SchedulingConfig
@@ -326,7 +326,7 @@ class TestSIM002:
 # ----------------------------------------------------------------------
 
 def _joint_task(system_factory):
-    return make_joint_task(
+    return make_task(
         system_factory, fixed_length_dataset(256, 16), SLO(ttft=0.1, tpot=0.05),
         attainment_target=0.9, num_requests=40, seed=0, min_duration=1.0,
         cache=TrialCache(),

@@ -27,7 +27,6 @@ import pytest
 
 from repro.analysis import slo_attainment
 from repro.core import (
-    GLOBAL_TRIAL_CACHE,
     PlacementSearchStats,
     TrialCache,
     fingerprint,
@@ -35,13 +34,11 @@ from repro.core import (
     place_high_affinity,
     place_low_affinity,
     run_attainment_trial,
-    simu_prefill,
 )
 from repro.core.search import (
     TrialEntry,
     make_phase_task,
     phase_slo_infeasible,
-    resolve_trial_cache,
     trial_context_fingerprint,
 )
 from repro.core.simulate import PHASE_TRIAL_MIN_DURATION, phase_trial_setup
@@ -241,11 +238,20 @@ class TestTrialCache:
         snap[2.0] = entry
         assert 2.0 not in cache.snapshot("ctx")
 
-    def test_resolve(self):
-        assert resolve_trial_cache(None) is GLOBAL_TRIAL_CACHE
-        assert resolve_trial_cache(False) is not GLOBAL_TRIAL_CACHE
-        mine = TrialCache()
-        assert resolve_trial_cache(mine) is mine
+    def test_uncached_searches_share_nothing(self, tiny_model):
+        """A search given no cache starts from a fresh one, so running it
+        again simulates every trial again and reports the same numbers."""
+        outcomes = []
+        for _ in range(2):
+            stats = PlacementSearchStats()
+            placement = place_high_affinity(
+                tiny_model, Cluster(nodes=[Node(index=0, num_gpus=1)]),
+                fixed_length_dataset(512, 32), SLO(ttft=0.3, tpot=0.1),
+                num_requests=30, stats=stats,
+            )
+            assert stats.cache_hits == 0
+            outcomes.append((placement, stats.comparable()))
+        assert outcomes[0] == outcomes[1]
 
 
 # ----------------------------------------------------------------------
@@ -424,7 +430,7 @@ class TestVerdictPreservation:
         placements = [
             place_high_affinity(
                 tiny_model, tiny_cluster, fast_dataset, slo,
-                num_requests=30, trial_cache=False, prune=flag,
+                num_requests=30, prune=flag,
             )
             for flag in (True, False)
         ]
@@ -435,8 +441,10 @@ class TestVerdictPreservation:
         hopeless = SLO(ttft=1e-9, tpot=1.0)
         assert phase_slo_infeasible("prefill", spec, fast_dataset, hopeless)
         # The prune's claim: the full search would return exactly zero.
-        result = simu_prefill(
-            spec, fast_dataset, hopeless, num_requests=30, early_abort=False
+        factory, trial_slo = phase_trial_setup("prefill", spec, hopeless)
+        result = max_goodput(
+            factory, fast_dataset, trial_slo, num_requests=30,
+            min_duration=PHASE_TRIAL_MIN_DURATION, early_abort=False,
         )
         assert result.goodput == 0.0
         # A clearly attainable SLO must never be pruned.
@@ -523,7 +531,7 @@ class TestStats:
         stats = PlacementSearchStats()
         place_high_affinity(
             tiny_model, tiny_cluster, fast_dataset, SLO(ttft=0.3, tpot=0.1),
-            num_requests=30, stats=stats, trial_cache=False, workers=1,
+            num_requests=30, stats=stats, workers=1,
         )
         assert stats.wall_time_s > 0.0
         assert stats.workers == 1
